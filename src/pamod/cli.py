@@ -9,25 +9,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
 from pamod import certify as cert
 from pamod import cut_events as events
 from pamod import cuts, modularity, models
-from pamod.experiment import TASKS, ExperimentConfig, emit_report, run_experiment
+from pamod.experiment import (
+    TASKS,
+    ExperimentConfig,
+    _frac_str,
+    emit_report,
+    run_experiment,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-
-
-def _frac_str(x) -> str:
-    if x == math.inf:
-        return "inf"
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
 
 
 def _write_or_print(text: str, path: str | None) -> None:
@@ -57,7 +55,7 @@ def _cmd_expand(args) -> int:
             "e_inner": report.e_inner,
             "e_boundary": report.e_boundary,
             "vol": report.vol,
-            "ratio": None if report.ratio is None else _frac_str(report.ratio),
+            "ratio": _frac_str(report.ratio),
         }
     else:
         u = Fraction(args.u)

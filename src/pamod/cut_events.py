@@ -167,26 +167,24 @@ def exact_cut_event(
 def estimate_cut_event(
     model: Model, spec: CutEventSpec, trials: int, seed: int
 ) -> MCEstimate:
-    """Monte-Carlo frequency of the event, with its analytic bound attached."""
+    """Monte-Carlo frequency of the event, with its analytic bound attached.
+
+    Counts the rows of ``sample_target_matrix(model, h*n, trials, seed)``
+    whose crossing set equals A; edge e_t crosses when mini-vertex t and
+    its target merge onto different sides of S.  The test is one boolean
+    reduction over the matrix, with (trials, h*n) bool temporaries.
+    """
     model = _check_model(model)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     seed = _check_seed(seed)
     hn = spec.h * spec.n
     mat = sample_target_matrix(model, hn, trials, seed)
-    h = spec.h
-    sub = spec.subset
-    want = spec.arrivals
-    side = [vertex_of(m, h) in sub for m in range(0, hn + 1)]  # index 0 unused
-    hits = 0
-    for row in mat:
-        ok = True
-        for t in range(1, hn + 1):
-            if (side[t] != side[row[t - 1]]) != (t in want):
-                ok = False
-                break
-        if ok:
-            hits += 1
+    # side[m]: mini-vertex m merges into S (index 0 unused)
+    side = np.array([vertex_of(m, spec.h) in spec.subset for m in range(hn + 1)])
+    want = np.zeros(hn, dtype=bool)
+    want[[t - 1 for t in spec.arrivals]] = True
+    hits = int(((side[1:] != side[mat]) == want).all(axis=1).sum())
     p_hat = hits / trials
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return MCEstimate(

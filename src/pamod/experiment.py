@@ -73,12 +73,14 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _frac_str(x: Fraction | None) -> str | None:
+def _frac_str(x) -> str | None:
+    """Exact "p/q" form of anything ``Fraction()`` accepts; inf gives "inf"."""
     if x is None:
         return None
     if x == math.inf:
         return "inf"
-    return f"{x.numerator}/{x.denominator}"
+    f = Fraction(x)
+    return f"{f.numerator}/{f.denominator}"
 
 
 @dataclass(frozen=True)
@@ -199,9 +201,7 @@ def _compute_row(args) -> dict:
             alpha = res.alpha
             method = SearchMethod.SAMPLED
         if "expansion" in config.tasks:
-            row["alpha"] = (
-                "inf" if alpha == math.inf else _frac_str(alpha)
-            )
+            row["alpha"] = _frac_str(alpha)
             row["alpha_method"] = method.value
     q = None
     q_exact = False

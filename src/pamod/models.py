@@ -14,10 +14,22 @@ The two variants differ in how self-loops are treated at the mini level:
   its degree, and later steps never place self-loops at the mini level:
   e_{t+1} attaches to s <= t with probability deg(s)/(2t-1).
 
-Sampling uses the endpoint-list realization: a list L holds both
-endpoints of every placed edge (only one copy of mini-vertex 1 for the
-weight-1 loop), so a uniform draw from L is a degree-proportional draw.
-This is O(1) per step and exact.
+Sampling uses the endpoint-list realization of Batagelj & Brandes (Phys.
+Rev. E 71, 2005): a list L holds both endpoints of every placed edge (only
+one copy of mini-vertex 1 for the weight-1 loop), so a uniform draw from L
+is a degree-proportional draw.  The list is never built.  In the standard
+model L = [1, s_1, 2, s_2, 3, s_3, ...] with s_1 = 1, so the 1-based draw
+r at step tau resolves as
+
+* r odd: s_tau = (r + 1) // 2, a fresh arrival (r = 2*tau - 1 is the
+  self-loop);
+* r even: s_tau = s_{r/2}, a copy of an earlier arrival's target.
+
+The tilde list is the standard one without its first entry and without
+the self-loop slot, so its 0-based draw j is the standard draw r = j + 2.
+The draws do not depend on the history; all of them are taken first, and
+the copies are then resolved by pointer jumping.  Memory is the int64
+output array plus temporaries of at most ``SAMPLER_CHUNK`` elements.
 """
 
 from __future__ import annotations
@@ -37,6 +49,10 @@ MAX_SEED = 2**64
 # Exhaustive enumeration of arrival logs grows factorially; t_max = 6
 # already means 720 logs for the standard model.
 EXACT_DISTRIBUTION_LIMIT = 6
+
+# Largest temporary array, in elements, that the target sampler allocates
+# next to its output.
+SAMPLER_CHUNK = 1 << 16
 
 
 class Model(str, Enum):
@@ -206,27 +222,56 @@ def merge(log: ArrivalLog) -> MultiGraph:
     )
 
 
+def _sample_runs(
+    model: Model, length: int, trials: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``trials`` independent runs of the process as a (trials, length) array.
+
+    The draws are taken step-major (step 2 of every run, then step 3, ...)
+    with array-bounded ``rng.integers`` calls, which give the same stream
+    as one scalar-bounded call per step and run.
+    """
+    out = np.empty((trials, length), dtype=np.int64)
+    # column 0 is e_1's target 1, which is also the resolved form of r = 1
+    out[:, 0] = 1
+    steps = max(1, SAMPLER_CHUNK // trials)
+    rows = min(trials, SAMPLER_CHUNK)
+    for tau0 in range(2, length + 1, steps):
+        taus = np.arange(tau0, min(tau0 + steps, length + 1))[:, None]
+        cols = slice(tau0 - 1, tau0 - 1 + len(taus))
+        for i0 in range(0, trials, rows):
+            size = (len(taus), min(rows, trials - i0))
+            if model is Model.STANDARD:
+                r = rng.integers(1, 2 * taus, size=size)
+            else:  # tilde draw j is the standard draw r = j + 2
+                r = rng.integers(0, 2 * taus - 3, size=size) + 2
+            out[i0 : i0 + size[1], cols] = r.T
+    # An even r becomes a pointer to the entry of arrival r/2 in the same
+    # run, stored as -(flat index) - 1.  Pointers only go back in the flat
+    # order, so each block is resolved before the next one needs it.
+    flat = out.reshape(-1)
+    for a in range(0, flat.size, SAMPLER_CHUNK):
+        block = flat[a : a + SAMPLER_CHUNK]
+        pos = np.arange(a, a + block.size)
+        half = block >> 1
+        block[:] = np.where(block & 1, half + 1, pos % length - pos - half)
+        while True:
+            jump = np.flatnonzero(block < 0)
+            if not jump.size:
+                break
+            block[jump] = flat[-block[jump] - 1]
+    return out
+
+
 def _sample_targets(model: Model, length: int, rng: np.random.Generator) -> list[int]:
-    """One run of the attachment process, as a list of targets."""
-    targets = [1]
-    if model is Model.STANDARD:
-        ends = [1, 1]
-        for tau in range(2, length + 1):
-            # denominator 2*tau - 1: the 2(tau-1) endpoint slots plus the
-            # unit weight of a fresh self-loop at mini-vertex tau
-            r = int(rng.integers(1, 2 * tau))
-            s = ends[r - 1] if r <= 2 * tau - 2 else tau
-            targets.append(s)
-            ends.append(tau)
-            ends.append(s)
-    else:
-        ends = [1]
-        for tau in range(2, length + 1):
-            s = ends[int(rng.integers(0, 2 * tau - 3))]
-            targets.append(s)
-            ends.append(tau)
-            ends.append(s)
-    return targets
+    """One run of the attachment process, as a list of targets.
+
+    Repeats of a target share one int object, as they would in an endpoint
+    list; an int per arrival would cost ~30 bytes more per edge.
+    """
+    row = _sample_runs(model, length, 1, rng)[0]
+    values, index = np.unique(row, return_inverse=True)
+    return list(map(values.tolist().__getitem__, index))
 
 
 def generate(model: Model, h: int, n: int, seed: int) -> tuple[ArrivalLog, MultiGraph]:
@@ -255,41 +300,18 @@ def sample_target_matrix(
 ) -> np.ndarray:
     """Sample ``trials`` independent target sequences as a (trials, length) array.
 
-    Column draws are batched (the step-t denominator does not depend on
-    the history), which keeps large Monte-Carlo runs cheap.  The stream
-    differs from per-trial ``generate`` calls; reproducibility is per
-    (model, length, trials, seed).
+    All trials' draws for step 2 come first in the generator stream, then
+    those for step 3, and so on; the stream equals one scalar-bounded
+    ``rng.integers`` call per step and trial in that order.  It differs
+    from per-trial ``generate`` calls; reproducibility is per (model,
+    length, trials, seed).  Memory is the int64 output plus temporaries of
+    at most ``SAMPLER_CHUNK`` elements.
     """
     model = _check_model(model)
     seed = _check_seed(seed)
     if length < 1 or trials < 1:
         raise ValueError("need length >= 1 and trials >= 1")
-    rng = np.random.default_rng(seed)
-    draws = {}
-    for tau in range(2, length + 1):
-        if model is Model.STANDARD:
-            draws[tau] = rng.integers(1, 2 * tau, size=trials)
-        else:
-            draws[tau] = rng.integers(0, 2 * tau - 3, size=trials)
-    out = np.empty((trials, length), dtype=np.int64)
-    out[:, 0] = 1
-    for i in range(trials):
-        if model is Model.STANDARD:
-            ends = [1, 1]
-            for tau in range(2, length + 1):
-                r = draws[tau][i]
-                s = ends[r - 1] if r <= 2 * tau - 2 else tau
-                out[i, tau - 1] = s
-                ends.append(tau)
-                ends.append(s)
-        else:
-            ends = [1]
-            for tau in range(2, length + 1):
-                s = ends[draws[tau][i]]
-                out[i, tau - 1] = s
-                ends.append(tau)
-                ends.append(s)
-    return out
+    return _sample_runs(model, length, trials, np.random.default_rng(seed))
 
 
 def derive_seed(root_seed: int, index: int) -> int:
@@ -377,8 +399,8 @@ def graph_from_json(payload: dict) -> MultiGraph:
         n = int(payload["n"])
         seed = int(payload["seed"])
         edges = tuple(
-            (min(int(u), int(v)), max(int(u), int(v)), int(t))
-            for u, v, t in payload["edges"]
+            (u, v, t) if u <= v else (v, u, t)
+            for u, v, t in ((int(u), int(v), int(t)) for u, v, t in payload["edges"])
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed graph payload: {exc}") from None
@@ -387,6 +409,15 @@ def graph_from_json(payload: dict) -> MultiGraph:
     arrivals = sorted(t for _u, _v, t in edges)
     if arrivals != list(range(1, h * n + 1)):
         raise ValueError("edge arrival indices must be exactly 1..h*n")
+    # Edge e_t joins arrival t's vertex ceil(t/h) to a vertex no larger, so
+    # each vertex is the larger endpoint of exactly h edges.  This forces
+    # e_1 = (1, 1, 1) and e(S) <= h|S|, which the profile bound relies on.
+    for u, v, t in edges:
+        if v != (t + h - 1) // h:
+            raise ValueError(
+                f"edge ({u},{v},{t}) cannot arise from attachment: its larger "
+                f"endpoint must be ceil(t/h) = {(t + h - 1) // h}"
+            )
     return MultiGraph(
         n=n,
         edges=edges,

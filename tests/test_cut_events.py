@@ -15,6 +15,7 @@ from pamod import (
     spec_bound,
 )
 from pamod.cut_events import _enumerate_logs
+from pamod.models import sample_target_matrix, vertex_of
 
 ALL_SMALL = [
     (h, n)
@@ -189,3 +190,22 @@ def test_estimate_impossible_event_scores_zero():
     spec = CutEventSpec(h=2, n=2, subset=frozenset({2}), arrivals=frozenset({1}))
     est = estimate_cut_event(Model.STANDARD, spec, trials=2_000, seed=0)
     assert est.hits == 0 and est.p_hat == 0.0
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize(
+    "subset, arrivals",
+    [({3}, {5}), ({3}, set()), ({1, 2}, {5, 6}), ({1}, {3}), ({2, 3}, {3, 4, 5})],
+)
+def test_estimate_counts_rows_like_a_per_row_scan(model, subset, arrivals):
+    spec = CutEventSpec(h=2, n=3, subset=subset, arrivals=arrivals)
+    mat = sample_target_matrix(model, 6, 3_000, seed=5)
+    hits = sum(
+        all(
+            ((vertex_of(t, 2) in subset) != (vertex_of(int(s), 2) in subset))
+            == (t in arrivals)
+            for t, s in enumerate(row, start=1)
+        )
+        for row in mat
+    )
+    assert estimate_cut_event(model, spec, trials=3_000, seed=5).hits == hits

@@ -1,10 +1,12 @@
 """Sweep configs, row computation, reports, and reproducibility."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +14,7 @@ from pamod.experiment import (
     ROW_COLUMNS,
     TASKS,
     ExperimentConfig,
+    _frac_str,
     emit_report,
     parse_report_json,
     run_experiment,
@@ -30,6 +33,15 @@ BASE = dict(
 
 
 # ---------------------------------------------------------------- config
+
+
+def test_frac_str_takes_none_inf_and_fraction_inputs():
+    assert _frac_str(None) is None
+    assert _frac_str(math.inf) == "inf"
+    assert _frac_str(Fraction(6, 4)) == "3/2"
+    assert _frac_str(2) == "2/1"
+    assert _frac_str("0.25") == "1/4"
+    assert _frac_str(0.5) == "1/2"
 
 
 def test_config_roundtrip():

@@ -220,6 +220,90 @@ def test_sampled_targets_match_exact_distribution(model):
         assert abs(counts.get(key, 0) / trials - p) <= 4 * se + 1e-12
 
 
+# ------------------------------------------------- stream-pinning oracle
+#
+# Scalar reference samplers: one rng.integers call per step, endpoint list
+# built explicitly.  The array sampler must reproduce their streams exactly.
+
+
+def _reference_targets(model, length, rng):
+    targets = [1]
+    if model is Model.STANDARD:
+        ends = [1, 1]
+        for tau in range(2, length + 1):
+            r = int(rng.integers(1, 2 * tau))
+            s = ends[r - 1] if r <= 2 * tau - 2 else tau
+            targets.append(s)
+            ends.append(tau)
+            ends.append(s)
+    else:
+        ends = [1]
+        for tau in range(2, length + 1):
+            s = ends[int(rng.integers(0, 2 * tau - 3))]
+            targets.append(s)
+            ends.append(tau)
+            ends.append(s)
+    return targets
+
+
+def _reference_matrix(model, length, trials, seed):
+    rng = np.random.default_rng(seed)
+    draws = {}
+    for tau in range(2, length + 1):
+        if model is Model.STANDARD:
+            draws[tau] = rng.integers(1, 2 * tau, size=trials)
+        else:
+            draws[tau] = rng.integers(0, 2 * tau - 3, size=trials)
+    out = np.empty((trials, length), dtype=np.int64)
+    out[:, 0] = 1
+    for i in range(trials):
+        if model is Model.STANDARD:
+            ends = [1, 1]
+            for tau in range(2, length + 1):
+                r = draws[tau][i]
+                s = ends[r - 1] if r <= 2 * tau - 2 else tau
+                out[i, tau - 1] = s
+                ends.append(tau)
+                ends.append(s)
+        else:
+            ends = [1]
+            for tau in range(2, length + 1):
+                s = ends[draws[tau][i]]
+                out[i, tau - 1] = s
+                ends.append(tau)
+                ends.append(s)
+    return out
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("length", [1, 2, 3, 36, 63])
+@pytest.mark.parametrize("trials", [1, 3, 2049])
+def test_target_matrix_matches_scalar_reference(model, length, trials):
+    # 36 x 2049 and 63 x 2049 span more than one 2^16-element chunk
+    seed = 1000 * length + trials
+    mat = sample_target_matrix(model, length, trials, seed)
+    assert mat.dtype == np.int64
+    assert mat.shape == (trials, length)
+    assert np.array_equal(mat, _reference_matrix(model, length, trials, seed))
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("length, trials", [(3, 70_000), (70_000, 2)])
+def test_target_matrix_chunks_keep_the_stream(model, length, trials):
+    # steps wider than a chunk, and runs longer than a chunk
+    mat = sample_target_matrix(model, length, trials, 8)
+    assert np.array_equal(mat, _reference_matrix(model, length, trials, 8))
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("h, n", [(1, 1), (1, 2), (3, 12), (4, 25_000)])
+def test_generate_matches_scalar_reference(model, h, n):
+    log, _g = generate(model, h, n, 21)
+    ref = _reference_targets(model, h * n, np.random.default_rng(21))
+    assert log.targets == tuple(ref)
+    assert all(type(s) is int for s in log.targets)
+
+
 # ----------------------------------------------------------- persistence
 
 
@@ -251,6 +335,37 @@ def test_from_json_validates():
     bad["edges"] = [[u, v, 1] for u, v, _ in payload["edges"]]
     with pytest.raises(ValueError):
         graph_from_json(bad)
+
+
+def _payload(h, n, edges, model="standard"):
+    return {"model": model, "h": h, "n": n, "seed": 0, "edges": edges}
+
+
+def test_from_json_rejects_edges_no_log_produces():
+    # 7 edges inside {2, 3, 4} at h = 2: only 6 can end at those vertices
+    edges = [[1, 1, 1], [1, 2, 2], [3, 4, 3], [3, 4, 4], [3, 4, 5],
+             [2, 3, 6], [2, 4, 7], [2, 3, 8]]  # fmt: skip
+    with pytest.raises(ValueError, match="cannot arise from attachment"):
+        graph_from_json(_payload(2, 4, edges))
+
+
+@pytest.mark.parametrize("model", ["standard", "tilde"])
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [[1, 2, 1], [1, 2, 2]],  # e_1 must be the loop at vertex 1
+        [[1, 1, 1], [1, 1, 2]],  # e_2 must end at vertex ceil(2/1) = 2
+        [[1, 1, 2], [1, 2, 1]],  # arrival 2 ends at vertex 1
+    ],
+)
+def test_from_json_requires_larger_endpoint_ceil_t_over_h(model, edges):
+    with pytest.raises(ValueError, match="ceil"):
+        graph_from_json(_payload(1, 2, edges, model))
+
+
+def test_from_json_accepts_reversed_endpoints():
+    g = graph_from_json(_payload(2, 2, [[1, 1, 1], [1, 1, 2], [1, 2, 3], [2, 1, 4]]))
+    assert g.edges == ((1, 1, 1), (1, 1, 2), (1, 2, 3), (1, 2, 4))
 
 
 def test_from_pairs_counts_loops():
