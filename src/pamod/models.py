@@ -30,11 +30,15 @@ the self-loop slot, so its 0-based draw j is the standard draw r = j + 2.
 The draws do not depend on the history; all of them are taken first, and
 the copies are then resolved by pointer jumping.  Memory is the int64
 output array plus temporaries of at most ``SAMPLER_CHUNK`` elements.
+
+Exact laws come from ``_enumerate_logs``, which lists every log of a
+given length level by level, each with an integer probability numerator
+over the common denominator (2t-1)!! (standard) or (2t-3)!! (tilde) for
+logs of length t.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -200,11 +204,12 @@ class MultiGraph:
         return tuple(loops)
 
 
-def merge(log: ArrivalLog) -> MultiGraph:
+def merge(log: ArrivalLog, *, seed: int | None = None) -> MultiGraph:
     """Collapse a mini-vertex log into the multigraph on n vertices.
 
     Mini-vertex m maps to vertex ceil(m/h); every one of the h*n edges
-    is kept, so mini-level edges inside a block become loops.
+    is kept, so mini-level edges inside a block become loops.  ``seed``
+    is recorded on the graph as the seed that generated the log.
     """
     h = log.h
     edges = []
@@ -218,7 +223,7 @@ def merge(log: ArrivalLog) -> MultiGraph:
         first_loop_weight1=(log.model is Model.TILDE),
         model=log.model,
         h=h,
-        seed=None,
+        seed=seed,
     )
 
 
@@ -291,8 +296,7 @@ def generate(model: Model, h: int, n: int, seed: int) -> tuple[ArrivalLog, Multi
     rng = np.random.default_rng(seed)
     targets = _sample_targets(model, h * n, rng)
     log = ArrivalLog(model=model, h=h, n=n, targets=tuple(targets))
-    graph = dataclasses.replace(merge(log), seed=seed)
-    return log, graph
+    return log, merge(log, seed=seed)
 
 
 def sample_target_matrix(
@@ -328,6 +332,51 @@ def derive_seed(root_seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def _enumerate_logs(model: Model, length: int, allowed=None):
+    """Every arrival log of ``length`` steps with its probability numerator.
+
+    Returns (targets, nums, denom): targets is an (L, length) int64 array
+    in lexicographic order, nums[i] * ``denom``^-1 is the probability of
+    log i, and nums sum to denom when nothing is pruned.  The logs grow
+    one step at a time: each survivor is repeated once per candidate
+    target s of arrival tau, 1..tau in the standard model (tau is the
+    self-loop, weight 1) and 1..tau-1 in the tilde model, and its
+    numerator is multiplied by deg(s).  ``allowed(tau, s)`` maps an array
+    of candidates to a bool mask; a rejected candidate's logs are dropped,
+    e_1's target 1 included.  Memory is a few (L, length) int64 arrays
+    for the largest surviving level.
+    """
+    model = _check_model(model)
+    loops = model is Model.STANDARD
+    denom = math.prod(2 * tau - (1 if loops else 3) for tau in range(2, length + 1))
+    if denom >= 2**63:
+        raise ValueError(
+            f"{model.value} logs of length {length} have denominator {denom} "
+            ">= 2^63, beyond int64 numerators"
+        )
+    targets = np.zeros((1, length), dtype=np.int64)
+    # the denominator check caps length at 19, so degrees fit in uint8
+    degs = np.zeros((1, length), dtype=np.uint8)
+    nums = np.ones(1, dtype=np.int64)
+    for tau in range(1, length + 1):
+        # e_1 is the loop at mini-vertex 1 in both models
+        cand = np.arange(1, tau + 1 if loops or tau == 1 else tau)
+        if allowed is not None:
+            cand = cand[allowed(tau, cand)]
+        rows = np.repeat(np.arange(len(nums)), len(cand))
+        s = np.tile(cand, len(nums))
+        own = s == tau
+        targets = targets[rows]
+        degs = degs[rows]
+        targets[:, tau - 1] = s
+        cell = (np.arange(len(s)), s - 1)
+        nums = nums[rows] * np.where(own, 1, degs[cell])
+        degs[cell] += 1
+        # arrival tau's own endpoint, plus the other end of a weight-2 loop
+        degs[:, tau - 1] = 1 + (own & loops)
+    return targets, nums, denom
+
+
 def exact_small_t_distribution(
     model: Model, t_max: int, limit: int = EXACT_DISTRIBUTION_LIMIT
 ) -> dict[tuple[int, ...], Fraction]:
@@ -345,28 +394,11 @@ def exact_small_t_distribution(
             f"t_max={t_max} exceeds the enumeration limit {limit}; "
             "the table has t_max! entries"
         )
-    if model is Model.STANDARD:
-        denom = math.prod(2 * tau - 1 for tau in range(2, t_max + 1))
-        start_deg = [2]
-    else:
-        denom = math.prod(2 * tau - 3 for tau in range(2, t_max + 1))
-        start_deg = [1]
-    table: dict[tuple[int, ...], Fraction] = {}
-
-    def rec(targets: list[int], degs: list[int], num: int, tau: int) -> None:
-        if tau > t_max:
-            table[tuple(targets)] = Fraction(num, denom)
-            return
-        for s in range(1, tau):
-            degs2 = list(degs)
-            degs2[s - 1] += 1
-            degs2.append(1)
-            rec(targets + [s], degs2, num * degs[s - 1], tau + 1)
-        if model is Model.STANDARD:
-            rec(targets + [tau], degs + [2], num, tau + 1)
-
-    rec([1], start_deg, 1, 2)
-    return table
+    targets, nums, denom = _enumerate_logs(model, t_max)
+    return {
+        tuple(row): Fraction(num, denom)
+        for row, num in zip(targets.tolist(), nums.tolist())
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ Exact maximization uses a subset dynamic program over vertex masks: with
 the common denominator e(G)*vol(G)^2 every part contributes the integer
 f(T) = e(T)*vol(G)^2 - vol(T)^2*e(G), and the best partition of a mask
 is solved by splitting off the part that contains its lowest vertex.
-This costs O(3^n) integer operations, far below enumerating all set
+e(T) and vol(T) come from the subset tables of ``cuts._subset_sums``.
+The DP costs O(3^n) integer operations, far below enumerating all set
 partitions, and is why the default cap sits at n = 12.
 
 Upper bounds provided, all exact:
@@ -33,7 +34,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from pamod.cuts import EXACT_SUBSET_LIMIT, edge_boundary, expansion_profile
+from pamod.cuts import (
+    EXACT_SUBSET_LIMIT,
+    _pair_weights,
+    _subset_sums,
+    edge_boundary,
+    expansion_profile,
+)
 from pamod.models import MultiGraph, _check_seed
 
 EXACT_PARTITION_LIMIT = 12
@@ -108,38 +115,10 @@ def modularity_score(graph: MultiGraph, parts) -> ModularityScore:
     )
 
 
-def _subset_tables(graph: MultiGraph) -> tuple[list[int], list[int]]:
-    """inner[mask] and vol[mask] for every vertex mask (bit i = vertex i+1)."""
-    n = graph.n
-    deg = graph.degrees
-    loops = [0] * n
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for u, v, t in graph.edges:
-        if u == v:
-            loops[u - 1] += 1
-        else:
-            nbrs[u - 1].append((v - 1, 1))
-            nbrs[v - 1].append((u - 1, 1))
-    # merge duplicate neighbor entries into multiplicities
-    for i in range(n):
-        counts: dict[int, int] = {}
-        for b, _one in nbrs[i]:
-            counts[b] = counts.get(b, 0) + 1
-        nbrs[i] = sorted(counts.items())
-    size = 1 << n
-    inner = [0] * size
-    vol = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        rest = mask ^ low
-        cross = 0
-        for nb, mult in nbrs[v]:
-            if (rest >> nb) & 1:
-                cross += mult
-        inner[mask] = inner[rest] + loops[v] + cross
-        vol[mask] = vol[rest] + deg[v + 1]
-    return inner, vol
+def _inner_table(graph: MultiGraph) -> np.ndarray:
+    """inner[mask] = e(S), loops included, for every vertex mask."""
+    pairs = _pair_weights(graph, 1)
+    return _subset_sums(graph.n, graph.loop_counts[1:], pairs, np.int64)
 
 
 def exact_modularity(
@@ -160,11 +139,12 @@ def exact_modularity(
     m = graph.m
     if m == 0:
         return Fraction(0), (frozenset(range(1, n + 1)),)
-    inner, vol = _subset_tables(graph)
     vol_g = graph.volume
     vg2 = vol_g * vol_g
     size = 1 << n
-    f = [inner[mask] * vg2 - vol[mask] * vol[mask] * m for mask in range(size)]
+    inner = _inner_table(graph).tolist()
+    vol = _subset_sums(n, graph.degrees[1:], None, np.int64).tolist()
+    f = [a * vg2 - b * b * m for a, b in zip(inner, vol)]
     opt = [0] * size
     for mask in range(1, size):
         low = mask & -mask
@@ -400,10 +380,12 @@ def _check_inner_edge_cap(graph: MultiGraph, h: int, limit: int = 16) -> None:
         raise ValueError(
             f"cannot verify e(S) <= h|S| exhaustively for n={graph.n} > {limit}"
         )
-    inner, _vol = _subset_tables(graph)
-    for mask in range(1, 1 << graph.n):
-        if inner[mask] > h * mask.bit_count():
-            raise ValueError(
-                f"subset mask {mask:b} has {inner[mask]} inner edges, "
-                f"over the cap h*|S| = {h * mask.bit_count()}"
-            )
+    inner = _inner_table(graph)
+    cap = _subset_sums(graph.n, [h] * graph.n, None, np.int64)  # h|S|
+    bad = np.flatnonzero(inner > cap)
+    if bad.size:
+        mask = int(bad[0])
+        raise ValueError(
+            f"subset mask {mask:b} has {inner[mask]} inner edges, "
+            f"over the cap h*|S| = {cap[mask]}"
+        )

@@ -1,8 +1,11 @@
 """Cut-event probabilities: exact enumeration, sampling, and the bound."""
 
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from itertools import combinations
+from math import comb, prod
 
+import numpy as np
 import pytest
 
 from pamod import (
@@ -113,6 +116,94 @@ def test_exact_probabilities_form_a_distribution():
     assert int(nums.sum()) == denom == 3 * 5 * 7 * 9 * 11 * 13 * 15
     targets, nums, denom = _enumerate_logs(Model.TILDE, 8)
     assert int(nums.sum()) == denom == 1 * 3 * 5 * 7 * 9 * 11 * 13
+
+
+def _reference_logs(model, hn, spec=None):
+    """Recursive enumerator: every (targets, numerator) pair of length hn.
+
+    With ``spec``, prunes as soon as an edge's crossing status contradicts
+    the spec's arrival set, so the numerators sum to P(event) * denominator.
+    """
+    degs0 = [2] if model is Model.STANDARD else [1]
+    out = []
+
+    def need(tau):
+        return spec is not None and tau in spec.arrivals
+
+    def keep(tau, s):
+        if spec is None:
+            return True
+        crossing = (vertex_of(tau, spec.h) in spec.subset) != (
+            vertex_of(s, spec.h) in spec.subset
+        )
+        return crossing == need(tau)
+
+    def rec(targets, degs, num, tau):
+        if tau > hn:
+            out.append((tuple(targets), num))
+            return
+        for s in range(1, tau):
+            if keep(tau, s):
+                degs2 = list(degs)
+                degs2[s - 1] += 1
+                degs2.append(1)
+                rec(targets + [s], degs2, num * degs[s - 1], tau + 1)
+        if model is Model.STANDARD and not need(tau):
+            rec(targets + [tau], degs + [2], num, tau + 1)  # self-loop never crosses
+
+    if not need(1):  # e_1 is a loop and never crosses
+        rec([1], degs0, 1, 2)
+    return out
+
+
+def _denominator(model, hn):
+    return prod(2 * tau - (1 if model is Model.STANDARD else 3) for tau in range(2, hn + 1))
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("hn", range(1, 9))
+def test_enumerator_matches_recursive_reference(model, hn):
+    targets, nums, denom = _enumerate_logs(model, hn)
+    assert targets.dtype == nums.dtype == np.int64
+    assert targets.shape == (len(nums), hn)
+    assert denom == _denominator(model, hn)
+    got = Counter(zip(map(tuple, targets.tolist()), nums.tolist()))
+    assert got == Counter(_reference_logs(model, hn))
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("h, n", [(1, 4), (2, 2), (2, 3)])
+def test_exact_matches_pruned_reference_on_every_event(model, h, n):
+    hn = h * n
+    for k in range(1, n + 1):
+        for subset in combinations(range(1, n + 1), k):
+            for a in range(h * k):
+                for arrivals in combinations(range(1, hn + 1), a):
+                    spec = CutEventSpec(h=h, n=n, subset=subset, arrivals=arrivals)
+                    want = sum(num for _t, num in _reference_logs(model, hn, spec))
+                    assert exact_cut_event(model, spec) == Fraction(
+                        want, _denominator(model, hn)
+                    )
+
+
+def _never_called(tau, s):
+    raise AssertionError("enumeration started")
+
+
+def test_enumerator_refuses_denominators_over_int64_before_enumerating():
+    # 35!! > 2^63: standard logs of length 18, tilde logs of length 19
+    spec = CutEventSpec(h=2, n=9, subset={9}, arrivals={18})
+    with pytest.raises(ValueError, match="2\\^63"):
+        exact_cut_event(Model.STANDARD, spec, limit=18)
+    with pytest.raises(ValueError, match="2\\^63"):
+        _enumerate_logs(Model.STANDARD, 18, _never_called)
+    with pytest.raises(ValueError, match="2\\^63"):
+        _enumerate_logs(Model.TILDE, 19, _never_called)
+    # one step shorter the denominators fit; rejecting e_1 empties the levels
+    for model, hn in ((Model.STANDARD, 17), (Model.TILDE, 18)):
+        targets, nums, denom = _enumerate_logs(model, hn, lambda tau, s: s > 1)
+        assert targets.shape == (0, hn) and nums.shape == (0,)
+        assert denom == _denominator(model, hn) < 2**63
 
 
 # ------------------------------------------------------------------ scan

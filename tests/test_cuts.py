@@ -4,8 +4,9 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pamod import (
@@ -17,7 +18,8 @@ from pamod import (
     generate,
     sampled_expansion,
 )
-from pamod.cuts import SearchMethod, as_fraction
+from pamod.cuts import SearchMethod, _boundary_table, _subset_sums, as_fraction
+from pamod.modularity import _inner_table
 
 K4 = MultiGraph.from_pairs(4, list(itertools.combinations(range(1, 5), 2)))
 
@@ -92,6 +94,47 @@ def test_cut_identity(params, mask_seed):
     assert 2 * rep.e_inner + rep.e_boundary == rep.vol + shift
 
 
+# ---------------------------------------------------------- subset tables
+
+# loops, multi-edges, and a vertex with no edges at all
+MULTI = MultiGraph.from_pairs(
+    6, [(1, 1), (1, 2), (2, 1), (2, 2), (2, 2), (3, 5), (5, 3), (5, 3), (1, 5), (4, 4)]
+)
+MULTI_W1 = MultiGraph.from_pairs(
+    5, [(1, 1), (1, 1), (1, 3), (3, 4), (4, 3), (2, 5), (5, 5)], first_loop_weight1=True
+)
+
+
+def _table_graphs():
+    for model in Model:
+        for h in (1, 2, 3):
+            for n in range(1, 9):
+                yield generate(model, h, n, 100 * h + n)[1]
+    yield MULTI
+    yield MULTI_W1
+
+
+@pytest.mark.parametrize("graph", list(_table_graphs()))
+def test_subset_tables_match_edge_boundary_on_every_mask(graph):
+    n = graph.n
+    tables = {
+        "e_boundary": _boundary_table(graph),
+        "e_inner": _inner_table(graph),
+        "vol": _subset_sums(n, graph.degrees[1:], None, np.int64),
+        "size": _subset_sums(n, [1] * n, None, np.uint8),
+    }
+    assert tables["e_boundary"].dtype == np.int32
+    for mask in range(1 << n):
+        rep = edge_boundary(graph, {v for v in range(1, n + 1) if (mask >> (v - 1)) & 1})
+        want = {
+            "e_boundary": rep.e_boundary,
+            "e_inner": rep.e_inner,
+            "vol": rep.vol,
+            "size": len(rep.subset),
+        }
+        assert {name: int(t[mask]) for name, t in tables.items()} == want
+
+
 # ------------------------------------------------------- exact expansion
 
 
@@ -127,6 +170,10 @@ def test_expansion_refuses_large_graphs():
 
 
 @given(graph_params, st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]))
+@example((Model.STANDARD, 2, 13, 4), Fraction(1, 2))
+@example((Model.TILDE, 1, 14, 9), Fraction(1, 2))
+@example((Model.STANDARD, 1, 14, 2), Fraction(1, 3))
+@example((Model.TILDE, 3, 13, 5), Fraction(1, 4))
 def test_exact_expansion_matches_brute_force(params, u):
     model, h, n, seed = params
     _, g = generate(model, h, n, seed)
@@ -142,6 +189,8 @@ def test_exact_expansion_matches_brute_force(params, u):
 
 
 @given(graph_params)
+@example((Model.STANDARD, 2, 14, 4))
+@example((Model.TILDE, 1, 13, 9))
 def test_profile_matches_brute_force_and_is_monotone(params):
     model, h, n, seed = params
     _, g = generate(model, h, n, seed)

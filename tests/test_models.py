@@ -1,5 +1,6 @@
 """Generation, merging, and the exact small-step target distributions."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -92,6 +93,14 @@ def test_generate_is_deterministic(params):
     assert g_a == g_b
     assert g_a.seed == seed
     assert g_a.model is model and g_a.h == h
+
+
+@given(small_params)
+def test_generate_records_its_seed_in_one_merge(params):
+    model, h, n, seed = params
+    log, g = generate(model, h, n, seed)
+    assert g == dataclasses.replace(merge(log), seed=seed)
+    assert merge(log).seed is None
 
 
 @given(small_params)
