@@ -176,7 +176,8 @@ def scan_cut_events(
     """Verify the bound for every proper nonempty S and every admissible A.
 
     One log enumeration is shared across subsets: per subset the
-    boundary arrival set of each log is packed into a bitmask, and
+    boundary arrival set of each log is packed into a bitmask (one
+    boolean crossing test over the (logs, h*n) target array), and
     integer probability numerators are accumulated per mask.  Every
     accumulated event with |A| < h|S| is compared exactly (integer
     cross-multiplication) against its binomial bound; events that never
@@ -190,19 +191,16 @@ def scan_cut_events(
         raise ValueError(f"h*n = {hn} exceeds the enumeration limit {limit}")
     targets, nums, denom = _enumerate_logs(model, hn)
     assert int(nums.sum()) == denom
-    # vertex (0-based bit) of each mini-vertex, and of each log's targets
-    mini_bit = np.array([0] + [vertex_of(m, h) - 1 for m in range(1, hn + 1)])
-    target_bits = mini_bit[targets]  # (L, hn)
-    own_bits = mini_bit[1 : hn + 1]  # (hn,)
+    # vertex (0-based bit) of each mini-vertex (index 0 unused)
+    vbit = np.array([0] + [vertex_of(m, h) - 1 for m in range(1, hn + 1)])
+    arrival_bit = np.int64(1) << np.arange(hn, dtype=np.int64)
     pairs_checked = 0
     violations: list[tuple[frozenset[int], frozenset[int]]] = []
     for mask in range(1, (1 << n) - 1):
         k = mask.bit_count()
-        event = np.zeros(len(targets), dtype=np.int64)
-        for t in range(1, hn + 1):
-            cu = (mask >> int(own_bits[t - 1])) & 1
-            cv = (mask >> target_bits[:, t - 1]) & 1
-            event |= (cu ^ cv) << (t - 1)
+        side = (mask >> vbit) & 1
+        # bit t-1 of event: edge e_t crosses, as in estimate_cut_event
+        event = (side[1:] != side[targets]) @ arrival_bit
         mass = np.bincount(event, weights=nums.astype(np.float64), minlength=1 << hn)
         # numerators sum to denom < 2^53, so float64 accumulation is exact
         mass_int = mass.astype(np.int64)

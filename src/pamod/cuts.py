@@ -174,7 +174,7 @@ def exact_expansion(
         raise ValueError(
             f"n={n} exceeds the exhaustive limit {limit}; use sampled_expansion"
         )
-    k_max = (uf * n).numerator // (uf * n).denominator
+    k_max = math.floor(uf * n)
     if k_max < 1:
         return ExpansionResult(
             u=uf, alpha=math.inf, witness=None, method=SearchMethod.EXHAUSTIVE
@@ -218,24 +218,12 @@ def expansion_profile(
     return profile
 
 
-def _boundary_of(graph: MultiGraph, in_s: list[bool]) -> int:
-    boundary = 0
-    for u, v, _t in graph.edges:
-        if u != v and in_s[u] != in_s[v]:
-            boundary += 1
-    return boundary
-
-
-def _flip_delta(adj, in_s: list[bool], w: int) -> int:
-    """Boundary change if vertex w flips (enter when outside, leave when in)."""
-    delta = 0
-    if in_s[w]:
-        for nb, mult in adj[w]:
-            delta += mult if in_s[nb] else -mult
-    else:
-        for nb, mult in adj[w]:
-            delta += -mult if in_s[nb] else mult
-    return delta
+def _flip(adj, in_s: list[bool], gain: list[int], w: int) -> None:
+    """Move w to the other side and update the flip gains it changes."""
+    in_s[w] = not in_s[w]
+    gain[w] = -gain[w]
+    for nb, m in adj[w]:
+        gain[nb] += 2 * m if in_s[nb] == in_s[w] else -2 * m
 
 
 def sampled_expansion(
@@ -247,71 +235,63 @@ def sampled_expansion(
     descent (vertex adds, removes, swaps) until the ratio stops
     improving.  Every candidate is an admissible subset, so the returned
     value is always >= the true alpha_u.
+
+    The descent keeps integer flip gains, gain[w] = the boundary change
+    if w switches sides (Fiduccia-Mattheyses style), and compares ratios
+    by cross-multiplication.  A move scans n adds/removes and |S|(n-|S|)
+    swaps in O(1) each, then updates the gains of the moved vertices'
+    neighbours.  The first best candidate in scan order wins.
     """
     uf = _check_u(u)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     seed = _check_seed(seed)
     n = graph.n
-    k_max = (uf * n).numerator // (uf * n).denominator
+    k_max = math.floor(uf * n)
     if k_max < 1:
         return ExpansionResult(
             u=uf, alpha=math.inf, witness=None, method=SearchMethod.SAMPLED
         )
     rng = np.random.default_rng(seed)
     adj = graph.adjacency
+    mult = [dict(nbrs) for nbrs in adj]
     best_ratio: Fraction | None = None
     best_subset: tuple[int, ...] | None = None
     for _ in range(trials):
         size = int(rng.integers(1, k_max + 1))
-        members = rng.choice(n, size=size, replace=False) + 1
+        members = (rng.choice(n, size=size, replace=False) + 1).tolist()
         in_s = [False] * (n + 1)
         for v in members:
             in_s[v] = True
-        boundary = _boundary_of(graph, in_s)
+        gain = [
+            sum(m if in_s[nb] == in_s[w] else -m for nb, m in adj[w])
+            for w in range(n + 1)
+        ]
+        boundary = sum(m for w in members for nb, m in adj[w] if not in_s[nb])
         while True:
-            cur_ratio = Fraction(boundary, size)
-            move = None  # (new_boundary, new_size, kind, w, w2)
-            move_ratio = cur_ratio
+            move: tuple[int, ...] = ()  # the vertices to flip
+            mb, ms = boundary, size  # best ratio so far, mb/ms
             for w in range(1, n + 1):
-                d = _flip_delta(adj, in_s, w)
-                if in_s[w]:
-                    if size > 1:
-                        cand = Fraction(boundary + d, size - 1)
-                        if cand < move_ratio:
-                            move_ratio = cand
-                            move = (boundary + d, size - 1, "rem", w, 0)
-                else:
-                    if size < k_max:
-                        cand = Fraction(boundary + d, size + 1)
-                        if cand < move_ratio:
-                            move_ratio = cand
-                            move = (boundary + d, size + 1, "add", w, 0)
-            # swaps keep the size; evaluate remove w then add w2 exactly
-            for w in range(1, n + 1):
-                if not in_s[w]:
-                    continue
-                d1 = _flip_delta(adj, in_s, w)
-                in_s[w] = False
-                for w2 in range(1, n + 1):
-                    if in_s[w2] or w2 == w:
-                        continue
-                    d2 = _flip_delta(adj, in_s, w2)
-                    cand = Fraction(boundary + d1 + d2, size)
-                    if cand < move_ratio:
-                        move_ratio = cand
-                        move = (boundary + d1 + d2, size, "swap", w, w2)
-                in_s[w] = True
-            if move is None:
+                s = size - 1 if in_s[w] else size + 1
+                if 1 <= s <= k_max and (boundary + gain[w]) * ms < mb * s:
+                    mb, ms = boundary + gain[w], s
+                    move = (w,)
+            # swaps keep the size: w leaves, w2 enters
+            inside = [w for w in range(1, n + 1) if in_s[w]]
+            outside = [w for w in range(1, n + 1) if not in_s[w]]
+            for w in inside:
+                base = boundary + gain[w]
+                mw = mult[w]
+                for w2 in outside:
+                    b = base + gain[w2] + 2 * mw.get(w2, 0)
+                    if b * ms < mb * size:
+                        mb, ms = b, size
+                        move = (w, w2)
+            if not move:
                 break
-            boundary, size, kind, w, w2 = move
-            if kind == "rem":
-                in_s[w] = False
-            elif kind == "add":
-                in_s[w] = True
-            else:
-                in_s[w] = False
-                in_s[w2] = True
+            boundary, size = mb, ms
+            for w in move:
+                _flip(adj, in_s, gain, w)
         subset = tuple(v for v in range(1, n + 1) if in_s[v])
         ratio = Fraction(boundary, size)
         if (

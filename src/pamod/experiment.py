@@ -30,7 +30,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 
 from pamod.cut_events import (
@@ -117,37 +117,29 @@ class ExperimentConfig:
             raise ValueError("tasks must be nonempty")
 
     def to_dict(self) -> dict:
-        return {
-            "model": self.model.value,
-            "h_list": list(self.h_list),
-            "n_list": list(self.n_list),
-            "trials": self.trials,
-            "root_seed": self.root_seed,
-            "tasks": list(self.tasks),
-            "exact_expansion_limit": self.exact_expansion_limit,
-            "exact_modularity_limit": self.exact_modularity_limit,
-            "sample_trials": self.sample_trials,
-            "event_trials": self.event_trials,
-        }
+        """Fields in declaration order; the model as its value, tuples as lists."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Model):
+                value = value.value
+            elif isinstance(value, tuple):
+                value = list(value)
+            out[f.name] = value
+        return out
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        known = {
-            "model",
-            "h_list",
-            "n_list",
-            "trials",
-            "root_seed",
-            "tasks",
-            "exact_expansion_limit",
-            "exact_modularity_limit",
-            "sample_trials",
-            "event_trials",
-        }
+        known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
-        missing = {"model", "h_list", "n_list", "trials", "root_seed"} - set(payload)
+        required = {
+            f.name
+            for f in fields(cls)
+            if f.default is MISSING and f.default_factory is MISSING
+        }
+        missing = required - set(payload)
         if missing:
             raise ValueError(f"missing config keys {sorted(missing)}")
         return cls(**payload)

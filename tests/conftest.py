@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import HealthCheck, settings
 
-from pamod import Model, generate
+from pamod import Model, MultiGraph, generate
 
 settings.register_profile(
     "default",
@@ -36,4 +38,19 @@ def corpus():
                 for seed in (0, 1, 12345):
                     _, g = generate(model, h, n, seed)
                     graphs[(model, h, n, seed)] = g
+    return graphs
+
+
+@pytest.fixture(scope="session")
+def multigraphs():
+    """Forty seeded random multigraphs with loops and multi-edges, n <= 12;
+    every other one has the tilde model's weight-1 first loop."""
+    rnd = random.Random(11)
+    graphs = []
+    for i in range(40):
+        n = rnd.randint(1, 12)
+        pairs = [
+            (rnd.randint(1, n), rnd.randint(1, n)) for _ in range(rnd.randint(0, 3 * n))
+        ]
+        graphs.append(MultiGraph.from_pairs(n, pairs, first_loop_weight1=bool(i % 2)))
     return graphs

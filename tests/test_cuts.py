@@ -18,7 +18,15 @@ from pamod import (
     generate,
     sampled_expansion,
 )
-from pamod.cuts import SearchMethod, _boundary_table, _subset_sums, as_fraction
+from pamod.cuts import (
+    ExpansionResult,
+    SearchMethod,
+    _boundary_table,
+    _check_u,
+    _subset_sums,
+    as_fraction,
+)
+from pamod.models import _check_seed
 from pamod.modularity import _inner_table
 
 K4 = MultiGraph.from_pairs(4, list(itertools.combinations(range(1, 5), 2)))
@@ -235,6 +243,132 @@ def test_sampled_is_deterministic():
 def test_sampled_finds_k4_optimum():
     res = sampled_expansion(K4, Fraction(1, 2), trials=64, seed=0)
     assert res.alpha == 2
+
+
+def _boundary_of(graph, in_s):
+    boundary = 0
+    for u, v, _t in graph.edges:
+        if u != v and in_s[u] != in_s[v]:
+            boundary += 1
+    return boundary
+
+
+def _flip_delta(adj, in_s, w):
+    """Boundary change if vertex w flips (enter when outside, leave when in)."""
+    delta = 0
+    if in_s[w]:
+        for nb, mult in adj[w]:
+            delta += mult if in_s[nb] else -mult
+    else:
+        for nb, mult in adj[w]:
+            delta += -mult if in_s[nb] else mult
+    return delta
+
+
+def _reference_sampled_expansion(graph, u, trials, seed):
+    """The local search with a fresh Fraction per candidate, kept as an oracle."""
+    uf = _check_u(u)
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    seed = _check_seed(seed)
+    n = graph.n
+    k_max = (uf * n).numerator // (uf * n).denominator
+    if k_max < 1:
+        return ExpansionResult(
+            u=uf, alpha=math.inf, witness=None, method=SearchMethod.SAMPLED
+        )
+    rng = np.random.default_rng(seed)
+    adj = graph.adjacency
+    best_ratio = None
+    best_subset = None
+    for _ in range(trials):
+        size = int(rng.integers(1, k_max + 1))
+        members = rng.choice(n, size=size, replace=False) + 1
+        in_s = [False] * (n + 1)
+        for v in members:
+            in_s[v] = True
+        boundary = _boundary_of(graph, in_s)
+        while True:
+            cur_ratio = Fraction(boundary, size)
+            move = None  # (new_boundary, new_size, kind, w, w2)
+            move_ratio = cur_ratio
+            for w in range(1, n + 1):
+                d = _flip_delta(adj, in_s, w)
+                if in_s[w]:
+                    if size > 1:
+                        cand = Fraction(boundary + d, size - 1)
+                        if cand < move_ratio:
+                            move_ratio = cand
+                            move = (boundary + d, size - 1, "rem", w, 0)
+                else:
+                    if size < k_max:
+                        cand = Fraction(boundary + d, size + 1)
+                        if cand < move_ratio:
+                            move_ratio = cand
+                            move = (boundary + d, size + 1, "add", w, 0)
+            # swaps keep the size; evaluate remove w then add w2 exactly
+            for w in range(1, n + 1):
+                if not in_s[w]:
+                    continue
+                d1 = _flip_delta(adj, in_s, w)
+                in_s[w] = False
+                for w2 in range(1, n + 1):
+                    if in_s[w2] or w2 == w:
+                        continue
+                    d2 = _flip_delta(adj, in_s, w2)
+                    cand = Fraction(boundary + d1 + d2, size)
+                    if cand < move_ratio:
+                        move_ratio = cand
+                        move = (boundary + d1 + d2, size, "swap", w, w2)
+                in_s[w] = True
+            if move is None:
+                break
+            boundary, size, kind, w, w2 = move
+            if kind == "rem":
+                in_s[w] = False
+            elif kind == "add":
+                in_s[w] = True
+            else:
+                in_s[w] = False
+                in_s[w2] = True
+        subset = tuple(v for v in range(1, n + 1) if in_s[v])
+        ratio = Fraction(boundary, size)
+        if (
+            best_ratio is None
+            or ratio < best_ratio
+            or (ratio == best_ratio and subset < best_subset)
+        ):
+            best_ratio = ratio
+            best_subset = subset
+    assert best_subset is not None and best_ratio is not None
+    return ExpansionResult(
+        u=uf,
+        alpha=best_ratio,
+        witness=frozenset(best_subset),
+        method=SearchMethod.SAMPLED,
+    )
+
+
+ORACLE_US = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 10))
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_sampled_matches_reference_on_generated_graphs(model, h):
+    for n in (1, 2, 3, 5, 8, 13, 20, 32):
+        for seed in range(6):
+            _, g = generate(model, h, n, 1000 * h + 10 * n + seed)
+            for u in ORACLE_US:
+                got = sampled_expansion(g, u, trials=4, seed=seed + 7)
+                assert got == _reference_sampled_expansion(g, u, 4, seed + 7)
+
+
+def test_sampled_matches_reference_on_multigraphs(multigraphs):
+    graphs = [MULTI, MULTI_W1, K4, *multigraphs]
+    for i, g in enumerate(graphs):
+        for u in ORACLE_US:
+            got = sampled_expansion(g, u, trials=5, seed=i)
+            assert got == _reference_sampled_expansion(g, u, 5, i)
 
 
 def test_as_fraction_forms():

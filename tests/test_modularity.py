@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from pamod import (
     profile_modularity_bound,
     worst_part_bound,
 )
+from pamod.models import _check_seed
 from pamod.modularity import CAP_BASELINE, CAP_STRONG, check_partition
 
 ONE_EDGE = MultiGraph.from_pairs(2, [(1, 2)])
@@ -155,6 +157,82 @@ def test_greedy_solves_two_triangles():
     assert set(parts_star) == set(parts)
 
 
+def _reference_greedy_modularity(graph, seed):
+    """The merger that rebuilds its pair dict after every merge, kept as an oracle."""
+    seed = _check_seed(seed)
+    n = graph.n
+    m = graph.m
+    if m == 0:
+        return Fraction(0), (frozenset(range(1, n + 1)),)
+    rng = np.random.default_rng(seed)
+    vol_g = graph.volume
+    vg2 = vol_g * vol_g
+    deg = graph.degrees
+    members = {v: {v} for v in range(1, n + 1)}
+    vols = {v: deg[v] for v in range(1, n + 1)}
+    between = {}
+    for u, v, _t in graph.edges:
+        if u != v:
+            key = (min(u, v), max(u, v))
+            between[key] = between.get(key, 0) + 1
+    while len(members) > 1:
+        best_gain = 0
+        tied = []
+        for (a, b), cnt in between.items():
+            # merging A and B changes q by e(A,B)/m - 2 vol(A) vol(B)/vol(G)^2
+            gain = cnt * vg2 - 2 * vols[a] * vols[b] * m
+            if gain > best_gain:
+                best_gain = gain
+                tied = [(a, b)]
+            elif gain == best_gain and gain > 0:
+                tied.append((a, b))
+        if not tied:
+            break
+        tied.sort()
+        a, b = tied[int(rng.integers(0, len(tied)))] if len(tied) > 1 else tied[0]
+        members[a] |= members.pop(b)
+        vols[a] += vols.pop(b)
+        merged = {}
+        for (x, y), cnt in between.items():
+            if x == b:
+                x = a
+            if y == b:
+                y = a
+            if x == y:
+                continue
+            key = (min(x, y), max(x, y))
+            merged[key] = merged.get(key, 0) + cnt
+        between = merged
+    parts = tuple(
+        frozenset(members[k]) for k in sorted(members, key=lambda k: min(members[k]))
+    )
+    q = modularity_score(graph, parts).q
+    if q < 0:
+        trivial = (frozenset(range(1, n + 1)),)
+        return Fraction(0), trivial
+    return q, parts
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_greedy_matches_reference_on_generated_graphs(model):
+    for h in (1, 2, 3):
+        for n in (1, 2, 3, 5, 8, 13, 20, 32, 64):
+            for seed in range(4):
+                _, g = generate(model, h, n, 1000 * h + 10 * n + seed)
+                for gseed in (0, 1, 2):
+                    got = greedy_modularity(g, seed=gseed)
+                    assert got == _reference_greedy_modularity(g, gseed)
+
+
+def test_greedy_matches_reference_on_multigraphs(multigraphs):
+    cycle = MultiGraph.from_pairs(8, [(i, i % 8 + 1) for i in range(1, 9)])
+    for g in [ONE_EDGE, K3, cycle, *multigraphs]:
+        for gseed in range(5):
+            assert greedy_modularity(g, seed=gseed) == _reference_greedy_modularity(
+                g, gseed
+            )
+
+
 # ----------------------------------------------- per-part relative terms
 
 
@@ -262,3 +340,20 @@ def test_profile_bound_rejects_cap_violations():
     g = MultiGraph(n=4, edges=edges, h=2)
     with pytest.raises(ValueError, match="inner edges"):
         profile_modularity_bound(g)
+
+
+def test_profile_bound_checks_the_cap_whatever_the_label():
+    # the same graph labelled as generated: the label must not skip the check
+    edges = ((1, 1, 1), (1, 1, 2), (1, 1, 3), (2, 3, 4), (2, 4, 5), (3, 4, 6))
+    g = MultiGraph(n=4, edges=edges, h=2, model=Model.STANDARD)
+    with pytest.raises(ValueError, match="inner edges"):
+        profile_modularity_bound(g)
+
+
+def test_profile_bound_on_generated_graphs_above_the_exhaustive_cap_check():
+    # each vertex is the larger endpoint of exactly h edges, so the O(m)
+    # test vouches for the cap where the 2^n check (n <= 16) would refuse
+    for model in Model:
+        _, g = generate(model, 2, 20, 3)
+        want = bound_from_expansion_profile(expansion_profile(g), 2, 20)
+        assert profile_modularity_bound(g) == want
