@@ -91,14 +91,7 @@ def log_tail_term(params: TailParams, k: int) -> float:
     """ln f(k) for integer 1 <= k <= n/2."""
     if not 1 <= k or 2 * k > params.n:
         raise ValueError(f"need 1 <= k <= n/2, got k={k}, n={params.n}")
-    a = params.alpha_hat
-    h = params.h
-    n = params.n
-    return (
-        math.log(a * k)
-        + 2.0 * a * k * (1.0 + math.log(h / a))
-        + (h - 1.0 - 2.0 * a) * k * math.log(k / n)
-    )
+    return float(log_tail_terms(params, np.array([k]))[0])
 
 
 def log_tail_terms(params: TailParams, ks: np.ndarray) -> np.ndarray:
@@ -161,6 +154,16 @@ def verify_unimodality(params: TailParams) -> UnimodalityResult:
     return UnimodalityResult(is_unimodal=bool(is_unimodal), trough=first_up + 1)
 
 
+def _log_rate(h: int, u: float, x: float) -> float:
+    """ln (e/(u x))^(2 h x), the left side of the rate condition."""
+    return 2.0 * h * x * (1.0 - math.log(u * x))
+
+
+def _rate_holds(h: int, u: float, x: float) -> bool:
+    """(e/(u x))^(2 h x) < (1/u)^(h-1), strictly, in log space."""
+    return _log_rate(h, u, x) < (h - 1.0) * (-math.log(u))
+
+
 def check_rate_condition(h: int, u: float, x: float) -> bool:
     """Strict log-space test of (e/(u x))^(2 h x) < (1/u)^(h-1)."""
     if h < 2:
@@ -169,12 +172,12 @@ def check_rate_condition(h: int, u: float, x: float) -> bool:
         raise ValueError(f"need 0 < u <= 1/2, got {u}")
     if not 0 < x <= 1:
         raise ValueError(f"need 0 < x <= 1, got {x}")
-    return 2.0 * h * x * (1.0 - math.log(u * x)) < (h - 1.0) * (-math.log(u))
+    return _rate_holds(h, u, x)
 
 
 def rate_condition_value(h: int, u: float, x: float) -> float:
     """(e/(u x))^(2 h x), for reporting."""
-    return math.exp(2.0 * h * x * (1.0 - math.log(u * x)))
+    return math.exp(_log_rate(h, u, x))
 
 
 def max_certified_delta(u: float, precision: float = 1e-5) -> float:
@@ -190,8 +193,7 @@ def max_certified_delta(u: float, precision: float = 1e-5) -> float:
         raise ValueError(f"need 0 < precision <= 1/4, got {precision}")
 
     def ok(j: int) -> bool:
-        d = j * precision
-        return 4.0 * d * (1.0 - math.log(u * d)) < -math.log(u)
+        return _rate_holds(2, u, j * precision)
 
     j_max = int(math.floor(0.25 / precision))
     while j_max * precision >= 0.25:
@@ -255,6 +257,14 @@ def certify_modularity_bound(
     )
 
 
+def _complement_sides(u, delta):
+    """(lhs, rhs) of the domination inequality; floats or arrays."""
+    return (
+        delta / (2.0 + delta) + u / 2.0,
+        delta * u / (2.0 * (1.0 - u) + delta * u) + (1.0 - u) / 2.0,
+    )
+
+
 def complement_term_dominates(u: float, delta: float, slack: float = 1e-12) -> bool:
     """delta/(2+delta) + u/2 <= delta*u/(2(1-u)+delta*u) + (1-u)/2, up to slack.
 
@@ -266,16 +276,14 @@ def complement_term_dominates(u: float, delta: float, slack: float = 1e-12) -> b
         raise ValueError(f"need 0 < u <= 1/2, got {u}")
     if not 0 <= delta <= 1:
         raise ValueError(f"need 0 <= delta <= 1, got {delta}")
-    lhs = delta / (2.0 + delta) + u / 2.0
-    rhs = delta * u / (2.0 * (1.0 - u) + delta * u) + (1.0 - u) / 2.0
+    lhs, rhs = _complement_sides(u, delta)
     return lhs <= rhs + slack
 
 
 def complement_gap_grid(us: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """rhs - lhs of the domination inequality on a (u, delta) meshgrid."""
     uu, dd = np.meshgrid(np.asarray(us, float), np.asarray(deltas, float))
-    lhs = dd / (2.0 + dd) + uu / 2.0
-    rhs = dd * uu / (2.0 * (1.0 - uu) + dd * uu) + (1.0 - uu) / 2.0
+    lhs, rhs = _complement_sides(uu, dd)
     return rhs - lhs
 
 
@@ -283,7 +291,7 @@ def expansion_constant_value(eta: float) -> float:
     """(2e/eta)^(4 eta), the h = 2 witness value for the constant eta."""
     if not 0 < eta < 1:
         raise ValueError(f"need 0 < eta < 1, got {eta}")
-    return math.exp(4.0 * eta * (math.log(2.0) + 1.0 - math.log(eta)))
+    return rate_condition_value(2, 0.5, eta)
 
 
 def check_expansion_constant(eta: float = 0.03418) -> bool:
@@ -295,7 +303,7 @@ def check_expansion_constant(eta: float = 0.03418) -> bool:
     """
     if not 0 < eta < 1:
         raise ValueError(f"need 0 < eta < 1, got {eta}")
-    return 4.0 * eta * (math.log(2.0) + 1.0 - math.log(eta)) < math.log(2.0)
+    return _rate_holds(2, 0.5, eta)
 
 
 def large_h_modularity_bound(h: int) -> float:

@@ -19,6 +19,7 @@ from pamod.experiment import (
     TASKS,
     ExperimentConfig,
     _frac_str,
+    _round12,
     emit_report,
     run_experiment,
 )
@@ -103,7 +104,7 @@ def _cmd_certify(args) -> int:
         "grid_step": result.grid_step,
         "delta_precision": result.delta_precision,
         "constant_ok": cert.check_expansion_constant(),
-        "constant_value": float(f"{cert.expansion_constant_value(0.03418):.12g}"),
+        "constant_value": _round12(cert.expansion_constant_value(0.03418)),
     }
     _write_or_print(json.dumps(payload) + "\n", args.out)
     if args.trace:
@@ -140,8 +141,8 @@ def _cmd_lemma2(args) -> int:
                 "method": "mc",
                 "trials": est.trials,
                 "hits": est.hits,
-                "p_hat": float(f"{est.p_hat:.12g}"),
-                "std_err": float(f"{est.std_err:.12g}"),
+                "p_hat": _round12(est.p_hat),
+                "std_err": _round12(est.std_err),
             }
         )
     else:

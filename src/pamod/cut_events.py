@@ -14,9 +14,11 @@ Both exact checks use ``models._enumerate_logs``, which lists arrival
 logs level by level with integer probability numerators over one common
 denominator (factorial growth caps this at h*n <= 8).  The exact checker
 prunes every edge whose crossing status contradicts A; the batch scanner
-shares one unpruned enumeration across all subsets by accumulating
-numerators per (subset, boundary-set) cell, which keeps the full
-h*n <= 8 sweep exact and fast.
+shares one unpruned enumeration across all subsets.  A log's boundary
+set of S is the XOR over v in S of the arrivals with exactly one end at
+v, so the scanner walks the subsets in Gray-code order with one XOR per
+subset and accumulates numerators per (subset, boundary-set) cell,
+which keeps the full h*n <= 8 sweep exact and fast.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from pamod.cuts import _gray_flip_order, _members
 from pamod.models import (
     Model,
     _check_model,
@@ -175,13 +178,14 @@ def scan_cut_events(
 ) -> CutEventScan:
     """Verify the bound for every proper nonempty S and every admissible A.
 
-    One log enumeration is shared across subsets: per subset the
-    boundary arrival set of each log is packed into a bitmask (one
-    boolean crossing test over the (logs, h*n) target array), and
-    integer probability numerators are accumulated per mask.  Every
+    The subsets share one log enumeration, walked in Gray-code order
+    with one XOR per subset (module docstring); an (n, logs) int64 array
+    of incidence masks replaces the enumerated targets.  Integer
+    probability numerators are accumulated per boundary mask, and every
     accumulated event with |A| < h|S| is compared exactly (integer
     cross-multiplication) against its binomial bound; events that never
-    occur hold trivially since the bound is positive.
+    occur hold trivially since the bound is positive.  Violations are
+    listed by ascending subset mask.
     """
     model = _check_model(model)
     if h < 1 or n < 1:
@@ -191,20 +195,28 @@ def scan_cut_events(
         raise ValueError(f"h*n = {hn} exceeds the enumeration limit {limit}")
     targets, nums, denom = _enumerate_logs(model, hn)
     assert int(nums.sum()) == denom
-    # vertex (0-based bit) of each mini-vertex (index 0 unused)
-    vbit = np.array([0] + [vertex_of(m, h) - 1 for m in range(1, hn + 1)])
-    arrival_bit = np.int64(1) << np.arange(hn, dtype=np.int64)
+    # numerators sum to denom < 2^53, so float64 accumulation is exact
+    weights = nums.astype(np.float64)
+    rows = np.arange(len(nums))
+    # bit t-1 of inc[v - 1]: edge e_t has exactly one end at v (loops cancel)
+    inc = np.zeros((n, len(nums)), dtype=np.int64)
+    for t in range(1, hn + 1):
+        bit = np.int64(1) << (t - 1)
+        inc[vertex_of(t, h) - 1] ^= bit
+        inc[vertex_of(targets[:, t - 1], h) - 1, rows] ^= bit
+    del targets
     pairs_checked = 0
-    violations: list[tuple[frozenset[int], frozenset[int]]] = []
-    for mask in range(1, (1 << n) - 1):
+    found: list[tuple[int, frozenset[int]]] = []
+    event = np.zeros(len(nums), dtype=np.int64)
+    mask = 0
+    for v in _gray_flip_order(n):
+        mask ^= 1 << v
+        event ^= inc[v]
+        if mask == (1 << n) - 1:
+            continue
         k = mask.bit_count()
-        side = (mask >> vbit) & 1
-        # bit t-1 of event: edge e_t crosses, as in estimate_cut_event
-        event = (side[1:] != side[targets]) @ arrival_bit
-        mass = np.bincount(event, weights=nums.astype(np.float64), minlength=1 << hn)
-        # numerators sum to denom < 2^53, so float64 accumulation is exact
+        mass = np.bincount(event, weights=weights, minlength=1 << hn)
         mass_int = mass.astype(np.int64)
-        subset = frozenset(v + 1 for v in range(n) if (mask >> v) & 1)
         for b in np.nonzero(mass_int)[0]:
             a = int(b).bit_count()
             if a >= h * k:
@@ -213,14 +225,12 @@ def scan_cut_events(
             lhs = int(mass_int[b]) * math.comb(hn - a, h * k - a)
             rhs = denom * math.comb(h * k, a)
             if lhs > rhs:
-                arrivals = frozenset(
-                    t for t in range(1, hn + 1) if (int(b) >> (t - 1)) & 1
-                )
-                violations.append((subset, arrivals))
+                found.append((mask, frozenset(_members(int(b)))))
+    found.sort(key=lambda item: item[0])
     return CutEventScan(
         model=model,
         h=h,
         n=n,
         pairs_checked=pairs_checked,
-        violations=tuple(violations),
+        violations=tuple((frozenset(_members(m)), a) for m, a in found),
     )

@@ -90,27 +90,46 @@ def edge_boundary(graph: MultiGraph, subset) -> CutReport:
     for v in sset:
         if not 1 <= v <= graph.n:
             raise ValueError(f"vertex {v} out of range 1..{graph.n}")
-    inner = 0
-    boundary = 0
-    for u, v, _t in graph.edges:
-        inu = u in sset
-        inv = v in sset
-        if inu and inv:
-            inner += 1
-        elif inu or inv:
-            boundary += 1
-    vol = graph.vol_of(sset)
-    ratio = Fraction(boundary, len(sset)) if sset else None
+    rest = frozenset(range(1, graph.n + 1)) - sset
+    inner, boundary, vols = _part_tallies(graph, (sset, rest))
+    ratio = Fraction(boundary[0], len(sset)) if sset else None
     return CutReport(
-        subset=sset, e_inner=inner, e_boundary=boundary, vol=vol, ratio=ratio
+        subset=sset,
+        e_inner=inner[0],
+        e_boundary=boundary[0],
+        vol=vols[0],
+        ratio=ratio,
     )
 
 
-def _gray_flip_order(n: int):
-    """Yield (vertex_bit, ...) flip sequence of the reflected Gray code.
+def _part_tallies(graph: MultiGraph, parts):
+    """Per-part (inner edges, boundary edges, volume) in one edge scan.
 
-    It visits each nonempty subset once; the benchmark's tests count the
-    exhaustive searches' subsets with it.
+    ``parts`` must cover every vertex; loops count as inner edges.
+    """
+    idx = [0] * (graph.n + 1)
+    for i, p in enumerate(parts):
+        for v in p:
+            idx[v] = i
+    inner = [0] * len(parts)
+    boundary = [0] * len(parts)
+    for u, v, _t in graph.edges:
+        pu, pv = idx[u], idx[v]
+        if pu == pv:
+            inner[pu] += 1
+        else:
+            boundary[pu] += 1
+            boundary[pv] += 1
+    return inner, boundary, [graph.vol_of(p) for p in parts]
+
+
+def _gray_flip_order(n: int):
+    """Yield the vertex bit flipped at each step of the reflected Gray code.
+
+    Starting from the empty mask, the 2^n - 1 flips visit each nonempty
+    subset once.  ``scan_cut_events`` walks its subsets this way, one XOR
+    per subset; the benchmark's tests count the exhaustive searches'
+    subsets with it.
     """
     for i in range(1, 1 << n):
         yield (i & -i).bit_length() - 1

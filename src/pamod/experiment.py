@@ -155,20 +155,8 @@ class ExperimentReport:
 def _compute_row(args) -> dict:
     config, h, n, seed = args
     _log, graph = generate(config.model, h, n, seed)
-    row: dict = {
-        "seed": seed,
-        "h": h,
-        "n": n,
-        "model": config.model.value,
-        "alpha": None,
-        "alpha_method": None,
-        "q": None,
-        "q_method": None,
-        "profile_bound": None,
-        "global_bound": None,
-        "q_above_profile": None,
-        "q_above_global": None,
-    }
+    row: dict = dict.fromkeys(ROW_COLUMNS)
+    row.update(seed=seed, h=h, n=n, model=config.model.value)
     alpha = None
     alpha_exact = False
     profile = None

@@ -117,9 +117,6 @@ class ArrivalLog:
             if not 1 <= s <= hi:
                 raise ValueError(f"target {s} out of range at arrival {t}")
 
-    def target(self, t: int) -> int:
-        return self.targets[t - 1]
-
 
 @dataclass(frozen=True)
 class MultiGraph:
@@ -445,10 +442,10 @@ def graph_from_json(payload: dict) -> MultiGraph:
     # each vertex is the larger endpoint of exactly h edges.  This forces
     # e_1 = (1, 1, 1) and e(S) <= h|S|, which the profile bound relies on.
     for u, v, t in edges:
-        if v != (t + h - 1) // h:
+        if v != vertex_of(t, h):
             raise ValueError(
                 f"edge ({u},{v},{t}) cannot arise from attachment: its larger "
-                f"endpoint must be ceil(t/h) = {(t + h - 1) // h}"
+                f"endpoint must be ceil(t/h) = {vertex_of(t, h)}"
             )
     return MultiGraph(
         n=n,

@@ -36,7 +36,9 @@ import numpy as np
 
 from pamod.cuts import (
     EXACT_SUBSET_LIMIT,
+    _members,
     _pair_weights,
+    _part_tallies,
     _subset_sums,
     edge_boundary,
     expansion_profile,
@@ -44,6 +46,9 @@ from pamod.cuts import (
 from pamod.models import MultiGraph, _check_seed
 
 EXACT_PARTITION_LIMIT = 12
+
+# Largest n whose subsets are checked one by one for e(S) <= h|S|.
+_INNER_EDGE_CAP_LIMIT = 16
 
 CAP_STRONG = Fraction(3, 16)
 CAP_BASELINE = Fraction(1, 16)
@@ -74,28 +79,6 @@ def check_partition(graph: MultiGraph, parts) -> Partition:
     if len(seen) != graph.n:
         raise ValueError("partition does not cover all vertices")
     return norm
-
-
-def _part_tallies(graph: MultiGraph, parts: Partition):
-    """Per-part (inner edges, boundary edges, volume) in one edge scan."""
-    idx = [0] * (graph.n + 1)
-    for i, p in enumerate(parts):
-        for v in p:
-            idx[v] = i
-    inner = [0] * len(parts)
-    boundary = [0] * len(parts)
-    for u, v, _t in graph.edges:
-        pu, pv = idx[u], idx[v]
-        if pu == pv:
-            inner[pu] += 1
-        else:
-            boundary[pu] += 1
-            boundary[pv] += 1
-    deg = graph.degrees
-    vols = [0] * len(parts)
-    for i, p in enumerate(parts):
-        vols[i] = sum(deg[v] for v in p)
-    return inner, boundary, vols
 
 
 def modularity_score(graph: MultiGraph, parts) -> ModularityScore:
@@ -160,14 +143,6 @@ def exact_modularity(
         opt[mask] = best
     q_star = Fraction(opt[size - 1], m * vg2)
 
-    def bits(mask: int) -> tuple[int, ...]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(low.bit_length())
-            mask ^= low
-        return tuple(out)
-
     parts: list[frozenset[int]] = []
     mask = size - 1
     while mask:
@@ -180,7 +155,7 @@ def exact_modularity(
         while True:
             t = sub | low
             if f[t] + opt[rest ^ sub] == target:
-                key = bits(t)
+                key = _members(t)
                 if best_key is None or key < best_key:
                     best_key = key
                     best_t = t
@@ -259,13 +234,16 @@ def negative_relative_modularity(graph: MultiGraph, subset) -> Fraction:
     report = edge_boundary(graph, subset)
     if report.vol == 0:
         raise ValueError("subset has zero volume")
-    m = graph.m
-    if m == 0:
+    if graph.m == 0:
         raise ValueError("graph has no edges")
+    return _relative_term(graph, report.e_boundary, report.vol)
+
+
+def _relative_term(graph: MultiGraph, boundary: int, vs: int) -> Fraction:
+    """Negative relative modularity of a set with this boundary and volume."""
     vol_g = graph.volume
-    vs = report.vol
     return Fraction(vol_g, vs) * (
-        Fraction(report.e_boundary, 2 * m) + Fraction(vs * vs, vol_g * vol_g)
+        Fraction(boundary, 2 * graph.m) + Fraction(vs * vs, vol_g * vol_g)
     )
 
 
@@ -276,22 +254,12 @@ def worst_part_bound(graph: MultiGraph, parts) -> Fraction:
     relative modularity of S.  Tight for the one-part partition.
     """
     parts = check_partition(graph, parts)
-    m = graph.m
-    if m == 0:
+    if graph.m == 0:
         raise ValueError("graph has no edges")
     _inner, boundary, vols = _part_tallies(graph, parts)
-    vol_g = graph.volume
-    worst: Fraction | None = None
-    for bnd, vs in zip(boundary, vols):
-        if vs == 0:
-            raise ValueError("part has zero volume")
-        term = Fraction(vol_g, vs) * (
-            Fraction(bnd, 2 * m) + Fraction(vs * vs, vol_g * vol_g)
-        )
-        if worst is None or term < worst:
-            worst = term
-    assert worst is not None
-    return 1 - worst
+    if 0 in vols:
+        raise ValueError("part has zero volume")
+    return 1 - min(_relative_term(graph, b, vs) for b, vs in zip(boundary, vols))
 
 
 def _require_pa_shape(graph: MultiGraph) -> int:
@@ -379,10 +347,11 @@ def profile_modularity_bound(
     return bound_from_expansion_profile(profile, h, graph.n)
 
 
-def _check_inner_edge_cap(graph: MultiGraph, h: int, limit: int = 16) -> None:
-    if graph.n > limit:
+def _check_inner_edge_cap(graph: MultiGraph, h: int) -> None:
+    if graph.n > _INNER_EDGE_CAP_LIMIT:
         raise ValueError(
-            f"cannot verify e(S) <= h|S| exhaustively for n={graph.n} > {limit}"
+            "cannot verify e(S) <= h|S| exhaustively for "
+            f"n={graph.n} > {_INNER_EDGE_CAP_LIMIT}"
         )
     inner = _inner_table(graph)
     cap = _subset_sums(graph.n, [h] * graph.n, None, np.int64)  # h|S|

@@ -366,3 +366,163 @@ def test_large_h_comparator():
     assert large_h_modularity_bound(3) > large_h_modularity_bound(2)
     with pytest.raises(ValueError):
         large_h_modularity_bound(1)
+
+
+# ------------------------------------------- oracle: the separate formulas
+#
+# Each rate and complement formula below was once written out on its own
+# in pamod.certify.  They are kept verbatim so that the shared
+# definitions are held to the same floats and the same decisions.
+
+
+def _ref_check_rate_condition(h: int, u: float, x: float) -> bool:
+    """Strict log-space test of (e/(u x))^(2 h x) < (1/u)^(h-1)."""
+    if h < 2:
+        raise ValueError(f"need h >= 2, got {h}")
+    if not 0 < u <= 0.5:
+        raise ValueError(f"need 0 < u <= 1/2, got {u}")
+    if not 0 < x <= 1:
+        raise ValueError(f"need 0 < x <= 1, got {x}")
+    return 2.0 * h * x * (1.0 - math.log(u * x)) < (h - 1.0) * (-math.log(u))
+
+
+def _ref_rate_condition_value(h: int, u: float, x: float) -> float:
+    """(e/(u x))^(2 h x), for reporting."""
+    return math.exp(2.0 * h * x * (1.0 - math.log(u * x)))
+
+
+def _ref_max_certified_delta(u: float, precision: float = 1e-5) -> float:
+    if not 0 < u <= 0.5:
+        raise ValueError(f"need 0 < u <= 1/2, got {u}")
+    if not 0 < precision <= 0.25:
+        raise ValueError(f"need 0 < precision <= 1/4, got {precision}")
+
+    def ok(j: int) -> bool:
+        d = j * precision
+        return 4.0 * d * (1.0 - math.log(u * d)) < -math.log(u)
+
+    j_max = int(math.floor(0.25 / precision))
+    while j_max * precision >= 0.25:
+        j_max -= 1
+    if j_max < 1:
+        raise ValueError(f"precision {precision} leaves no admissible multiples")
+    if not ok(1):
+        raise ValueError(f"no multiple of {precision} certifiable at u={u}")
+    if ok(j_max):
+        return j_max * precision
+    lo, hi = 1, j_max
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if ok(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo * precision
+
+
+def _ref_expansion_constant_value(eta: float) -> float:
+    """(2e/eta)^(4 eta), the h = 2 witness value for the constant eta."""
+    if not 0 < eta < 1:
+        raise ValueError(f"need 0 < eta < 1, got {eta}")
+    return math.exp(4.0 * eta * (math.log(2.0) + 1.0 - math.log(eta)))
+
+
+def _ref_check_expansion_constant(eta: float = 0.03418) -> bool:
+    if not 0 < eta < 1:
+        raise ValueError(f"need 0 < eta < 1, got {eta}")
+    return 4.0 * eta * (math.log(2.0) + 1.0 - math.log(eta)) < math.log(2.0)
+
+
+def _ref_log_tail_term(params: TailParams, k: int) -> float:
+    """ln f(k) for integer 1 <= k <= n/2."""
+    if not 1 <= k or 2 * k > params.n:
+        raise ValueError(f"need 1 <= k <= n/2, got k={k}, n={params.n}")
+    a = params.alpha_hat
+    h = params.h
+    n = params.n
+    return (
+        math.log(a * k)
+        + 2.0 * a * k * (1.0 + math.log(h / a))
+        + (h - 1.0 - 2.0 * a) * k * math.log(k / n)
+    )
+
+
+def _ref_complement_term_dominates(
+    u: float, delta: float, slack: float = 1e-12
+) -> bool:
+    if not 0 < u <= 0.5:
+        raise ValueError(f"need 0 < u <= 1/2, got {u}")
+    if not 0 <= delta <= 1:
+        raise ValueError(f"need 0 <= delta <= 1, got {delta}")
+    lhs = delta / (2.0 + delta) + u / 2.0
+    rhs = delta * u / (2.0 * (1.0 - u) + delta * u) + (1.0 - u) / 2.0
+    return lhs <= rhs + slack
+
+
+@pytest.mark.parametrize("grid_step", [1e-4, 1e-3])
+def test_certify_trace_matches_reference_formulas(grid_step):
+    trace = certify_modularity_bound(grid_step=grid_step, with_trace=True).trace
+    steps = round(0.5 / grid_step)
+    assert len(trace) == steps
+    for s, (u_s, delta, term) in enumerate(trace, start=1):
+        assert u_s == s * grid_step
+        assert delta == _ref_max_certified_delta(u_s)
+        assert term == delta / (2.0 + delta) + (s - 1) * grid_step / 2.0
+    for u_s, delta, _term in trace[:: steps // 50]:
+        for h in (2, 3, 5):
+            for x in (delta, delta + 1e-5, 0.5 * delta, 0.25):
+                assert check_rate_condition(h, u_s, x) == _ref_check_rate_condition(
+                    h, u_s, x
+                )
+                assert rate_condition_value(h, u_s, x) == _ref_rate_condition_value(
+                    h, u_s, x
+                )
+
+
+ETA_PROBES = (0.03418, 0.034185, 0.0341855, 0.03419, 0.0342, 0.035, 0.2)
+
+
+@pytest.mark.parametrize("eta", ETA_PROBES)
+def test_expansion_constant_matches_reference_formulas(eta):
+    assert check_expansion_constant(eta) == _ref_check_expansion_constant(eta)
+    assert expansion_constant_value(eta) == _ref_expansion_constant_value(eta)
+    # of the probes, only the published constant passes
+    assert check_expansion_constant(eta) == (eta == 0.03418)
+
+
+def test_certify_command_output_is_pinned(tmp_path):
+    from pamod.cli import main
+
+    out = tmp_path / "certify.json"
+    assert main(["certify", "--out", str(out)]) == 0
+    assert out.read_text() == (
+        '{"bound": 0.92383, "minimizer_u": 0.0142, "minimizer_delta": 0.14851, '
+        '"grid_step": 0.0001, "delta_precision": 1e-05, "constant_ok": true, '
+        '"constant_value": 1.99984458655}\n'
+    )
+
+
+def test_log_tail_term_is_the_vector_form_and_matches_reference():
+    # np.log and math.log may differ in the last bit, so the scalar form,
+    # now read off the vector form, keeps to the reference within 1e-13
+    for h, alpha_hat, n in [(2, 0.06836, 1000), (3, 0.5, 200), (12, 5.4, 10_000)]:
+        params = TailParams(h=h, alpha_hat=alpha_hat, n=n, u=0.5)
+        ks = np.arange(1, n // 2 + 1)
+        vec = log_tail_terms(params, ks)
+        for k in range(1, n // 2 + 1, 7):
+            got = log_tail_term(params, k)
+            assert got == vec[k - 1]
+            assert got == pytest.approx(_ref_log_tail_term(params, k), rel=1e-13)
+
+
+def test_complement_forms_match_reference_formulas():
+    us = np.arange(1, 501) / 1000.0
+    deltas = np.arange(0, 101) / 100.0
+    gaps = complement_gap_grid(us, deltas)
+    for i, delta in enumerate(deltas.tolist()):
+        for j, u in enumerate(us.tolist()):
+            want = _ref_complement_term_dominates(u, delta)
+            assert complement_term_dominates(u, delta) == want
+            lhs = delta / (2.0 + delta) + u / 2.0
+            rhs = delta * u / (2.0 * (1.0 - u) + delta * u) + (1.0 - u) / 2.0
+            assert gaps[i, j] == rhs - lhs

@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb, prod
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pamod import (
     scan_cut_events,
     spec_bound,
 )
+from pamod import cut_events
 from pamod.cut_events import _enumerate_logs
 from pamod.models import sample_target_matrix, vertex_of
 
@@ -254,6 +256,46 @@ def test_scan_matches_exact_on_one_cell():
                 )
                 p = exact_cut_event(Model.STANDARD, spec)
                 assert p <= spec_bound(spec)
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("h, n", [(1, 4), (2, 2), (2, 3)])
+def test_scan_pairs_checked_counts_positive_exact_events(model, h, n):
+    # the scan checks exactly the (S, A) with |A| < h|S| and P > 0
+    positive = 0
+    for k in range(1, n):
+        for subset in combinations(range(1, n + 1), k):
+            for a in range(h * k):
+                for arrivals in combinations(range(1, h * n + 1), a):
+                    spec = CutEventSpec(h=h, n=n, subset=subset, arrivals=arrivals)
+                    positive += exact_cut_event(model, spec) > 0
+    assert scan_cut_events(model, h, n).pairs_checked == positive
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("h, n", [(1, 5), (2, 3)])
+def test_scan_reports_violations_in_subset_mask_order(model, h, n, monkeypatch):
+    # the real bound is never violated; cubing both binomials makes some
+    # events violate it, to check which violations are listed, and in what order
+    def cubed(a, b):
+        return comb(a, b) ** 3
+
+    monkeypatch.setattr(cut_events, "math", SimpleNamespace(comb=cubed))
+    want = []
+    for mask in range(1, (1 << n) - 1):
+        subset = frozenset(v for v in range(1, n + 1) if mask >> (v - 1) & 1)
+        k = len(subset)
+        for bits in range(1 << (h * n)):
+            arrivals = frozenset(t for t in range(1, h * n + 1) if bits >> (t - 1) & 1)
+            a = len(arrivals)
+            if a >= h * k:
+                continue
+            spec = CutEventSpec(h=h, n=n, subset=subset, arrivals=arrivals)
+            p = exact_cut_event(model, spec)
+            if p * cubed(h * n - a, h * k - a) > cubed(h * k, a):
+                want.append((subset, arrivals))
+    got = scan_cut_events(model, h, n).violations
+    assert want and list(got) == want
 
 
 # ------------------------------------------------------------ estimation

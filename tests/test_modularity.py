@@ -126,6 +126,31 @@ def test_exact_canonical_tiebreak_is_stable():
     assert exact_modularity(g) == exact_modularity(g)
 
 
+def _canonical_optimum(graph):
+    """Lexicographically least optimal partition, parts as sorted tuples
+    in order of their smallest member, by enumeration."""
+    q_star = _brute_force_modularity(graph)
+    return min(
+        tuple(sorted(tuple(sorted(p)) for p in parts))
+        for parts in _all_partitions(range(1, graph.n + 1))
+        if modularity_score(graph, parts).q == q_star
+    )
+
+
+SYMMETRIC = [
+    MultiGraph.from_pairs(4, [(1, 2), (2, 3), (3, 4), (4, 1)]),
+    MultiGraph.from_pairs(6, [(1, 2), (3, 4), (5, 6)]),
+    MultiGraph.from_pairs(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 1)]),
+    MultiGraph.from_pairs(5, [(1, 1), (2, 3), (3, 4), (4, 5), (5, 2)]),
+]
+
+
+def test_exact_partition_is_the_canonical_optimum(multigraphs):
+    for g in SYMMETRIC + [g for g in multigraphs if 1 < g.n <= 7 and g.m]:
+        _q, parts = exact_modularity(g)
+        assert tuple(tuple(sorted(p)) for p in parts) == _canonical_optimum(g)
+
+
 # ---------------------------------------------------------------- greedy
 
 
