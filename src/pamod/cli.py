@@ -41,8 +41,7 @@ def _cmd_gen(args) -> int:
     _log, graph = models.generate(
         models.Model(args.model), args.h, args.n, args.seed
     )
-    text = json.dumps(models.graph_to_json(graph)) + "\n"
-    _write_or_print(text, args.out)
+    _write_or_print(models.graph_to_text(graph), args.out)
     return EXIT_OK
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import pathlib
 from fractions import Fraction
 
 import numpy as np
@@ -20,8 +21,15 @@ from pamod import (
     merge,
     save_graph,
 )
-from pamod.models import graph_from_json, graph_to_json, sample_target_matrix
+from pamod.cli import main
+from pamod.models import (
+    graph_from_json,
+    graph_to_json,
+    sample_target_matrix,
+    vertex_of,
+)
 
+DATA = pathlib.Path(__file__).parent / "data"
 MODELS = list(Model)
 small_params = st.tuples(
     st.sampled_from(MODELS),
@@ -384,3 +392,288 @@ def test_from_pairs_counts_loops():
     g1 = MultiGraph.from_pairs(2, [(1, 1), (1, 2)], first_loop_weight1=True)
     assert g1.degree(1) == 2
     assert g1.volume == 3
+
+
+def test_arrival_log_rejects_non_integer_targets():
+    # merge maps the targets through int64, which would truncate or
+    # overflow on these
+    for targets in [(1, 1.5), (1, 2**70), (1, "1")]:
+        with pytest.raises(ValueError, match="targets must be integers"):
+            ArrivalLog(Model.STANDARD, h=1, n=2, targets=targets)
+
+
+# ------------------------------------------------------ loader strictness
+
+
+def _valid_payload(**changes):
+    payload = _payload(1, 2, [[1, 1, 1], [1, 2, 2]])
+    payload.update(changes)
+    return payload
+
+
+@pytest.mark.parametrize(
+    "changes, match",
+    [
+        ({"edges": [[1.9, 1, 1], [1, 2.5, 2]]}, "edge entries must be integers"),
+        ({"edges": [[1, 1, 1], [1, "2", 2]]}, "edge entries must be integers"),
+        ({"edges": [[1, 1, 1], [True, 2, 2]]}, "edge entries must be integers"),
+        ({"edges": [[1, 1, 1], [1, 2, 2.0]]}, "edge entries must be integers"),
+        ({"edges": [[1, 1, 1], [1, 2, 2**70]]}, "malformed"),
+        ({"edges": [[1, 1, 1], [-(2**63) - 1, 2, 2]]}, "malformed"),
+        ({"edges": [[1, 1, 1], [1, 2]]}, "malformed"),
+        ({"edges": [[1, 1, 1, 1], [1, 2, 2, 2]]}, "malformed"),
+        ({"edges": [1, 1, 1]}, "malformed"),
+        ({"h": 2.7}, "h must be an integer"),
+        ({"h": "1"}, "h must be an integer"),
+        ({"h": True}, "h must be an integer"),
+        ({"n": 2.0}, "n must be an integer"),
+        ({"n": "2"}, "n must be an integer"),
+        ({"n": True}, "n must be an integer"),
+        ({"h": 0, "n": 3, "edges": []}, "need h >= 1"),
+        ({"h": -1, "n": -2, "edges": [[1, 1, 1], [1, 2, 2]]}, "need h >= 1"),
+        ({"seed": -5}, "seed must be a 64-bit unsigned integer"),
+        ({"seed": 2**70}, "seed must be a 64-bit unsigned integer"),
+        ({"seed": 2**64}, "seed must be a 64-bit unsigned integer"),
+        ({"seed": 1.0}, "seed must be an integer"),
+        ({"seed": "1"}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+    ],
+)
+def test_from_json_accepts_only_integers(changes, match):
+    with pytest.raises(ValueError, match=match):
+        graph_from_json(_valid_payload(**changes))
+
+
+def test_from_json_accepts_the_seed_range():
+    for seed in (0, 2**64 - 1):
+        assert graph_from_json(_valid_payload(seed=seed)).seed == seed
+
+
+def test_load_graph_rejects_non_integer_file(tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(_valid_payload(edges=[[1, 1, 1], [1, 2, True]])))
+    with pytest.raises(ValueError, match="edge entries must be integers, found bool"):
+        load_graph(path)
+
+
+# ------------------------------------------------------ golden graph file
+
+
+def test_golden_graph_file(tmp_path):
+    # the README command's output, pinned as the reference file format
+    golden = (DATA / "graph_standard_h2_n12_seed7.json").read_bytes()
+    out = tmp_path / "gen.json"
+    assert main(["gen", "--model", "standard", "--h", "2", "--n", "12",
+                 "--seed", "7", "--out", str(out)]) == 0  # fmt: skip
+    assert out.read_bytes() == golden
+    _log, g = generate(Model.STANDARD, 2, 12, 7)
+    saved = tmp_path / "saved.json"
+    save_graph(g, saved)
+    assert saved.read_bytes() == golden
+    assert load_graph(DATA / "graph_standard_h2_n12_seed7.json") == g
+
+
+# ------------------------------------------------ graph path oracle
+#
+# The scalar merge, target check, loader and writer that the array code
+# replaced, kept verbatim.  The array code must give the same edges (as
+# Python ints, in the same order), the same file bytes, and the same
+# error type and message on every invalid input they were tested with.
+
+
+def _reference_check_log(model, h, n, targets):
+    if h < 1 or n < 1:
+        raise ValueError(f"need h >= 1 and n >= 1, got h={h}, n={n}")
+    if len(targets) != h * n:
+        raise ValueError(f"log length {len(targets)} != h*n = {h * n}")
+    if targets[0] != 1:
+        raise ValueError("edge e_1 is always the initial loop at mini-vertex 1")
+    for t, s in enumerate(targets, start=1):
+        hi = t if model is Model.STANDARD else max(t - 1, 1)
+        if not 1 <= s <= hi:
+            raise ValueError(f"target {s} out of range at arrival {t}")
+
+
+def _reference_merge(log: ArrivalLog, *, seed: int | None = None) -> MultiGraph:
+    h = log.h
+    edges = []
+    for t, s in enumerate(log.targets, start=1):
+        a = vertex_of(t, h)
+        b = vertex_of(s, h)
+        edges.append((min(a, b), max(a, b), t))
+    return MultiGraph(
+        n=log.n,
+        edges=tuple(edges),
+        first_loop_weight1=(log.model is Model.TILDE),
+        model=log.model,
+        h=h,
+        seed=seed,
+    )
+
+
+def _reference_save_graph(graph: MultiGraph, path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(graph_to_json(graph), fh)
+        fh.write("\n")
+
+
+def _reference_graph_from_json(payload: dict) -> MultiGraph:
+    try:
+        model = Model(payload["model"])
+        h = int(payload["h"])
+        n = int(payload["n"])
+        seed = int(payload["seed"])
+        edges = tuple(
+            (u, v, t) if u <= v else (v, u, t)
+            for u, v, t in ((int(u), int(v), int(t)) for u, v, t in payload["edges"])
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed graph payload: {exc}") from None
+    if len(edges) != h * n:
+        raise ValueError(f"expected {h * n} edges, found {len(edges)}")
+    arrivals = sorted(t for _u, _v, t in edges)
+    if arrivals != list(range(1, h * n + 1)):
+        raise ValueError("edge arrival indices must be exactly 1..h*n")
+    for u, v, t in edges:
+        if v != vertex_of(t, h):
+            raise ValueError(
+                f"edge ({u},{v},{t}) cannot arise from attachment: its larger "
+                f"endpoint must be ceil(t/h) = {vertex_of(t, h)}"
+            )
+    return MultiGraph(
+        n=n,
+        edges=edges,
+        first_loop_weight1=(model is Model.TILDE),
+        model=model,
+        h=h,
+        seed=seed,
+    )
+
+
+def _outcome(fn, *args):
+    """What a call gives: its result, or its error's type and message."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the oracle compares any error
+        return (type(exc), str(exc))
+
+
+def _assert_int_edges(graph):
+    assert all(type(x) is int for edge in graph.edges for x in edge)
+
+
+def _check_graph_path(model, h, n, seed, tmp_path):
+    log, g = generate(model, h, n, seed)
+    _reference_check_log(log.model, h, n, log.targets)
+    assert all(type(s) is int for s in log.targets)
+    ref = _reference_merge(log, seed=seed)
+    assert g.edges == ref.edges
+    assert g == ref
+    _assert_int_edges(g)
+    new_path, ref_path = tmp_path / "new.json", tmp_path / "ref.json"
+    save_graph(g, new_path)
+    _reference_save_graph(g, ref_path)
+    assert new_path.read_bytes() == ref_path.read_bytes()
+    loaded = load_graph(new_path)
+    payload = json.loads(ref_path.read_text())
+    want = _reference_graph_from_json(payload)
+    assert loaded.edges == want.edges
+    assert loaded == want == graph_from_json(payload) == g
+    _assert_int_edges(loaded)
+
+
+@given(small_params)
+def test_graph_path_matches_reference(tmp_path_factory, params):
+    _check_graph_path(*params, tmp_path_factory.mktemp("graph"))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_graph_path_matches_reference_at_bulk_size(model, tmp_path):
+    _check_graph_path(model, 4, 25_000, 2024, tmp_path)
+
+
+INVALID_LOGS = [
+    (Model.STANDARD, 0, 2, ()),
+    (Model.STANDARD, 2, 2, (1, 1, 2)),
+    (Model.STANDARD, 2, 2, (2, 1, 2, 1)),
+    (Model.STANDARD, 2, 2, (1, 1, 4, 1)),
+    (Model.TILDE, 2, 2, (1, 1, 3, 1)),
+    (Model.TILDE, 2, 2, (1, 2, 2, 3)),
+    (Model.STANDARD, 1, 3, (1, 0, 3)),
+    (Model.TILDE, 1, 3, (1, 1, -4)),
+    (Model.STANDARD, 1, 4, (1, 3, 9, 1)),
+]
+
+
+@pytest.mark.parametrize("model, h, n, targets", INVALID_LOGS)
+def test_arrival_log_errors_match_reference(model, h, n, targets):
+    got = _outcome(ArrivalLog, model, h, n, targets)
+    assert isinstance(got, tuple)
+    assert got == _outcome(_reference_check_log, model, h, n, targets)
+
+
+@given(
+    st.sampled_from(MODELS),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.lists(st.integers(-1, 10), min_size=1, max_size=9),
+)
+def test_arrival_log_outcomes_match_reference_on_random_targets(model, h, n, targets):
+    targets = (1, *targets[1:])
+    got = _outcome(ArrivalLog, model, h, n, targets)
+    want = _outcome(_reference_check_log, model, h, n, targets)
+    assert got == want if isinstance(got, tuple) else want is None
+
+
+def _invalid_payloads():
+    _, g = generate(Model.STANDARD, 2, 3, 1)
+    payload = graph_to_json(g)
+    yield dict(payload, edges=payload["edges"][:-1])
+    yield dict(payload, edges=[[u, v, 1] for u, v, _ in payload["edges"]])
+    yield _payload(2, 4, [[1, 1, 1], [1, 2, 2], [3, 4, 3], [3, 4, 4], [3, 4, 5],
+                          [2, 3, 6], [2, 4, 7], [2, 3, 8]])  # fmt: skip
+    for model in ("standard", "tilde"):
+        yield _payload(1, 2, [[1, 2, 1], [1, 2, 2]], model)
+        yield _payload(1, 2, [[1, 1, 1], [1, 1, 2]], model)
+        yield _payload(1, 2, [[1, 1, 2], [1, 2, 1]], model)
+    yield _valid_payload(edges=[[1, 1, 1], [2, 0, 2]])
+    yield _valid_payload(edges=[[1, 1, 1], [-1, 2, 2]])
+    yield _valid_payload(n=0, edges=[])
+    yield _valid_payload(model="bogus")
+    yield {"model": "standard", "h": 1, "n": 2, "edges": []}
+
+
+@pytest.mark.parametrize("payload", list(_invalid_payloads()))
+def test_from_json_errors_match_reference(payload):
+    got = _outcome(graph_from_json, payload)
+    assert isinstance(got, tuple)
+    assert got == _outcome(_reference_graph_from_json, payload)
+
+
+@given(small_params, st.data())
+def test_from_json_outcomes_match_reference_on_edited_payloads(params, data):
+    # integer-only edits of a valid payload: reorder, swap endpoints,
+    # overwrite entries, drop or repeat edges
+    model, h, n, seed = params
+    edges = graph_to_json(generate(model, h, n, seed)[1])["edges"]
+    edges = data.draw(st.permutations(edges))
+    ints = st.integers(min_value=-2, max_value=h * n + 2)
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(edges) - 1))
+        kind = data.draw(st.sampled_from(["swap", "set", "drop", "repeat"]))
+        if kind == "swap":
+            edges[i] = [edges[i][1], edges[i][0], edges[i][2]]
+        elif kind == "set":
+            edges[i] = list(edges[i])
+            edges[i][data.draw(st.integers(0, 2))] = data.draw(ints)
+        elif kind == "drop" and len(edges) > 1:
+            edges.pop(i)
+        else:
+            edges.append(list(edges[i]))
+    payload = {"model": model.value, "h": h, "n": n, "seed": seed, "edges": edges}
+    got = _outcome(graph_from_json, payload)
+    want = _outcome(_reference_graph_from_json, payload)
+    assert got == want
+    if isinstance(got, MultiGraph):
+        assert got.edges == want.edges
+        _assert_int_edges(got)
