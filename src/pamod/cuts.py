@@ -103,24 +103,22 @@ def edge_boundary(graph: MultiGraph, subset) -> CutReport:
 
 
 def _part_tallies(graph: MultiGraph, parts):
-    """Per-part (inner edges, boundary edges, volume) in one edge scan.
+    """Per-part (inner edges, boundary edges, volume), counted on the edge array.
 
     ``parts`` must cover every vertex; loops count as inner edges.
     """
-    idx = [0] * (graph.n + 1)
+    idx = np.zeros(graph.n + 1, dtype=np.int64)
     for i, p in enumerate(parts):
-        for v in p:
-            idx[v] = i
-    inner = [0] * len(parts)
-    boundary = [0] * len(parts)
-    for u, v, _t in graph.edges:
-        pu, pv = idx[u], idx[v]
-        if pu == pv:
-            inner[pu] += 1
-        else:
-            boundary[pu] += 1
-            boundary[pv] += 1
-    return inner, boundary, [graph.vol_of(p) for p in parts]
+        idx[list(p)] = i
+    u, v, _t = graph.edge_array.T
+    pu, pv = idx[u], idx[v]
+    cross = pu != pv
+    k = len(parts)
+    inner = np.bincount(pu[~cross], minlength=k)
+    boundary = np.bincount(pu[cross], minlength=k) + np.bincount(pv[cross], minlength=k)
+    # each vertex's part, repeated once per unit of its degree
+    vols = np.bincount(np.repeat(idx, graph.degrees), minlength=k)
+    return inner.tolist(), boundary.tolist(), vols.tolist()
 
 
 def _gray_flip_order(n: int):
@@ -185,11 +183,12 @@ def exact_expansion(
     """Minimum expansion ratio over subsets of size 1..floor(u*n).
 
     Exhaustive and exact; refuses graphs with more than ``limit``
-    vertices (use :func:`sampled_expansion` there).
+    vertices, or more than ``EXACT_SUBSET_LIMIT`` whatever ``limit`` says
+    (use :func:`sampled_expansion` there).
     """
     uf = _check_u(u)
     n = graph.n
-    if n > limit:
+    if n > (limit := min(limit, EXACT_SUBSET_LIMIT)):
         raise ValueError(
             f"n={n} exceeds the exhaustive limit {limit}; use sampled_expansion"
         )
@@ -219,10 +218,11 @@ def expansion_profile(
 ) -> dict[int, Fraction]:
     """Map k -> alpha_{k/n} for k = 1..floor(n/2), from one boundary table.
 
-    The values are non-increasing in k by construction.
+    The values are non-increasing in k by construction.  Refuses n above
+    ``limit`` or above ``EXACT_SUBSET_LIMIT``, as ``exact_expansion`` does.
     """
     n = graph.n
-    if n > limit:
+    if n > (limit := min(limit, EXACT_SUBSET_LIMIT)):
         raise ValueError(f"n={n} exceeds the exhaustive limit {limit}")
     half = n // 2
     if half < 1:

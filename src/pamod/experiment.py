@@ -39,7 +39,9 @@ from pamod.cut_events import (
     estimate_cut_event,
     scan_cut_events,
 )
-from pamod.cuts import SearchMethod, expansion_profile, sampled_expansion
+from pamod.cuts import (
+    EXACT_SUBSET_LIMIT, SearchMethod, expansion_profile, sampled_expansion
+)
 from pamod.models import Model, _check_model, _check_seed, derive_seed, generate
 from pamod.modularity import (
     bound_from_expansion_profile,
@@ -115,6 +117,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown tasks {bad}; valid tasks are {TASKS}")
         if not self.tasks:
             raise ValueError("tasks must be nonempty")
+        if (limit := self.exact_expansion_limit) > EXACT_SUBSET_LIMIT:
+            cap = f"EXACT_SUBSET_LIMIT={EXACT_SUBSET_LIMIT}, the 2^n tables' memory cap"
+            raise ValueError(f"exact_expansion_limit={limit} exceeds {cap}")
 
     def to_dict(self) -> dict:
         """Fields in declaration order; the model as its value, tuples as lists."""

@@ -31,10 +31,11 @@ The draws do not depend on the history; all of them are taken first, and
 the copies are then resolved by pointer jumping.  Memory is the int64
 output array plus temporaries of at most ``SAMPLER_CHUNK`` elements.
 
-``merge``, the ``ArrivalLog`` check and the graph file loader work on
-int64 columns; ``ArrivalLog.targets`` and ``MultiGraph.edges`` stay
-tuples of Python ints.  ``save_graph`` and ``pamod gen`` write the same
-text, ``graph_to_text``.
+A log keeps its targets as one read-only int64 array, ``target_array``,
+and a graph its (u, v, t) edges as one read-only (m, 3) int64 array,
+``edge_array``; all code here works on these.  ``targets`` and ``edges``
+read as tuples of Python ints, rebuilt on every read.  ``save_graph``
+and ``pamod gen`` write the same text, ``graph_to_text``.
 
 Exact laws come from ``_enumerate_logs``, which lists every log of a
 given length level by level, each with an integer probability numerator
@@ -98,6 +99,36 @@ def vertex_of(mini, h: int):
     return (mini + h - 1) // h
 
 
+class _IntColumns:
+    """Dataclass field kept as one read-only int64 array, ``store``, of
+    shape (L,) or (L, width); a writable input array is copied.  A read
+    rebuilds tuples of Python ints every time, so package code reads
+    ``store``."""
+
+    def __init__(self, store: str, width: int | None = None):
+        self.store, self.tail = store, () if width is None else (width,)
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:  # the dataclass field has no default
+            raise AttributeError(self.name)
+        arr = getattr(obj, self.store)
+        return tuple(zip(*arr.T.tolist())) if self.tail else tuple(arr.tolist())
+
+    def __set__(self, obj, value) -> None:
+        arr = np.asarray(value) if len(value) else np.empty((0, *self.tail), int)
+        if arr.ndim != 1 + len(self.tail) or arr.shape[1:] != self.tail or not (
+            arr.dtype.kind in "iu" and np.can_cast(arr.dtype, np.int64)
+        ):
+            rows = f"rows of {self.tail[0]} " if self.tail else ""
+            raise ValueError(f"{self.name} must be {rows}integers within int64")
+        arr = arr.astype(np.int64, copy=arr is value and arr.flags.writeable)
+        arr.flags.writeable = False
+        object.__setattr__(obj, self.store, arr)
+
+
 @dataclass(frozen=True)
 class ArrivalLog:
     """Full record of one run of an attachment process.
@@ -110,43 +141,39 @@ class ArrivalLog:
     model: Model
     h: int
     n: int
-    targets: tuple[int, ...]
+    targets: tuple[int, ...] = _IntColumns("target_array")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", _check_model(self.model))
         if self.h < 1 or self.n < 1:
             raise ValueError(f"need h >= 1 and n >= 1, got h={self.h}, n={self.n}")
-        if len(self.targets) != self.h * self.n:
-            raise ValueError(
-                f"log length {len(self.targets)} != h*n = {self.h * self.n}"
-            )
-        if self.targets[0] != 1:
+        s = self.target_array
+        if len(s) != self.h * self.n:
+            raise ValueError(f"log length {len(s)} != h*n = {self.h * self.n}")
+        if s[0] != 1:
             raise ValueError("edge e_1 is always the initial loop at mini-vertex 1")
-        s = np.asarray(self.targets)
-        if s.dtype.kind not in "iu":
-            raise ValueError("targets must be integers within int64")
         t = np.arange(1, len(s) + 1)
         hi = t if self.model is Model.STANDARD else np.maximum(t - 1, 1)
         bad = np.flatnonzero((s < 1) | (s > hi))
         if bad.size:
             t = int(bad[0]) + 1
-            s = self.targets[t - 1]
-            raise ValueError(f"target {s} out of range at arrival {t}")
+            raise ValueError(f"target {s[t - 1]} out of range at arrival {t}")
 
 
 @dataclass(frozen=True)
 class MultiGraph:
     """Undirected multigraph with loops, vertices 1..n.
 
-    Each edge is (u, v, t) with u <= v and t its arrival index.  Loops
-    contribute 2 to the degree, except that when ``first_loop_weight1``
-    is set the loop with arrival index 1 contributes only 1 (the tilde
-    model's initial loop).  Generation metadata (model, h, seed) rides
-    along when known; handcrafted fixtures may leave it unset.
+    Each edge is a row (u, v, t) of ``edge_array``, u <= v and t its
+    arrival index.  Loops contribute 2 to the degree, except that when
+    ``first_loop_weight1`` is set the loop with arrival index 1 contributes
+    only 1 (the tilde model's initial loop).  Generation metadata (model,
+    h, seed) rides along when known; handcrafted fixtures may leave it
+    unset.
     """
 
     n: int
-    edges: tuple[tuple[int, int, int], ...]
+    edges: tuple[tuple[int, int, int], ...] = _IntColumns("edge_array", 3)
     first_loop_weight1: bool = False
     model: Model | None = None
     h: int | None = None
@@ -155,37 +182,36 @@ class MultiGraph:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        for u, v, t in self.edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            if u > v:
-                raise ValueError(f"edge ({u},{v},{t}) must be stored with u <= v")
+        u, v, t = self.edge_array.T
+        outside = (u < 1) | (u > self.n) | (v < 1) | (v > self.n)
+        bad = np.flatnonzero(outside | (u > v))
+        if bad.size:
+            i = bad[0]
+            if outside[i]:
+                raise ValueError(f"edge ({u[i]},{v[i]}) out of range for n={self.n}")
+            raise ValueError(f"edge ({u[i]},{v[i]},{t[i]}) must be stored with u <= v")
 
     @classmethod
     def from_pairs(
         cls, n: int, pairs, *, first_loop_weight1: bool = False
     ) -> "MultiGraph":
         """Build a fixture graph from (u, v) pairs; arrivals are 1,2,..."""
-        edges = tuple(
-            (min(u, v), max(u, v), t) for t, (u, v) in enumerate(pairs, start=1)
-        )
+        ends = np.sort(np.asarray(pairs).reshape(len(pairs), 2), axis=1)
+        edges = np.c_[ends, np.arange(1, len(ends) + 1)]
         return cls(n=n, edges=edges, first_loop_weight1=first_loop_weight1)
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         """Degree per vertex, index 0 unused."""
-        deg = [0] * (self.n + 1)
-        for u, v, t in self.edges:
-            if u == v:
-                deg[u] += 1 if (self.first_loop_weight1 and t == 1) else 2
-            else:
-                deg[u] += 1
-                deg[v] += 1
-        return tuple(deg)
+        u, v, t = self.edge_array.T
+        deg = np.bincount(np.concatenate([u, v]), minlength=self.n + 1)
+        if self.first_loop_weight1:
+            deg -= np.bincount(u[(u == v) & (t == 1)], minlength=self.n + 1)
+        return tuple(deg.tolist())
 
     @property
     def volume(self) -> int:
@@ -194,38 +220,20 @@ class MultiGraph:
     def degree(self, v: int) -> int:
         return self.degrees[v]
 
-    def vol_of(self, subset) -> int:
-        deg = self.degrees
-        return sum(deg[v] for v in subset)
-
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Non-loop neighbor multiplicities: adjacency[v] = ((nb, mult), ...)."""
-        counts: list[dict[int, int]] = [dict() for _ in range(self.n + 1)]
-        for u, v, _t in self.edges:
-            if u != v:
-                counts[u][v] = counts[u].get(v, 0) + 1
-                counts[v][u] = counts[v].get(u, 0) + 1
-        return tuple(tuple(sorted(c.items())) for c in counts)
+        u, v, _t = self.edge_array[self.edge_array[:, 0] != self.edge_array[:, 1]].T
+        w = self.n + 1  # key end * w + neighbour sorts by end, then neighbour
+        keys, mult = np.unique(np.r_[u, v] * w + np.r_[v, u], return_counts=True)
+        pairs = list(zip((keys % w).tolist(), mult.tolist()))
+        cuts = np.searchsorted(keys, np.arange(w + 1) * w).tolist()
+        return tuple(tuple(pairs[a:b]) for a, b in zip(cuts, cuts[1:]))
 
     @cached_property
     def loop_counts(self) -> tuple[int, ...]:
-        loops = [0] * (self.n + 1)
-        for u, v, _t in self.edges:
-            if u == v:
-                loops[u] += 1
-        return tuple(loops)
-
-
-def _edge_tuples(n: int, lo: np.ndarray, hi: np.ndarray, arrivals):
-    """Edges ``(lo, hi, t)`` as tuples of Python ints, t from ``arrivals``.
-
-    ``lo`` and ``hi`` are int64 columns with entries in 0..n.  Endpoints
-    are taken from one int object per vertex, so each edge adds only its
-    tuple and its arrival.
-    """
-    ints = np.arange(n + 1).astype(object)
-    return tuple(zip(ints[lo].tolist(), ints[hi].tolist(), arrivals))
+        u, v, _t = self.edge_array.T
+        return tuple(np.bincount(u[u == v], minlength=self.n + 1).tolist())
 
 
 def merge(log: ArrivalLog, *, seed: int | None = None) -> MultiGraph:
@@ -233,16 +241,18 @@ def merge(log: ArrivalLog, *, seed: int | None = None) -> MultiGraph:
 
     Mini-vertex m maps to vertex ceil(m/h); every one of the h*n edges
     is kept, so mini-level edges inside a block become loops.  ``seed``
-    is recorded on the graph as the seed that generated the log.  The
-    endpoints are computed on int64 columns; next to the edge tuples,
-    memory is a few int64 arrays of h*n elements and one int per vertex.
+    is recorded on the graph as the seed that generated the log.  No
+    target comes after its arrival, so e_t is (ceil(target/h), ceil(t/h),
+    t), computed in place in the graph's (h*n, 3) int64 array.
     """
-    m = len(log.targets)
-    a = vertex_of(np.arange(1, m + 1), log.h)
-    b = vertex_of(np.array(log.targets, dtype=np.int64), log.h)
+    t = np.arange(1, len(log.target_array) + 1)
+    cols = np.stack([log.target_array, t, t], axis=1)
+    cols[:, :2] += log.h - 1  # vertex_of, in place
+    cols[:, :2] //= log.h
+    cols.flags.writeable = False
     return MultiGraph(
         n=log.n,
-        edges=_edge_tuples(log.n, np.minimum(a, b), np.maximum(a, b), range(1, m + 1)),
+        edges=cols,
         first_loop_weight1=(log.model is Model.TILDE),
         model=log.model,
         h=log.h,
@@ -291,17 +301,6 @@ def _sample_runs(
     return out
 
 
-def _sample_targets(model: Model, length: int, rng: np.random.Generator) -> list[int]:
-    """One run of the attachment process, as a list of targets.
-
-    Repeats of a target share one int object, as they would in an endpoint
-    list; an int per arrival would cost ~30 bytes more per edge.
-    """
-    row = _sample_runs(model, length, 1, rng)[0]
-    values, index = np.unique(row, return_inverse=True)
-    return list(map(values.tolist().__getitem__, index))
-
-
 def generate(model: Model, h: int, n: int, seed: int) -> tuple[ArrivalLog, MultiGraph]:
     """Sample one graph.
 
@@ -316,9 +315,9 @@ def generate(model: Model, h: int, n: int, seed: int) -> tuple[ArrivalLog, Multi
     if h < 1 or n < 1:
         raise ValueError(f"need h >= 1 and n >= 1, got h={h}, n={n}")
     seed = _check_seed(seed)
-    rng = np.random.default_rng(seed)
-    targets = _sample_targets(model, h * n, rng)
-    log = ArrivalLog(model=model, h=h, n=n, targets=tuple(targets))
+    targets = _sample_runs(model, h * n, 1, np.random.default_rng(seed))[0]
+    targets.flags.writeable = False
+    log = ArrivalLog(model=model, h=h, n=n, targets=targets)
     return log, merge(log, seed=seed)
 
 
@@ -437,7 +436,7 @@ def graph_to_json(graph: MultiGraph) -> dict:
         "h": graph.h,
         "n": graph.n,
         "seed": graph.seed,
-        "edges": [[u, v, t] for u, v, t in graph.edges],
+        "edges": graph.edge_array.tolist(),
     }
 
 
@@ -459,11 +458,12 @@ def _json_int(value, name: str) -> int:
     return value
 
 
-def _read_payload(payload: dict):
-    """Fields of a graph payload, its edges as one (m, 3) int64 array.
+def graph_from_json(payload: dict) -> MultiGraph:
+    """Validate a graph payload and build its ``MultiGraph``.
 
     Only ints are accepted: a bool, float or string anywhere is refused,
-    and so is an edge entry beyond int64.
+    and so is an edge entry beyond int64.  The edges become one (m, 3)
+    int64 array, which every check reads and the graph keeps.
     """
     try:
         model = Model(payload["model"])
@@ -481,55 +481,50 @@ def _read_payload(payload: dict):
         raise ValueError(f"malformed graph payload: {exc}") from None
     if h < 1:
         raise ValueError(f"need h >= 1, got h={h}")
-    return model, h, n, _check_seed(seed), cols
-
-
-def _graph_from_columns(model: Model, h: int, n: int, seed: int, cols) -> MultiGraph:
+    seed = _check_seed(seed)
     if len(cols) != h * n:
         raise ValueError(f"expected {h * n} edges, found {len(cols)}")
-    t = cols[:, 2]
+    lo, hi, t = cols.T
     if not np.array_equal(np.sort(t), np.arange(1, h * n + 1)):
         raise ValueError("edge arrival indices must be exactly 1..h*n")
-    lo = np.minimum(cols[:, 0], cols[:, 1])
-    hi = np.maximum(cols[:, 0], cols[:, 1])
+    cols[:, :2].sort(axis=1)
     # Edge e_t joins arrival t's vertex ceil(t/h) to a vertex no larger, so
     # each vertex is the larger endpoint of exactly h edges.  This forces
     # e_1 = (1, 1, 1) and e(S) <= h|S|, which the profile bound relies on.
     bad = np.flatnonzero(hi != vertex_of(t, h))
     if bad.size:
-        u, v, t0 = (int(x[bad[0]]) for x in (lo, hi, t))
+        u, v, t0 = cols[bad[0]].tolist()
         raise ValueError(
             f"edge ({u},{v},{t0}) cannot arise from attachment: its larger "
             f"endpoint must be ceil(t/h) = {vertex_of(t0, h)}"
         )
-    # MultiGraph's range check, made before _edge_tuples indexes with lo
-    bad = np.flatnonzero(lo < 1)
-    if bad.size:
-        raise ValueError(f"edge ({lo[bad[0]]},{hi[bad[0]]}) out of range for n={n}")
-    return MultiGraph(
+    cols.flags.writeable = False
+    graph = MultiGraph(
         n=n,
-        edges=_edge_tuples(n, lo, hi, t.tolist()),
+        edges=cols,
         first_loop_weight1=(model is Model.TILDE),
         model=model,
         h=h,
         seed=seed,
     )
-
-
-def graph_from_json(payload: dict) -> MultiGraph:
-    """Validate a graph payload and build its ``MultiGraph``."""
-    return _graph_from_columns(*_read_payload(payload))
+    # A tilde arrival never targets itself, so a loop at the first
+    # mini-vertex of its block (t = (v-1)*h + 1) has no earlier mini there.
+    bad = np.flatnonzero((lo == hi) & ((t - 1) % h == 0) & (t > 1))
+    if model is Model.TILDE and bad.size:
+        u, v, t0 = cols[bad[0]].tolist()
+        raise ValueError(
+            f"edge ({u},{v},{t0}) cannot arise from tilde attachment: a loop "
+            f"at arrival {t0} needs an earlier mini-vertex of vertex {v}"
+        )
+    return graph
 
 
 def load_graph(path) -> MultiGraph:
     """Read a graph file written by ``save_graph``, with every check of
     ``graph_from_json``.
 
-    json's parse holds a list and three ints per edge (about 175 bytes);
-    it is released once the edges are an (m, 3) int64 array, before the
-    edge tuples (about 112 bytes per edge) are built.  Peak memory is
-    about 230 bytes per edge above the caller's at h=4, n=25000.
+    Peak memory is json's parse (a list and three ints, about 175 bytes
+    per edge) plus the graph's 24 bytes per edge and check temporaries.
     """
     with open(path, "r", encoding="utf-8") as fh:
-        fields = _read_payload(json.load(fh))
-    return _graph_from_columns(*fields)
+        return graph_from_json(json.load(fh))

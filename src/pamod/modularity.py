@@ -338,10 +338,8 @@ def profile_modularity_bound(
     h = _require_pa_shape(graph)
     if graph.n < 2:
         raise ValueError("profile bound needs n >= 2")
-    upper = [0] * (graph.n + 1)
-    for _u, v, _t in graph.edges:
-        upper[v] += 1
-    if max(upper) > h:
+    upper = np.bincount(graph.edge_array[:, 1], minlength=graph.n + 1)
+    if upper.max() > h:
         _check_inner_edge_cap(graph, h)
     profile = expansion_profile(graph, limit=limit)
     return bound_from_expansion_profile(profile, h, graph.n)

@@ -116,6 +116,15 @@ def test_mod_over_limit(tmp_path, capsys):
     assert run_main("mod", "--graph", str(big), "--limit", "13") == 0
 
 
+def test_expand_limit_cannot_lift_the_memory_cap(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    run_main("gen", "--model", "standard", "--h", "1", "--n", "25",
+             "--seed", "0", "--out", str(big))
+    capsys.readouterr()
+    assert run_main("expand", "--graph", str(big), "--limit", "30") == 2
+    assert "exhaustive limit 24" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------- certify
 
 

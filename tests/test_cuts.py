@@ -18,7 +18,9 @@ from pamod import (
     generate,
     sampled_expansion,
 )
+from pamod import cuts, modularity
 from pamod.cuts import (
+    EXACT_SUBSET_LIMIT,
     ExpansionResult,
     SearchMethod,
     _boundary_table,
@@ -27,7 +29,7 @@ from pamod.cuts import (
     as_fraction,
 )
 from pamod.models import _check_seed
-from pamod.modularity import _inner_table
+from pamod.modularity import _inner_table, profile_modularity_bound
 
 K4 = MultiGraph.from_pairs(4, list(itertools.combinations(range(1, 5), 2)))
 
@@ -175,6 +177,28 @@ def test_expansion_refuses_large_graphs():
         exact_expansion(g, Fraction(1, 2))
     with pytest.raises(ValueError):
         expansion_profile(g)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: exact_expansion(g, Fraction(1, 2), limit=30),
+        lambda g: expansion_profile(g, limit=30),
+        lambda g: profile_modularity_bound(g, limit=30),
+    ],
+    ids=["exact_expansion", "expansion_profile", "profile_modularity_bound"],
+)
+def test_no_limit_lifts_the_subset_table_cap(monkeypatch, call):
+    # n = 25 would need 2^25-entry tables; the refusal must come first
+    _, g = generate(Model.STANDARD, 1, 25, 0)
+
+    def no_table(*_args):
+        raise AssertionError("a subset table was built")
+
+    monkeypatch.setattr(cuts, "_subset_sums", no_table)
+    monkeypatch.setattr(modularity, "_subset_sums", no_table)
+    with pytest.raises(ValueError, match=f"exhaustive limit {EXACT_SUBSET_LIMIT}"):
+        call(g)
 
 
 @given(graph_params, st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]))

@@ -64,6 +64,14 @@ def test_config_validation():
         ExperimentConfig(**{**BASE, "tasks": ("expansion", "nope")})
 
 
+def test_config_refuses_an_expansion_limit_above_the_table_cap():
+    # at n = 25 the 2^n boundary table alone would take 128 MiB
+    big = {**BASE, "n_list": [25], "tasks": ("expansion",)}
+    with pytest.raises(ValueError, match="exact_expansion_limit=25 exceeds"):
+        ExperimentConfig(**big, exact_expansion_limit=25)
+    assert ExperimentConfig(**big, exact_expansion_limit=24).exact_expansion_limit == 24
+
+
 def test_config_from_dict_rejects_unknown_and_missing_keys():
     payload = ExperimentConfig(**BASE).to_dict()
     payload["extra"] = 1

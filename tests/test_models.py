@@ -1,8 +1,12 @@
 """Generation, merging, and the exact small-step target distributions."""
 
+import ast
 import dataclasses
+import itertools
 import json
 import pathlib
+import pickle
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pamod
 from pamod import (
     ArrivalLog,
     Model,
@@ -22,11 +27,19 @@ from pamod import (
     save_graph,
 )
 from pamod.cli import main
+from pamod.cuts import EXACT_SUBSET_LIMIT, _part_tallies, expansion_profile
 from pamod.models import (
+    _enumerate_logs,
     graph_from_json,
     graph_to_json,
     sample_target_matrix,
     vertex_of,
+)
+from pamod.modularity import (
+    _check_inner_edge_cap,
+    _require_pa_shape,
+    bound_from_expansion_profile,
+    profile_modularity_bound,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -673,7 +686,316 @@ def test_from_json_outcomes_match_reference_on_edited_payloads(params, data):
     payload = {"model": model.value, "h": h, "n": n, "seed": seed, "edges": edges}
     got = _outcome(graph_from_json, payload)
     want = _outcome(_reference_graph_from_json, payload)
+    if isinstance(want, MultiGraph):
+        # the one rule the reference lacks: tilde loops no tilde run makes
+        want = _tilde_loop_error(want) or want
     assert got == want
     if isinstance(got, MultiGraph):
         assert got.edges == want.edges
         _assert_int_edges(got)
+
+
+# ------------------------------------------------------ tilde loop rule
+
+
+def _tilde_loop_error(graph):
+    """The loader's error for the first tilde loop no tilde run makes, or None.
+
+    Tilde arrivals never target themselves, so a loop (v, v, t) with t > 1
+    needs an earlier mini-vertex in v's block: t must not start the block.
+    """
+    if graph.model is not Model.TILDE:
+        return None
+    for u, v, t in graph.edges:
+        if u == v and t > 1 and (t - 1) % graph.h == 0:
+            return (
+                ValueError,
+                f"edge ({u},{v},{t}) cannot arise from tilde attachment: a "
+                f"loop at arrival {t} needs an earlier mini-vertex of vertex {v}",
+            )
+    return None
+
+
+@pytest.mark.parametrize(
+    "h, n, edges",
+    [
+        (1, 2, [[1, 1, 1], [2, 2, 2]]),
+        (2, 2, [[1, 1, 1], [1, 1, 2], [2, 2, 3], [1, 2, 4]]),
+        (2, 2, [[2, 2, 3], [1, 2, 4], [1, 1, 2], [1, 1, 1]]),
+        (3, 2, [[1, 1, 1], [1, 1, 2], [1, 1, 3], [2, 2, 4], [1, 2, 5], [2, 2, 6]]),
+        (1, 3, [[1, 1, 1], [1, 2, 2], [3, 3, 3]]),
+    ],
+)
+def test_from_json_refuses_tilde_loops_no_tilde_run_makes(h, n, edges):
+    with pytest.raises(ValueError, match="cannot arise from tilde attachment"):
+        graph_from_json(_payload(h, n, edges, "tilde"))
+    # the standard model's lazy self-loop makes each of them
+    assert graph_from_json(_payload(h, n, edges)).m == h * n
+
+
+def test_from_json_accepts_tilde_loops_inside_a_block():
+    # e_2 and e_4 target an earlier mini-vertex of their own vertex
+    edges = [[1, 1, 1], [1, 1, 2], [1, 2, 3], [2, 2, 4]]
+    g = graph_from_json(_payload(2, 2, edges, "tilde"))
+    assert g == merge(ArrivalLog(Model.TILDE, 2, 2, (1, 1, 2, 3)), seed=0)
+
+
+def _edge_lists(h, n, any_larger_end):
+    """Every edge list in arrival order with u <= v in 1..n.
+
+    The larger endpoint of e_t is ceil(t/h) unless ``any_larger_end``.
+    """
+    per_arrival = []
+    for t in range(1, h * n + 1):
+        ends = range(1, n + 1) if any_larger_end else [vertex_of(t, h)]
+        per_arrival.append([[u, v, t] for v in ends for u in range(1, v + 1)])
+    return itertools.product(*per_arrival)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize(
+    "h, n", [(h, n) for h in range(1, 7) for n in range(1, 7) if h * n <= 6]
+)
+def test_loader_accepts_exactly_the_merged_logs(model, h, n):
+    targets, _nums, _denom = _enumerate_logs(model, h * n)
+    made = {merge(ArrivalLog(model, h, n, row)).edges for row in targets}
+    accepted = set()
+    for edges in _edge_lists(h, n, any_larger_end=h * n <= 4):
+        try:
+            graph = graph_from_json(_payload(h, n, list(edges), model.value))
+        except ValueError:
+            continue
+        accepted.add(graph.edges)
+    assert accepted == made
+
+
+# ----------------------------------------------------- column store oracle
+#
+# MultiGraph's tuple-loop check and views, cuts._part_tallies and
+# modularity.profile_modularity_bound as they were before the edges became
+# one int64 array, kept verbatim but for the inlined MultiGraph.vol_of.
+# The array code must give the same values, and the same error type and
+# message on invalid edge sets.
+
+
+def _reference_check_graph(n, edges):
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    for u, v, t in edges:
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+        if u > v:
+            raise ValueError(f"edge ({u},{v},{t}) must be stored with u <= v")
+
+
+def _reference_degrees(self) -> tuple[int, ...]:
+    """Degree per vertex, index 0 unused."""
+    deg = [0] * (self.n + 1)
+    for u, v, t in self.edges:
+        if u == v:
+            deg[u] += 1 if (self.first_loop_weight1 and t == 1) else 2
+        else:
+            deg[u] += 1
+            deg[v] += 1
+    return tuple(deg)
+
+
+def _reference_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Non-loop neighbor multiplicities: adjacency[v] = ((nb, mult), ...)."""
+    counts: list[dict[int, int]] = [dict() for _ in range(self.n + 1)]
+    for u, v, _t in self.edges:
+        if u != v:
+            counts[u][v] = counts[u].get(v, 0) + 1
+            counts[v][u] = counts[v].get(u, 0) + 1
+    return tuple(tuple(sorted(c.items())) for c in counts)
+
+
+def _reference_loop_counts(self) -> tuple[int, ...]:
+    loops = [0] * (self.n + 1)
+    for u, v, _t in self.edges:
+        if u == v:
+            loops[u] += 1
+    return tuple(loops)
+
+
+def _reference_part_tallies(graph: MultiGraph, parts):
+    """Per-part (inner edges, boundary edges, volume) in one edge scan.
+
+    ``parts`` must cover every vertex; loops count as inner edges.
+    """
+    idx = [0] * (graph.n + 1)
+    for i, p in enumerate(parts):
+        for v in p:
+            idx[v] = i
+    inner = [0] * len(parts)
+    boundary = [0] * len(parts)
+    for u, v, _t in graph.edges:
+        pu, pv = idx[u], idx[v]
+        if pu == pv:
+            inner[pu] += 1
+        else:
+            boundary[pu] += 1
+            boundary[pv] += 1
+    return inner, boundary, [sum(graph.degrees[v] for v in p) for p in parts]
+
+
+def _reference_profile_modularity_bound(
+    graph: MultiGraph, limit: int = EXACT_SUBSET_LIMIT
+) -> Fraction:
+    h = _require_pa_shape(graph)
+    if graph.n < 2:
+        raise ValueError("profile bound needs n >= 2")
+    upper = [0] * (graph.n + 1)
+    for _u, v, _t in graph.edges:
+        upper[v] += 1
+    if max(upper) > h:
+        _check_inner_edge_cap(graph, h)
+    profile = expansion_profile(graph, limit=limit)
+    return bound_from_expansion_profile(profile, h, graph.n)
+
+
+def _oracle_graphs(corpus, multigraphs):
+    return [*corpus.values(), *multigraphs]
+
+
+def test_graph_views_match_tuple_loops(corpus, multigraphs):
+    for g in _oracle_graphs(corpus, multigraphs):
+        assert _outcome(_reference_check_graph, g.n, g.edges) is None
+        assert g.degrees == _reference_degrees(g)
+        assert g.adjacency == _reference_adjacency(g)
+        assert g.loop_counts == _reference_loop_counts(g)
+        assert all(type(x) is int for x in g.degrees + g.loop_counts)
+        assert all(type(x) is int for row in g.adjacency for pair in row for x in pair)
+
+
+def test_part_tallies_match_tuple_loop(corpus, multigraphs):
+    rnd = random.Random(5)
+    for g in _oracle_graphs(corpus, multigraphs):
+        for k in (1, 2, 3, g.n):
+            labels = [rnd.randrange(k) for _ in range(g.n)]
+            parts = [
+                frozenset(v for v in range(1, g.n + 1) if labels[v - 1] == i)
+                for i in range(k)
+            ]
+            assert _part_tallies(g, parts) == _reference_part_tallies(g, parts)
+
+
+def test_profile_bound_matches_tuple_count(corpus, multigraphs):
+    # multigraphs carry no h, so each gets h = 1..3; many then fail the
+    # degree or e(S) <= h|S| checks, whose errors must match too.  At
+    # n = 18 no exhaustive fallback exists, so only the count decides.
+    graphs = [*corpus.values(), *(generate(m, 2, 18, 3)[1] for m in MODELS)]
+    graphs += [dataclasses.replace(g, h=h) for g in multigraphs for h in (1, 2, 3)]
+    for g in graphs:
+        got = _outcome(profile_modularity_bound, g)
+        assert got == _outcome(_reference_profile_modularity_bound, g)
+
+
+INVALID_EDGE_SETS = [
+    (0, ()),
+    (-1, ((1, 1, 1),)),
+    (3, ((1, 1, 1), (2, 1, 2))),
+    (3, ((1, 4, 1),)),
+    (3, ((0, 1, 1),)),
+    (2, ((-1, -2, 1),)),
+    (2, ((3, 1, 1),)),
+    (3, ((1, 2, 1), (3, 2, 2), (0, 1, 3))),
+    (3, ((1, 2, 1), (0, 1, 2), (3, 2, 3))),
+    (3, ((1, 2, 1), (2, 3, 2), (2, 2, 3), (3, 1, 4))),
+]
+
+
+@pytest.mark.parametrize("n, edges", INVALID_EDGE_SETS)
+def test_graph_errors_match_tuple_loop(n, edges):
+    got = _outcome(MultiGraph, n, edges)
+    assert isinstance(got, tuple)
+    assert got == _outcome(_reference_check_graph, n, edges)
+
+
+@given(
+    st.integers(1, 4),
+    st.lists(st.tuples(*[st.integers(-1, 5)] * 3), max_size=6),
+)
+def test_graph_outcomes_match_tuple_loop_on_random_edges(n, edges):
+    got = _outcome(MultiGraph, n, edges)
+    want = _outcome(_reference_check_graph, n, edges)
+    assert got == want if isinstance(got, tuple) else want is None
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        ((1, 1, 1.5),),
+        ((1, 1, 2**70),),
+        ((1, 1, "1"),),
+        ((True, True, True),),
+        ((1, 1),),
+    ],
+)
+def test_graph_rejects_non_integer_triples(edges):
+    with pytest.raises(ValueError, match="edges must be rows of 3 integers"):
+        MultiGraph(2, edges)
+    with pytest.raises(ValueError):  # ragged rows
+        MultiGraph(2, ((1, 1, 1), edges[0][:2]))
+
+
+def test_column_store_keeps_dataclass_semantics(corpus):
+    for (model, h, n, seed), g in corpus.items():
+        log, _g = generate(model, h, n, seed)
+        for obj in (log, g):
+            back = pickle.loads(pickle.dumps(obj))
+            copy = dataclasses.replace(obj)
+            assert back == obj == copy
+            assert hash(back) == hash(obj) == hash(copy)
+        back = pickle.loads(pickle.dumps(g, protocol=5))
+        assert not back.edge_array.flags.writeable
+        assert g.edges == back.edges and g.edges is not g.edges
+        assert dataclasses.replace(g, seed=None) == merge(log)
+        assert dataclasses.replace(g, seed=seed + 1) != g
+        twin = MultiGraph(g.n, g.edges, g.first_loop_weight1, g.model, g.h, g.seed)
+        assert twin == g and hash(twin) == hash(g)
+
+
+def test_column_store_copies_writable_arrays():
+    cols = np.array([[1, 1, 1], [1, 2, 2]])
+    g = MultiGraph(2, cols)
+    cols[0, 0] = 2
+    assert g.edges == ((1, 1, 1), (1, 2, 2))
+    assert not g.edge_array.flags.writeable
+    with pytest.raises(ValueError):
+        g.edge_array[0, 0] = 2
+    row = np.array([1, 1, 2])
+    log = ArrivalLog(Model.STANDARD, 1, 3, row)
+    row[2] = 9
+    assert log.targets == (1, 1, 2)
+
+
+# ------------------------------------------------------------ guard
+
+
+def test_package_reads_the_arrays_not_the_tuple_views():
+    # .edges and .targets rebuild tuples of Python ints on every read; only
+    # the descriptor that stores them may name them
+    readers = []
+    for path in sorted(pathlib.Path(pamod.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "_IntColumns"
+            for node in ast.walk(cls)
+        }
+        for node in ast.walk(tree):
+            named = (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("edges", "targets")
+                or isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "getattr"
+                and any(
+                    isinstance(a, ast.Constant) and a.value in ("edges", "targets")
+                    for a in node.args
+                )
+            )
+            if named and id(node) not in exempt:
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []
