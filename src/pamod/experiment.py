@@ -44,6 +44,7 @@ from pamod.cuts import (
 )
 from pamod.models import Model, _check_model, _check_seed, derive_seed, generate
 from pamod.modularity import (
+    _EXACT_PARTITION_CAP,
     bound_from_expansion_profile,
     exact_modularity,
     expansion_modularity_bound,
@@ -120,6 +121,9 @@ class ExperimentConfig:
         if (limit := self.exact_expansion_limit) > EXACT_SUBSET_LIMIT:
             cap = f"EXACT_SUBSET_LIMIT={EXACT_SUBSET_LIMIT}, the 2^n tables' memory cap"
             raise ValueError(f"exact_expansion_limit={limit} exceeds {cap}")
+        if (limit := self.exact_modularity_limit) > _EXACT_PARTITION_CAP:
+            cap = f"{_EXACT_PARTITION_CAP}, the 3^n partition DP's time cap"
+            raise ValueError(f"exact_modularity_limit={limit} exceeds {cap}")
 
     def to_dict(self) -> dict:
         """Fields in declaration order; the model as its value, tuples as lists."""

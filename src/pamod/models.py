@@ -159,6 +159,11 @@ class ArrivalLog:
             t = int(bad[0]) + 1
             raise ValueError(f"target {s[t - 1]} out of range at arrival {t}")
 
+    def __reduce__(self):
+        # Through the constructor, so an unpickled log is checked again and
+        # its array read-only (numpy drops the flag below protocol 5).
+        return ArrivalLog, (self.model, self.h, self.n, self.target_array)
+
 
 @dataclass(frozen=True)
 class MultiGraph:
@@ -190,6 +195,26 @@ class MultiGraph:
             if outside[i]:
                 raise ValueError(f"edge ({u[i]},{v[i]}) out of range for n={self.n}")
             raise ValueError(f"edge ({u[i]},{v[i]},{t[i]}) must be stored with u <= v")
+
+    def __reduce__(self):
+        # through the constructor, as for ArrivalLog
+        fields = (self.n, self.edge_array, self.first_loop_weight1)
+        return MultiGraph, (*fields, self.model, self.h, self.seed)
+
+    def _scalar_fields(self) -> tuple:
+        return self.n, self.first_loop_weight1, self.model, self.h, self.seed
+
+    # Field-by-field equality, with the edges compared as arrays rather
+    # than through the tuple view.
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._scalar_fields() == other._scalar_fields() and (
+            np.array_equal(self.edge_array, other.edge_array)
+        )
+
+    def __hash__(self) -> int:
+        return hash((*self._scalar_fields(), self.edge_array.tobytes()))
 
     @classmethod
     def from_pairs(

@@ -13,8 +13,12 @@ the common denominator e(G)*vol(G)^2 every part contributes the integer
 f(T) = e(T)*vol(G)^2 - vol(T)^2*e(G), and the best partition of a mask
 is solved by splitting off the part that contains its lowest vertex.
 e(T) and vol(T) come from the subset tables of ``cuts._subset_sums``.
-The DP costs O(3^n) integer operations, far below enumerating all set
-partitions, and is why the default cap sits at n = 12.
+The masks whose lowest bit is l depend only on masks above l, so the DP
+runs level by level from l = n-1 down to 0, each level one numpy
+(max, +) subset convolution over its 3^(n-1-l) pairs: about 3^n/2
+int64 operations in all, far below enumerating all set partitions.  It
+refuses graphs above 16 vertices, where one call takes about 0.13 s
+and 3 MiB.
 
 Upper bounds provided, all exact:
 
@@ -31,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -46,6 +51,15 @@ from pamod.cuts import (
 from pamod.models import MultiGraph, _check_seed
 
 EXACT_PARTITION_LIMIT = 12
+
+# Largest n the exact DP accepts, whatever its ``limit`` says; time grows
+# as 3^n and passes 1 s per graph near n = 18.
+_EXACT_PARTITION_CAP = 16
+
+# Free bits of a DP level that one vectorised step covers.  The rest are
+# looped over in Python through the same pair table, so a level may have
+# at most 2 * _LOW_BITS free bits: n <= 17, above the cap.
+_LOW_BITS = 8
 
 # Largest n whose subsets are checked one by one for e(S) <= h|S|.
 _INNER_EDGE_CAP_LIMIT = 16
@@ -104,6 +118,46 @@ def _inner_table(graph: MultiGraph) -> np.ndarray:
     return _subset_sums(graph.n, graph.loop_counts[1:], pairs, np.int64)
 
 
+@cache
+def _pair_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair (R, S) with S a subset of R over ``_LOW_BITS`` bits,
+    as (S, R^S, group starts), grouped by R in increasing order.
+
+    The pairs over the low j bits are the first 3^j entries and their
+    groups the first 2^j starts, so one table serves every j.  Built by
+    ternary doubling: each new bit is outside R, in R^S, or in S.
+    """
+    s = t = np.zeros(1, dtype=np.intp)
+    for i in range(_LOW_BITS):
+        bit = 1 << i
+        s, t = np.concatenate([s, s, s | bit]), np.concatenate([t, t | bit, t])
+    order = np.argsort(s | t, kind="stable")
+    s, t = s[order], t[order]
+    starts = np.flatnonzero(np.diff(s | t, prepend=-1))
+    return s, t, starts
+
+
+def _max_plus_level(f_part: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """out[R] = max over S subset of R of f_part[S] + g[R^S], over all 2^k masks R.
+
+    The low j = min(k, _LOW_BITS) bits take one gather and one
+    ``np.maximum.reduceat`` per pair of the high k - j bits, so the
+    temporaries stay at 3^j entries; ``out`` is the (2^(k-j), 2^j) level.
+    """
+    k = len(f_part).bit_length() - 1
+    j = min(k, _LOW_BITS)
+    s, t, starts = _pair_table()
+    lo_s, lo_t, lo_starts = s[: 3**j], t[: 3**j], starts[: 1 << j]
+    f2 = f_part.reshape(-1, 1 << j)
+    g2 = g.reshape(-1, 1 << j)
+    out = np.full(f2.shape, np.iinfo(np.int64).min, dtype=np.int64)
+    for hs, ht in zip(s[: 3 ** (k - j)].tolist(), t[: 3 ** (k - j)].tolist()):
+        cand = f2[hs].take(lo_s) + g2[ht].take(lo_t)
+        row = out[hs | ht]
+        np.maximum(row, np.maximum.reduceat(cand, lo_starts), out=row)
+    return out.reshape(-1)
+
+
 def exact_modularity(
     graph: MultiGraph, limit: int = EXACT_PARTITION_LIMIT
 ) -> tuple[Fraction, Partition]:
@@ -112,9 +166,18 @@ def exact_modularity(
     The returned partition is canonical: parts are listed by smallest
     member, and each part is the lexicographically smallest optimal
     choice for its lowest vertex given the previously fixed parts.
+
+    Refuses graphs with more than ``limit`` vertices, or more than 16
+    whatever ``limit`` says (use :func:`greedy_modularity` there), and
+    graphs with e(G)*vol(G)^2 >= 2^63, whose partition sums could leave
+    int64.  Level l is one (max, +) subset convolution over the 3^(n-1-l)
+    pairs of the bits above l, about 3^n/2 pairs in all: about 2 ms at
+    n = 12, 15 ms at n = 14 and 0.13 s at n = 16 on a 2-core Xeon host.
+    Memory is a few int64 tables over the 2^n masks plus 3^8-entry
+    temporaries: a 3 MiB peak (tracemalloc) at n = 16.
     """
     n = graph.n
-    if n > limit:
+    if n > (limit := min(limit, _EXACT_PARTITION_CAP)):
         raise ValueError(
             f"n={n} exceeds the exact partition limit {limit}; "
             "use greedy_modularity"
@@ -124,46 +187,29 @@ def exact_modularity(
         return Fraction(0), (frozenset(range(1, n + 1)),)
     vol_g = graph.volume
     vg2 = vol_g * vol_g
-    size = 1 << n
-    inner = _inner_table(graph).tolist()
-    vol = _subset_sums(n, graph.degrees[1:], None, np.int64).tolist()
-    f = [a * vg2 - b * b * m for a, b in zip(inner, vol)]
-    opt = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        rest = mask ^ low
-        best = f[low] + opt[rest]
-        sub = rest
-        while sub:
-            t = sub | low
-            cand = f[t] + opt[rest ^ sub]
-            if cand > best:
-                best = cand
-            sub = (sub - 1) & rest
-        opt[mask] = best
-    q_star = Fraction(opt[size - 1], m * vg2)
+    # every DP value is a partition sum, within m*vol(G)^2 of zero
+    if m * vg2 >= 2**63:
+        raise ValueError(f"e(G)*vol(G)^2 = {m * vg2} >= 2^63, beyond int64")
+    inner = _inner_table(graph)
+    vol = _subset_sums(n, graph.degrees[1:], None, np.int64)
+    f = inner * vg2 - vol * vol * m
+    opt = np.zeros(1 << n, dtype=np.int64)
+    for level in range(n - 1, -1, -1):
+        low = 1 << level
+        step = low << 1
+        opt[low::step] = _max_plus_level(f[low::step], opt[::step])
+    q_star = Fraction(int(opt[-1]), m * vg2)
 
     parts: list[frozenset[int]] = []
-    mask = size - 1
+    mask = (1 << n) - 1
     while mask:
         low = mask & -mask
         rest = mask ^ low
-        target = opt[mask]
-        best_t = None
-        best_key: tuple[int, ...] | None = None
-        sub = rest
-        while True:
-            t = sub | low
-            if f[t] + opt[rest ^ sub] == target:
-                key = _members(t)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_t = t
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        assert best_t is not None
-        parts.append(frozenset(best_key))
+        bits = [1 << i for i in range(n) if (rest >> i) & 1]
+        subs = _subset_sums(len(bits), bits, None, np.int64)
+        hits = subs[f[subs | low] + opt[rest ^ subs] == opt[mask]] | low
+        best_t = min(hits.tolist(), key=_members)
+        parts.append(frozenset(_members(best_t)))
         mask ^= best_t
     return q_star, tuple(parts)
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from pamod import load_graph
+from pamod import cuts, load_graph, modularity
 from pamod.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -123,6 +123,21 @@ def test_expand_limit_cannot_lift_the_memory_cap(tmp_path, capsys):
     capsys.readouterr()
     assert run_main("expand", "--graph", str(big), "--limit", "30") == 2
     assert "exhaustive limit 24" in capsys.readouterr().err
+
+
+def test_mod_limit_cannot_lift_the_partition_cap(tmp_path, capsys, monkeypatch):
+    big = tmp_path / "big.json"
+    run_main("gen", "--model", "standard", "--h", "1", "--n", "20",
+             "--seed", "0", "--out", str(big))
+    capsys.readouterr()
+
+    def no_table(*_args):
+        raise AssertionError("a subset table was built")
+
+    monkeypatch.setattr(cuts, "_subset_sums", no_table)
+    monkeypatch.setattr(modularity, "_subset_sums", no_table)
+    assert run_main("mod", "--graph", str(big), "--limit", "20") == 2
+    assert "exact partition limit 16" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------- certify

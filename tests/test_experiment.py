@@ -72,6 +72,14 @@ def test_config_refuses_an_expansion_limit_above_the_table_cap():
     assert ExperimentConfig(**big, exact_expansion_limit=24).exact_expansion_limit == 24
 
 
+def test_config_refuses_a_modularity_limit_above_the_dp_cap():
+    big = {**BASE, "n_list": [17], "tasks": ("modularity",)}
+    with pytest.raises(ValueError, match="exact_modularity_limit=17 exceeds 16"):
+        ExperimentConfig(**big, exact_modularity_limit=17)
+    config = ExperimentConfig(**big, exact_modularity_limit=16)
+    assert config.exact_modularity_limit == 16
+
+
 def test_config_from_dict_rejects_unknown_and_missing_keys():
     payload = ExperimentConfig(**BASE).to_dict()
     payload["extra"] = 1

@@ -956,6 +956,64 @@ def test_column_store_keeps_dataclass_semantics(corpus):
         assert twin == g and hash(twin) == hash(g)
 
 
+@pytest.mark.parametrize("protocol", [2, 3, 4, 5])
+def test_unpickled_columns_are_read_only(corpus, protocol):
+    for (model, h, n, seed), g in corpus.items():
+        log, _g = generate(model, h, n, seed)
+        back_log = pickle.loads(pickle.dumps(log, protocol=protocol))
+        back = pickle.loads(pickle.dumps(g, protocol=protocol))
+        assert back_log == log and back == g
+        assert not back_log.target_array.flags.writeable
+        assert not back.edge_array.flags.writeable
+
+
+@pytest.mark.parametrize("protocol", [2, 3, 4, 5])
+def test_tampered_pickles_are_refused(protocol):
+    # the int64 rows appear as raw bytes in the payload; rewrite one
+    cases = [
+        (ArrivalLog(Model.STANDARD, 1, 3, (1, 1, 2)), (1, 1, 2), (1, 1, 9),
+         "target 9 out of range at arrival 3"),
+        (MultiGraph(2, ((1, 1, 1), (1, 2, 2))), (1, 2, 2), (2, 1, 2),
+         "must be stored with u <= v"),
+    ]
+    for obj, row, forged, message in cases:
+        payload = pickle.dumps(obj, protocol=protocol)
+        old = np.array(row, dtype="<i8").tobytes()
+        assert payload.count(old) == 1
+        payload = payload.replace(old, np.array(forged, dtype="<i8").tobytes())
+        with pytest.raises(ValueError, match=message):
+            pickle.loads(payload)
+
+
+def _tuple_key(g: MultiGraph) -> tuple:
+    """The fields as the dataclass-generated ``__eq__`` compared them."""
+    return (g.n, g.edges, g.first_loop_weight1, g.model, g.h, g.seed)
+
+
+def test_graph_equality_and_hash_match_the_field_tuples(corpus, multigraphs):
+    graphs = list(corpus.values()) + list(multigraphs)
+    variants = []
+    for g in graphs[::7]:
+        variants += [
+            dataclasses.replace(g, seed=None),
+            dataclasses.replace(g, h=7),
+            dataclasses.replace(g, first_loop_weight1=not g.first_loop_weight1),
+            dataclasses.replace(g, n=g.n + 1),
+            MultiGraph(g.n, g.edge_array[::-1], *_tuple_key(g)[2:]),
+            MultiGraph(g.n, g.edge_array.copy(), *_tuple_key(g)[2:]),
+        ]
+    graphs += variants
+    keys = [_tuple_key(g) for g in graphs]
+    for a, key_a in zip(graphs, keys):
+        for b, key_b in zip(graphs, keys):
+            assert (a == b) == (key_a == key_b)
+            assert (a != b) == (key_a != key_b)
+            if key_a == key_b:
+                assert hash(a) == hash(b)
+    g = graphs[0]
+    assert g.__eq__(_tuple_key(g)) is NotImplemented and g != _tuple_key(g)
+
+
 def test_column_store_copies_writable_arrays():
     cols = np.array([[1, 1, 1], [1, 2, 2]])
     g = MultiGraph(2, cols)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -25,8 +26,16 @@ from pamod import (
     profile_modularity_bound,
     worst_part_bound,
 )
+from pamod import cuts, modularity
+from pamod.cuts import _members, _subset_sums
 from pamod.models import _check_seed
-from pamod.modularity import CAP_BASELINE, CAP_STRONG, check_partition
+from pamod.modularity import (
+    CAP_BASELINE,
+    CAP_STRONG,
+    EXACT_PARTITION_LIMIT,
+    _inner_table,
+    check_partition,
+)
 
 ONE_EDGE = MultiGraph.from_pairs(2, [(1, 2)])
 K3 = MultiGraph.from_pairs(3, [(1, 2), (1, 3), (2, 3)])
@@ -149,6 +158,124 @@ def test_exact_partition_is_the_canonical_optimum(multigraphs):
     for g in SYMMETRIC + [g for g in multigraphs if 1 < g.n <= 7 and g.m]:
         _q, parts = exact_modularity(g)
         assert tuple(tuple(sorted(p)) for p in parts) == _canonical_optimum(g)
+
+
+# The pure-Python submask DP and reconstruction that the level-wise numpy
+# kernel replaced, kept verbatim as the reference.
+def _reference_exact_modularity(graph, limit=EXACT_PARTITION_LIMIT):
+    n = graph.n
+    if n > limit:
+        raise ValueError(
+            f"n={n} exceeds the exact partition limit {limit}; "
+            "use greedy_modularity"
+        )
+    m = graph.m
+    if m == 0:
+        return Fraction(0), (frozenset(range(1, n + 1)),)
+    vol_g = graph.volume
+    vg2 = vol_g * vol_g
+    size = 1 << n
+    inner = _inner_table(graph).tolist()
+    vol = _subset_sums(n, graph.degrees[1:], None, np.int64).tolist()
+    f = [a * vg2 - b * b * m for a, b in zip(inner, vol)]
+    opt = [0] * size
+    for mask in range(1, size):
+        low = mask & -mask
+        rest = mask ^ low
+        best = f[low] + opt[rest]
+        sub = rest
+        while sub:
+            t = sub | low
+            cand = f[t] + opt[rest ^ sub]
+            if cand > best:
+                best = cand
+            sub = (sub - 1) & rest
+        opt[mask] = best
+    q_star = Fraction(opt[size - 1], m * vg2)
+
+    parts: list[frozenset[int]] = []
+    mask = size - 1
+    while mask:
+        low = mask & -mask
+        rest = mask ^ low
+        target = opt[mask]
+        best_t = None
+        best_key: tuple[int, ...] | None = None
+        sub = rest
+        while True:
+            t = sub | low
+            if f[t] + opt[rest ^ sub] == target:
+                key = _members(t)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_t = t
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        assert best_t is not None
+        parts.append(frozenset(best_key))
+        mask ^= best_t
+    return q_star, tuple(parts)
+
+
+@given(
+    st.sampled_from(list(Model)),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_exact_matches_the_reference_dp(model, h, n, seed):
+    _, g = generate(model, h, n, seed)
+    assert exact_modularity(g) == _reference_exact_modularity(g)
+
+
+def test_exact_matches_the_reference_dp_on_ties(multigraphs):
+    edge_free = [MultiGraph(n, ()) for n in (1, 2, 5)]
+    one_vertex = [MultiGraph.from_pairs(1, [(1, 1)] * k) for k in (1, 3)]
+    one_vertex.append(MultiGraph.from_pairs(1, [(1, 1)], first_loop_weight1=True))
+    for g in SYMMETRIC + edge_free + one_vertex + list(multigraphs):
+        assert exact_modularity(g) == _reference_exact_modularity(g)
+
+
+def test_exact_n14_matches_the_reference_in_under_a_second():
+    _, g = generate(Model.TILDE, 2, 14, 8)
+    start = time.perf_counter()
+    result = exact_modularity(g, limit=14)
+    assert time.perf_counter() - start < 1.0
+    assert result == _reference_exact_modularity(g, limit=14)
+
+
+def test_exact_runs_at_the_cap_of_16():
+    _, g = generate(Model.STANDARD, 3, 16, 2)
+    q, parts = exact_modularity(g, limit=16)
+    assert modularity_score(g, parts).q == q
+    assert q >= greedy_modularity(g, seed=0)[0]
+
+
+@pytest.mark.parametrize("limit", [16, 20, 10**6])
+def test_no_limit_lifts_the_partition_cap(monkeypatch, limit):
+    _, g = generate(Model.STANDARD, 1, 17, 0)
+
+    def no_table(*_args):
+        raise AssertionError("a subset table was built")
+
+    monkeypatch.setattr(cuts, "_subset_sums", no_table)
+    monkeypatch.setattr(modularity, "_subset_sums", no_table)
+    with pytest.raises(ValueError, match="exact partition limit 16"):
+        exact_modularity(g, limit=limit)
+
+
+def _parallel_edges(k):
+    return MultiGraph.from_pairs(2, np.tile([1, 2], (k, 1)))
+
+
+def test_exact_refuses_partition_sums_beyond_int64():
+    # e(G) * vol(G)^2 = 4k^3, which first reaches 2^63 at k = 1321123
+    assert 4 * 1321122**3 < 2**63 <= 4 * 1321123**3
+    with pytest.raises(ValueError, match=">= 2\\^63"):
+        exact_modularity(_parallel_edges(1321123))
+    # just below, f({1,2}) = 4k^3 - 4k^3 fills int64 and must not wrap
+    assert exact_modularity(_parallel_edges(1321122)) == (0, (frozenset({1, 2}),))
 
 
 # ---------------------------------------------------------------- greedy
