@@ -168,9 +168,8 @@ def _cmd_sweep(args) -> int:
         "root_seed": args.root_seed,
         "tasks": args.tasks.split(",") if args.tasks else None,
     }
-    for key, val in overrides.items():
-        if val is not None:
-            payload[key] = val
+    if isinstance(payload, dict):  # from_dict refuses anything else
+        payload.update((key, val) for key, val in overrides.items() if val is not None)
     config = ExperimentConfig.from_dict(payload)
     report = run_experiment(config)
     if args.out_json:

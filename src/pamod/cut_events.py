@@ -183,9 +183,9 @@ def scan_cut_events(
     of incidence masks replaces the enumerated targets.  Integer
     probability numerators are accumulated per boundary mask, and every
     accumulated event with |A| < h|S| is compared exactly (integer
-    cross-multiplication) against its binomial bound; events that never
-    occur hold trivially since the bound is positive.  Violations are
-    listed by ascending subset mask.
+    cross-multiplication) against ``cut_event_bound``, computed once per
+    (|S|, |A|); events that never occur hold trivially since the bound
+    is positive.  Violations are listed by ascending subset mask.
     """
     model = _check_model(model)
     if h < 1 or n < 1:
@@ -207,6 +207,9 @@ def scan_cut_events(
     del targets
     pairs_checked = 0
     found: list[tuple[int, frozenset[int]]] = []
+    bounds = {
+        (k, a): cut_event_bound(h, n, k, a) for k in range(1, n) for a in range(h * k)
+    }
     event = np.zeros(len(nums), dtype=np.int64)
     mask = 0
     for v in _gray_flip_order(n):
@@ -222,9 +225,8 @@ def scan_cut_events(
             if a >= h * k:
                 continue
             pairs_checked += 1
-            lhs = int(mass_int[b]) * math.comb(hn - a, h * k - a)
-            rhs = denom * math.comb(h * k, a)
-            if lhs > rhs:
+            bound = bounds[k, a]
+            if int(mass_int[b]) * bound.denominator > denom * bound.numerator:
                 found.append((mask, frozenset(_members(int(b)))))
     found.sort(key=lambda item: item[0])
     return CutEventScan(

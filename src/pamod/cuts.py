@@ -126,8 +126,7 @@ def _gray_flip_order(n: int):
 
     Starting from the empty mask, the 2^n - 1 flips visit each nonempty
     subset once.  ``scan_cut_events`` walks its subsets this way, one XOR
-    per subset; the benchmark's tests count the exhaustive searches'
-    subsets with it.
+    per subset, and the benchmark's tests count subsets with it.
     """
     for i in range(1, 1 << n):
         yield (i & -i).bit_length() - 1

@@ -18,8 +18,7 @@ threshold is attached to it.
 Reports serialize to JSON (config + rows + summary) and CSV (rows
 only).  Floats are canonicalized to 12 significant digits when rows are
 built, rationals render as "p/q" strings, so identical configs yield
-byte-identical reports.  ``PAMOD_THREADS`` sets the worker count for
-trial-level parallelism; the report does not depend on it.
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -28,10 +27,9 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
+from itertools import product
 
 from pamod.cut_events import (
     EXACT_EVENT_LIMIT,
@@ -42,7 +40,9 @@ from pamod.cut_events import (
 from pamod.cuts import (
     EXACT_SUBSET_LIMIT, SearchMethod, expansion_profile, sampled_expansion
 )
-from pamod.models import Model, _check_model, _check_seed, derive_seed, generate
+from pamod.models import (
+    Model, _check_model, _check_seed, _json_int, derive_seed, generate
+)
 from pamod.modularity import (
     _EXACT_PARTITION_CAP,
     bound_from_expansion_profile,
@@ -101,8 +101,13 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", _check_model(self.model))
-        object.__setattr__(self, "h_list", tuple(int(h) for h in self.h_list))
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        # ints only, as in graph files: no bool, float or string is coerced
+        for name in ("h_list", "n_list"):
+            values = tuple(_json_int(v, f"{name} entry") for v in getattr(self, name))
+            object.__setattr__(self, name, values)
+        counts = ("trials", "sample_trials", "event_trials")
+        for name in (*counts, "exact_expansion_limit", "exact_modularity_limit"):
+            _json_int(getattr(self, name), name)
         object.__setattr__(
             self, "tasks", tuple(dict.fromkeys(str(t) for t in self.tasks))
         )
@@ -110,8 +115,9 @@ class ExperimentConfig:
             raise ValueError("h_list must be nonempty with h >= 1")
         if not self.n_list or min(self.n_list) < 1:
             raise ValueError("n_list must be nonempty with n >= 1")
-        if self.trials < 1:
-            raise ValueError(f"need trials >= 1, got {self.trials}")
+        for name in counts:
+            if getattr(self, name) < 1:
+                raise ValueError(f"need {name} >= 1, got {getattr(self, name)}")
         _check_seed(self.root_seed)
         bad = [t for t in self.tasks if t not in TASKS]
         if bad:
@@ -139,6 +145,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
+        if not isinstance(payload, dict):
+            kind = type(payload).__name__
+            raise ValueError(f"a config must be a JSON object, got {kind}")
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:
@@ -151,7 +160,10 @@ class ExperimentConfig:
         missing = required - set(payload)
         if missing:
             raise ValueError(f"missing config keys {sorted(missing)}")
-        return cls(**payload)
+        try:
+            return cls(**payload)
+        except TypeError as exc:  # e.g. "h_list": 3
+            raise ValueError(f"malformed config: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -161,24 +173,16 @@ class ExperimentReport:
     summary: dict
 
 
-def _compute_row(args) -> dict:
-    config, h, n, seed = args
+def _compute_row(config: ExperimentConfig, h: int, n: int, seed: int) -> dict:
     _log, graph = generate(config.model, h, n, seed)
     row: dict = dict.fromkeys(ROW_COLUMNS)
     row.update(seed=seed, h=h, n=n, model=config.model.value)
     alpha = None
-    alpha_exact = False
     profile = None
     if "expansion" in config.tasks or "bounds" in config.tasks:
         if n <= config.exact_expansion_limit:
             profile = expansion_profile(graph, limit=config.exact_expansion_limit)
-            half = n // 2
-            if half >= 1:
-                alpha = profile[half]
-                alpha_exact = True
-            else:
-                alpha = math.inf
-                alpha_exact = True
+            alpha = profile[n // 2] if n >= 2 else math.inf
             method = SearchMethod.EXHAUSTIVE
         else:
             res = sampled_expansion(
@@ -193,27 +197,23 @@ def _compute_row(args) -> dict:
             row["alpha"] = _frac_str(alpha)
             row["alpha_method"] = method.value
     q = None
-    q_exact = False
     if "modularity" in config.tasks:
         if n <= config.exact_modularity_limit:
             q, _parts = exact_modularity(graph, limit=config.exact_modularity_limit)
-            q_exact = True
             row["q_method"] = "exact"
         else:
             q, _parts = greedy_modularity(graph, seed=derive_seed(seed, 2))
             row["q_method"] = "greedy"
         row["q"] = _frac_str(q)
-    if "bounds" in config.tasks:
-        if profile is not None and n >= 2:
+    if "bounds" in config.tasks and profile is not None:
+        q_exact = row["q_method"] == "exact"
+        if n >= 2:
             pbound = bound_from_expansion_profile(profile, h, n)
             row["profile_bound"] = _frac_str(pbound)
-            if q is not None and q_exact:
-                row["q_above_profile"] = bool(q > pbound)
-        if alpha is not None and alpha_exact:
-            gbound = expansion_modularity_bound(graph, alpha)
-            row["global_bound"] = _frac_str(gbound)
-            if q is not None and q_exact:
-                row["q_above_global"] = bool(q > gbound)
+            row["q_above_profile"] = bool(q > pbound) if q_exact else None
+        gbound = expansion_modularity_bound(graph, alpha)
+        row["global_bound"] = _frac_str(gbound)
+        row["q_above_global"] = bool(q > gbound) if q_exact else None
     return row
 
 
@@ -237,85 +237,62 @@ def _cut_event_cell(config: ExperimentConfig, h: int, n: int, index: int) -> dic
         cell["trials"] = est.trials
         cell["p_hat"] = _round12(est.p_hat)
         cell["bound"] = _frac_str(est.bound)
-        cell["exceeds_3se"] = bool(
-            est.p_hat > float(est.bound) + 3.0 * est.std_err
-        )
+        cell["exceeds_3se"] = bool(est.p_hat > float(est.bound) + 3.0 * est.std_err)
     return cell
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run the sweep; deterministic for a fixed config.
 
-    Row order follows h_list x n_list x trials.  Worker count comes
-    from PAMOD_THREADS (default 1) and does not affect the report.
+    Row order follows h_list x n_list x trials; row i has the seed
+    ``derive_seed(root_seed, i)``.
     """
-    jobs = []
-    index = 0
-    for h in config.h_list:
-        for n in config.n_list:
-            for _trial in range(config.trials):
-                jobs.append((config, h, n, derive_seed(config.root_seed, index)))
-                index += 1
-    threads = int(os.environ.get("PAMOD_THREADS", "1"))
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_compute_row, jobs, chunksize=4))
-    else:
-        rows = [_compute_row(job) for job in jobs]
+    rows = [
+        _compute_row(config, h, n, derive_seed(config.root_seed, i))
+        for i, (h, n, _trial) in enumerate(
+            product(config.h_list, config.n_list, range(config.trials))
+        )
+    ]
     cells = []
     if "lemma2" in config.tasks:
-        for i, (h, n) in enumerate(
-            (h, n) for h in config.h_list for n in config.n_list
-        ):
-            cells.append(_cut_event_cell(config, h, n, i))
-    summary = _summarize(config, rows, cells)
+        cells = [
+            _cut_event_cell(config, h, n, i)
+            for i, (h, n) in enumerate(product(config.h_list, config.n_list))
+        ]
+    summary = _summarize(rows, cells)
     return ExperimentReport(config=config, rows=tuple(rows), summary=summary)
 
 
-def _summarize(config: ExperimentConfig, rows, cells) -> dict:
-    viol_profile = sum(1 for r in rows if r["q_above_profile"] is True)
-    viol_global = sum(1 for r in rows if r["q_above_global"] is True)
-    viol_events = sum(c.get("violations", 0) for c in cells)
+def _ratio(part, total: int) -> float | None:
+    return _round12(part / total) if total else None
+
+
+def _summarize(rows, cells) -> dict:
+    violations = {
+        "q_above_profile_bound": sum(r["q_above_profile"] is True for r in rows),
+        "q_above_global_bound": sum(r["q_above_global"] is True for r in rows),
+        "cut_event": sum(c.get("violations", 0) for c in cells),
+    }
     alpha_ratios = []
     alpha_hits = 0
-    alpha_count = 0
     for r in rows:
-        if r["alpha"] in (None, "inf"):
-            continue
-        a = float(Fraction(r["alpha"]))
-        alpha_ratios.append(a / r["h"])
-        alpha_count += 1
-        if a >= EXPANSION_CONSTANT * r["h"]:
-            alpha_hits += 1
-    qs_exact = [
-        float(Fraction(r["q"]))
-        for r in rows
-        if r["q"] is not None and r["q_method"] == "exact"
-    ]
+        if r["alpha"] not in (None, "inf"):
+            a = float(Fraction(r["alpha"]))
+            alpha_ratios.append(a / r["h"])
+            alpha_hits += a >= EXPANSION_CONSTANT * r["h"]
+    qs_exact = [float(Fraction(r["q"])) for r in rows if r["q_method"] == "exact"]
     qs_all = [float(Fraction(r["q"])) for r in rows if r["q"] is not None]
     summary: dict = {
         "rows": len(rows),
-        "violations": {
-            "q_above_profile_bound": viol_profile,
-            "q_above_global_bound": viol_global,
-            "cut_event": viol_events,
-        },
-        "status": "ok"
-        if (viol_profile + viol_global + viol_events) == 0
-        else "FAILED",
+        "violations": violations,
+        "status": "FAILED" if any(violations.values()) else "ok",
         "min_alpha_over_h": _round12(min(alpha_ratios)) if alpha_ratios else None,
-        "mean_alpha_over_h": _round12(sum(alpha_ratios) / len(alpha_ratios))
-        if alpha_ratios
-        else None,
+        "mean_alpha_over_h": _ratio(sum(alpha_ratios), len(alpha_ratios)),
         "max_q": _round12(max(qs_all)) if qs_all else None,
-        "frac_alpha_ge_constant_h": _round12(alpha_hits / alpha_count)
-        if alpha_count
-        else None,
-        "frac_exact_q_le_certified": _round12(
-            sum(1 for q in qs_exact if q <= CERTIFIED_BOUND) / len(qs_exact)
-        )
-        if qs_exact
-        else None,
+        "frac_alpha_ge_constant_h": _ratio(alpha_hits, len(alpha_ratios)),
+        "frac_exact_q_le_certified": _ratio(
+            sum(q <= CERTIFIED_BOUND for q in qs_exact), len(qs_exact)
+        ),
         "expansion_constant": EXPANSION_CONSTANT,
         "certified_bound": CERTIFIED_BOUND,
     }

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -60,6 +60,9 @@ MAX_SEED = 2**64
 # Exhaustive enumeration of arrival logs grows factorially; t_max = 6
 # already means 720 logs for the standard model.
 EXACT_DISTRIBUTION_LIMIT = 6
+
+# Most logs one level of ``_enumerate_logs`` may hold.
+_ENUMERATION_CAP = 500_000
 
 # Largest temporary array, in elements, that the target sampler allocates
 # next to its output.
@@ -129,8 +132,39 @@ class _IntColumns:
         object.__setattr__(obj, self.store, arr)
 
 
-@dataclass(frozen=True)
-class ArrivalLog:
+class _ColumnRecord:
+    """Equality, hash and pickling of a frozen dataclass (declared with
+    ``eq=False``, so these stay) that read each ``_IntColumns`` field as
+    its ``store`` array, never through the tuple view."""
+
+    def _values(self) -> tuple:
+        """The field values in declaration order, columns as arrays."""
+        attrs = vars(type(self)).items()
+        cols = {k: c.store for k, c in attrs if isinstance(c, _IntColumns)}
+        return tuple(getattr(self, cols.get(f.name, f.name)) for f in fields(self))
+
+    # the dataclass semantics: same class and equal fields, in order
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in zip(self._values(), other._values())
+        )
+
+    def __hash__(self) -> int:
+        return hash(tuple(
+            v.tobytes() if isinstance(v, np.ndarray) else v for v in self._values()
+        ))
+
+    def __reduce__(self):
+        # Through the constructor, so an unpickled record is checked again
+        # and its arrays read-only (numpy drops the flag below protocol 5).
+        return type(self), self._values()
+
+
+@dataclass(frozen=True, eq=False)
+class ArrivalLog(_ColumnRecord):
     """Full record of one run of an attachment process.
 
     ``targets[t-1]`` is the mini-vertex that edge e_t attached to.  For
@@ -159,14 +193,9 @@ class ArrivalLog:
             t = int(bad[0]) + 1
             raise ValueError(f"target {s[t - 1]} out of range at arrival {t}")
 
-    def __reduce__(self):
-        # Through the constructor, so an unpickled log is checked again and
-        # its array read-only (numpy drops the flag below protocol 5).
-        return ArrivalLog, (self.model, self.h, self.n, self.target_array)
 
-
-@dataclass(frozen=True)
-class MultiGraph:
+@dataclass(frozen=True, eq=False)
+class MultiGraph(_ColumnRecord):
     """Undirected multigraph with loops, vertices 1..n.
 
     Each edge is a row (u, v, t) of ``edge_array``, u <= v and t its
@@ -195,26 +224,6 @@ class MultiGraph:
             if outside[i]:
                 raise ValueError(f"edge ({u[i]},{v[i]}) out of range for n={self.n}")
             raise ValueError(f"edge ({u[i]},{v[i]},{t[i]}) must be stored with u <= v")
-
-    def __reduce__(self):
-        # through the constructor, as for ArrivalLog
-        fields = (self.n, self.edge_array, self.first_loop_weight1)
-        return MultiGraph, (*fields, self.model, self.h, self.seed)
-
-    def _scalar_fields(self) -> tuple:
-        return self.n, self.first_loop_weight1, self.model, self.h, self.seed
-
-    # Field-by-field equality, with the edges compared as arrays rather
-    # than through the tuple view.
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._scalar_fields() == other._scalar_fields() and (
-            np.array_equal(self.edge_array, other.edge_array)
-        )
-
-    def __hash__(self) -> int:
-        return hash((*self._scalar_fields(), self.edge_array.tobytes()))
 
     @classmethod
     def from_pairs(
@@ -390,8 +399,13 @@ def _enumerate_logs(model: Model, length: int, allowed=None):
     self-loop, weight 1) and 1..tau-1 in the tilde model, and its
     numerator is multiplied by deg(s).  ``allowed(tau, s)`` maps an array
     of candidates to a bool mask; a rejected candidate's logs are dropped,
-    e_1's target 1 included.  Memory is a few (L, length) int64 arrays
-    for the largest surviving level.
+    e_1's target 1 included.
+
+    A level of more than ``_ENUMERATION_CAP`` logs is refused before it is
+    allocated.  Peak memory is at most about 20 * length bytes per log of
+    the widest level (that level, the one before it and temporaries): at
+    the cap, under 100 MB for length 10 and under 180 MB for length 18,
+    the longest the int64 denominator check lets through.
     """
     model = _check_model(model)
     loops = model is Model.STANDARD
@@ -410,6 +424,11 @@ def _enumerate_logs(model: Model, length: int, allowed=None):
         cand = np.arange(1, tau + 1 if loops or tau == 1 else tau)
         if allowed is not None:
             cand = cand[allowed(tau, cand)]
+        if (size := len(nums) * len(cand)) > _ENUMERATION_CAP:
+            raise ValueError(
+                f"{model.value} logs of length {length}: step {tau} would hold "
+                f"{size} logs, over the enumeration cap {_ENUMERATION_CAP}"
+            )
         rows = np.repeat(np.arange(len(nums)), len(cand))
         s = np.tile(cand, len(nums))
         own = s == tau

@@ -248,6 +248,33 @@ def test_sweep_bad_config(tmp_path):
     assert run_main("sweep", "--config", str(cfg)) == 2
 
 
+GOOD_CONFIG = {
+    "model": "standard", "h_list": [2], "n_list": [4], "trials": 1, "root_seed": 5,
+}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {**GOOD_CONFIG, "trials": "3"},
+        {**GOOD_CONFIG, "h_list": [2.7]},
+        {**GOOD_CONFIG, "n_list": [True, "8"]},
+        {**GOOD_CONFIG, "sample_trials": 0},
+        {**GOOD_CONFIG, "event_trials": 0},
+        {**GOOD_CONFIG, "h_list": 3},
+        [1, 2],
+    ],
+)
+@pytest.mark.parametrize("flags", [(), ("--root-seed", "6")])
+def test_sweep_malformed_config_is_a_usage_error(tmp_path, capsys, payload, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    assert run_main("sweep", "--config", str(cfg), *flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 # ------------------------------------------------------- console script
 
 

@@ -15,10 +15,11 @@ from pamod import (
     cut_event_bound,
     estimate_cut_event,
     exact_cut_event,
+    exact_small_t_distribution,
     scan_cut_events,
     spec_bound,
 )
-from pamod import cut_events
+from pamod import cut_events, models
 from pamod.cut_events import _enumerate_logs
 from pamod.models import sample_target_matrix, vertex_of
 
@@ -209,6 +210,22 @@ def test_enumerator_refuses_denominators_over_int64_before_enumerating():
 
 
 # ------------------------------------------------------------------ scan
+
+
+def test_enumerator_refuses_a_level_over_the_cap_before_allocating(monkeypatch):
+    monkeypatch.setattr(models, "_ENUMERATION_CAP", 100)
+    # standard logs of length 5: 24 at step 4, then 5! = 120
+    message = "step 5 would hold 120 logs, over the enumeration cap 100"
+    with pytest.raises(ValueError, match=message):
+        _enumerate_logs(Model.STANDARD, 5)
+    assert len(_enumerate_logs(Model.STANDARD, 4)[1]) == 24
+    # a pruned level counts only its survivors: e_5 is the self-loop
+    spec = CutEventSpec(h=1, n=5, subset={5}, arrivals=set())
+    assert exact_cut_event(Model.STANDARD, spec) == Fraction(1, 9)
+    with pytest.raises(ValueError, match="enumeration cap 100"):
+        scan_cut_events(Model.STANDARD, 1, 5)
+    with pytest.raises(ValueError, match="enumeration cap 100"):
+        exact_small_t_distribution(Model.TILDE, 6)
 
 
 @pytest.mark.parametrize("model", list(Model))

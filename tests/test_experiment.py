@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import pathlib
 import subprocess
 import sys
@@ -89,6 +88,35 @@ def test_config_from_dict_rejects_unknown_and_missing_keys():
     del payload["root_seed"]
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"trials": "3"}, "trials must be an integer, got '3'"),
+        ({"trials": 2.0}, "trials must be an integer, got 2.0"),
+        ({"h_list": [2.7]}, "h_list entry must be an integer, got 2.7"),
+        ({"n_list": [True, "8"]}, "n_list entry must be an integer, got True"),
+        ({"n_list": [6, "8"]}, "n_list entry must be an integer, got '8'"),
+        ({"exact_expansion_limit": None}, "exact_expansion_limit must be an integer"),
+        ({"exact_modularity_limit": 12.0}, "exact_modularity_limit must be an integer"),
+        ({"sample_trials": False}, "sample_trials must be an integer, got False"),
+        ({"event_trials": "20000"}, "event_trials must be an integer"),
+        ({"sample_trials": 0}, "need sample_trials >= 1, got 0"),
+        ({"event_trials": -1}, "need event_trials >= 1, got -1"),
+    ],
+)
+def test_config_takes_ints_only(edit, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ExperimentConfig(**{**BASE, **edit})
+
+
+def test_config_from_dict_refuses_non_objects_and_malformed_values():
+    for payload in ([1, 2], "standard", None, 3):
+        with pytest.raises(ValueError, match="a config must be a JSON object"):
+            ExperimentConfig.from_dict(payload)
+    with pytest.raises(ValueError, match="malformed config: 'int' object is not iterable"):
+        ExperimentConfig.from_dict({**BASE, "h_list": 3})
 
 
 def test_task_names_are_the_documented_set():
@@ -198,14 +226,14 @@ def test_exact_scan_cells_at_tiny_sizes():
     assert cell["pairs_checked"] > 0
 
 
-def test_thread_count_does_not_change_report():
-    env = dict(os.environ, PAMOD_THREADS="3")
+def test_importing_the_package_loads_no_process_pool_modules():
+    # sweeps run in the calling process, so no import pays for a pool
     code = (
-        "from pamod.experiment import ExperimentConfig, run_experiment, emit_report\n"
-        f"cfg = ExperimentConfig(**{BASE!r})\n"
-        "import sys; sys.stdout.write(emit_report(run_experiment(cfg), 'json'))\n"
+        "import sys, pamod, pamod.cli\n"
+        "roots = {name.split('.')[0] for name in sys.modules}\n"
+        "print(sorted(roots & {'multiprocessing', 'concurrent'}))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert out.stdout == (DATA / "golden_sweep.json").read_text()
+    assert out.stdout == "[]\n"

@@ -30,6 +30,7 @@ from pamod.cli import main
 from pamod.cuts import EXACT_SUBSET_LIMIT, _part_tallies, expansion_profile
 from pamod.models import (
     _enumerate_logs,
+    _IntColumns,
     graph_from_json,
     graph_to_json,
     sample_target_matrix,
@@ -1003,15 +1004,59 @@ def test_graph_equality_and_hash_match_the_field_tuples(corpus, multigraphs):
             MultiGraph(g.n, g.edge_array.copy(), *_tuple_key(g)[2:]),
         ]
     graphs += variants
-    keys = [_tuple_key(g) for g in graphs]
-    for a, key_a in zip(graphs, keys):
-        for b, key_b in zip(graphs, keys):
+    _check_against_tuple_keys(graphs, _tuple_key)
+    g = graphs[0]
+    assert g.__eq__(_tuple_key(g)) is NotImplemented and g != _tuple_key(g)
+
+
+def _check_against_tuple_keys(records, key) -> None:
+    keys = [key(r) for r in records]
+    for a, key_a in zip(records, keys):
+        for b, key_b in zip(records, keys):
             assert (a == b) == (key_a == key_b)
             assert (a != b) == (key_a != key_b)
             if key_a == key_b:
                 assert hash(a) == hash(b)
-    g = graphs[0]
-    assert g.__eq__(_tuple_key(g)) is NotImplemented and g != _tuple_key(g)
+
+
+def _log_tuple_key(log: ArrivalLog) -> tuple:
+    return (log.model, log.h, log.n, log.targets)
+
+
+def test_log_equality_and_hash_match_the_field_tuples(corpus):
+    logs = [generate(*key)[0] for key in corpus]
+    variants = []
+    for log in logs[::5]:
+        s = log.target_array
+        variants += [
+            # tilde targets are valid standard ones
+            ArrivalLog(Model.STANDARD, log.h, log.n, s),
+            ArrivalLog(log.model, log.n, log.h, s),
+            ArrivalLog(log.model, log.h, log.n, s.copy()),
+            ArrivalLog(log.model, log.h, log.n, np.r_[s[:-1], 1]),
+        ]
+    logs += variants
+    _check_against_tuple_keys(logs, _log_tuple_key)
+    log = logs[0]
+    assert log.__eq__(_log_tuple_key(log)) is NotImplemented
+    assert log != _log_tuple_key(log) and log != merge(log)
+
+
+def test_equality_hash_and_pickle_read_the_arrays(corpus, monkeypatch):
+    keys = list(corpus)[::5]
+    records = [r for key in keys for r in generate(*key)]
+    twins = [r for key in keys for r in generate(*key)]
+    hashes = [hash(r) for r in records]
+    edited = [dataclasses.replace(g, seed=None) for g in records[1::2]]
+
+    def refuse(self, obj, objtype=None):
+        raise AssertionError(f"{self.name} built its tuple view")
+
+    monkeypatch.setattr(_IntColumns, "__get__", refuse)
+    for a, b, h in zip(records, twins, hashes):
+        assert a == b and not a != b and hash(b) == h
+        assert pickle.loads(pickle.dumps(a)) == a
+    assert all(g != e for g, e in zip(records[1::2], edited))
 
 
 def test_column_store_copies_writable_arrays():
