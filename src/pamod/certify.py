@@ -214,6 +214,12 @@ def max_certified_delta(u: float, precision: float = 1e-5) -> float:
     return lo * precision
 
 
+def _small_set_term(u, delta):
+    """delta/(2+delta) + u/2 on floats, arrays or Fractions; q* is at
+    most 1 minus its minimum over u."""
+    return delta / (2 + delta) + u / 2
+
+
 def certify_modularity_bound(
     grid_step: float = 1e-4,
     precision: float = 1e-5,
@@ -239,7 +245,7 @@ def certify_modularity_bound(
     for s in range(1, steps + 1):
         u_s = s * grid_step
         delta = max_certified_delta(u_s, precision)
-        term = delta / (2.0 + delta) + (s - 1) * grid_step / 2.0
+        term = _small_set_term((s - 1) * grid_step, delta)
         if with_trace:
             trace.append((u_s, delta, term))
         if term < best_term:
@@ -260,7 +266,7 @@ def certify_modularity_bound(
 def _complement_sides(u, delta):
     """(lhs, rhs) of the domination inequality; floats or arrays."""
     return (
-        delta / (2.0 + delta) + u / 2.0,
+        _small_set_term(u, delta),
         delta * u / (2.0 * (1.0 - u) + delta * u) + (1.0 - u) / 2.0,
     )
 

@@ -59,7 +59,7 @@ def _cmd_expand(args) -> int:
         }
     else:
         u = Fraction(args.u)
-        if args.trials:
+        if args.trials is not None:
             res = cuts.sampled_expansion(graph, u, args.trials, args.seed)
         else:
             res = cuts.exact_expansion(graph, u, limit=args.limit)
@@ -119,8 +119,8 @@ def _cmd_lemma2(args) -> int:
     model = models.Model(args.model)
     raw = json.loads(args.spec)
     try:
-        subset = frozenset(int(v) for v in raw["S"])
-        arrivals = frozenset(int(t) for t in raw["A"])
+        subset = frozenset(models._json_int(v, "S entry") for v in raw["S"])
+        arrivals = frozenset(models._json_int(t, "A entry") for t in raw["A"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f'spec must look like {{"S": [...], "A": [...]}}: {exc}')
     spec = events.CutEventSpec(h=args.h, n=args.n, subset=subset, arrivals=arrivals)
@@ -133,7 +133,7 @@ def _cmd_lemma2(args) -> int:
         "bound": _frac_str(events.spec_bound(spec)),
     }
     violated = False
-    if args.trials:
+    if args.trials is not None:
         est = events.estimate_cut_event(model, spec, args.trials, args.seed)
         payload.update(
             {

@@ -31,12 +31,7 @@ from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from itertools import product
 
-from pamod.cut_events import (
-    EXACT_EVENT_LIMIT,
-    CutEventSpec,
-    estimate_cut_event,
-    scan_cut_events,
-)
+from pamod.cut_events import CutEventSpec, estimate_cut_event, scan_cut_events
 from pamod.cuts import (
     EXACT_SUBSET_LIMIT, SearchMethod, expansion_profile, sampled_expansion
 )
@@ -44,7 +39,7 @@ from pamod.models import (
     Model, _check_model, _check_seed, _json_int, derive_seed, generate
 )
 from pamod.modularity import (
-    _EXACT_PARTITION_CAP,
+    EXACT_PARTITION_LIMIT,
     bound_from_expansion_profile,
     exact_modularity,
     expansion_modularity_bound,
@@ -53,6 +48,9 @@ from pamod.modularity import (
 
 EXPANSION_CONSTANT = 0.03418
 CERTIFIED_BOUND = 0.92383
+
+# Largest h*n whose lemma2 cell is an exact scan rather than Monte Carlo.
+EXACT_EVENT_LIMIT = 8
 
 TASKS = ("expansion", "modularity", "bounds", "lemma2")
 
@@ -127,8 +125,8 @@ class ExperimentConfig:
         if (limit := self.exact_expansion_limit) > EXACT_SUBSET_LIMIT:
             cap = f"EXACT_SUBSET_LIMIT={EXACT_SUBSET_LIMIT}, the 2^n tables' memory cap"
             raise ValueError(f"exact_expansion_limit={limit} exceeds {cap}")
-        if (limit := self.exact_modularity_limit) > _EXACT_PARTITION_CAP:
-            cap = f"{_EXACT_PARTITION_CAP}, the 3^n partition DP's time cap"
+        if (limit := self.exact_modularity_limit) > EXACT_PARTITION_LIMIT:
+            cap = f"{EXACT_PARTITION_LIMIT}, the 3^n partition DP's time cap"
             raise ValueError(f"exact_modularity_limit={limit} exceeds {cap}")
 
     def to_dict(self) -> dict:
@@ -181,7 +179,7 @@ def _compute_row(config: ExperimentConfig, h: int, n: int, seed: int) -> dict:
     profile = None
     if "expansion" in config.tasks or "bounds" in config.tasks:
         if n <= config.exact_expansion_limit:
-            profile = expansion_profile(graph, limit=config.exact_expansion_limit)
+            profile = expansion_profile(graph)
             alpha = profile[n // 2] if n >= 2 else math.inf
             method = SearchMethod.EXHAUSTIVE
         else:
@@ -199,7 +197,7 @@ def _compute_row(config: ExperimentConfig, h: int, n: int, seed: int) -> dict:
     q = None
     if "modularity" in config.tasks:
         if n <= config.exact_modularity_limit:
-            q, _parts = exact_modularity(graph, limit=config.exact_modularity_limit)
+            q, _parts = exact_modularity(graph)
             row["q_method"] = "exact"
         else:
             q, _parts = greedy_modularity(graph, seed=derive_seed(seed, 2))

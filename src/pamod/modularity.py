@@ -39,6 +39,7 @@ from functools import cache
 
 import numpy as np
 
+from pamod.certify import _small_set_term
 from pamod.cuts import (
     EXACT_SUBSET_LIMIT,
     _members,
@@ -50,19 +51,14 @@ from pamod.cuts import (
 )
 from pamod.models import MultiGraph, _check_seed
 
-EXACT_PARTITION_LIMIT = 12
-
-# Largest n the exact DP accepts, whatever its ``limit`` says; time grows
-# as 3^n and passes 1 s per graph near n = 18.
-_EXACT_PARTITION_CAP = 16
+# Largest n the exact DP accepts; a ``limit`` argument may only lower it.
+# Time grows as 3^n: 0.13 s at n = 16, past 1 s per graph near n = 18.
+EXACT_PARTITION_LIMIT = 16
 
 # Free bits of a DP level that one vectorised step covers.  The rest are
 # looped over in Python through the same pair table, so a level may have
 # at most 2 * _LOW_BITS free bits: n <= 17, above the cap.
 _LOW_BITS = 8
-
-# Largest n whose subsets are checked one by one for e(S) <= h|S|.
-_INNER_EDGE_CAP_LIMIT = 16
 
 CAP_STRONG = Fraction(3, 16)
 CAP_BASELINE = Fraction(1, 16)
@@ -167,17 +163,17 @@ def exact_modularity(
     member, and each part is the lexicographically smallest optimal
     choice for its lowest vertex given the previously fixed parts.
 
-    Refuses graphs with more than ``limit`` vertices, or more than 16
-    whatever ``limit`` says (use :func:`greedy_modularity` there), and
-    graphs with e(G)*vol(G)^2 >= 2^63, whose partition sums could leave
-    int64.  Level l is one (max, +) subset convolution over the 3^(n-1-l)
-    pairs of the bits above l, about 3^n/2 pairs in all: about 2 ms at
-    n = 12, 15 ms at n = 14 and 0.13 s at n = 16 on a 2-core Xeon host.
-    Memory is a few int64 tables over the 2^n masks plus 3^8-entry
-    temporaries: a 3 MiB peak (tracemalloc) at n = 16.
+    Refuses graphs above ``limit`` vertices, which can only lower the
+    cap ``EXACT_PARTITION_LIMIT`` = 16 (use :func:`greedy_modularity`
+    there), and graphs with e(G)*vol(G)^2 >= 2^63, whose partition sums
+    could leave int64.  Level l is one (max, +) subset convolution over
+    the 3^(n-1-l) pairs of the bits above l, about 3^n/2 pairs in all:
+    about 2 ms at n = 12, 15 ms at n = 14 and 0.13 s at n = 16 on a
+    2-core Xeon host.  Memory is a few int64 tables over the 2^n masks
+    plus 3^8-entry temporaries: a 3 MiB peak (tracemalloc) at n = 16.
     """
     n = graph.n
-    if n > (limit := min(limit, _EXACT_PARTITION_CAP)):
+    if n > (limit := min(limit, EXACT_PARTITION_LIMIT)):
         raise ValueError(
             f"n={n} exceeds the exact partition limit {limit}; "
             "use greedy_modularity"
@@ -361,7 +357,7 @@ def bound_from_expansion_profile(
             delta = Fraction(1)
         else:
             delta = min(Fraction(alpha) / h, Fraction(1))
-        term = delta / (2 + delta) + Fraction(k, 2 * n)
+        term = _small_set_term(Fraction(k, n), delta)
         if best is None or term < best:
             best = term
     assert best is not None
@@ -379,30 +375,33 @@ def profile_modularity_bound(
     larger endpoint of more than h edges the cap holds for every S; this
     O(m) test passes on generated and loaded graphs (each vertex is the
     larger endpoint of exactly h edges).  Graphs that fail it are
-    checked exhaustively over all subsets, up to n = 16.
+    checked exhaustively over all subsets, after the profile, so the
+    profile's size rule (n <= ``EXACT_SUBSET_LIMIT`` and ``limit``)
+    covers both 2^n tables.
     """
     h = _require_pa_shape(graph)
     if graph.n < 2:
         raise ValueError("profile bound needs n >= 2")
+    profile = expansion_profile(graph, limit=limit)
     upper = np.bincount(graph.edge_array[:, 1], minlength=graph.n + 1)
     if upper.max() > h:
         _check_inner_edge_cap(graph, h)
-    profile = expansion_profile(graph, limit=limit)
     return bound_from_expansion_profile(profile, h, graph.n)
 
 
 def _check_inner_edge_cap(graph: MultiGraph, h: int) -> None:
-    if graph.n > _INNER_EDGE_CAP_LIMIT:
-        raise ValueError(
-            "cannot verify e(S) <= h|S| exhaustively for "
-            f"n={graph.n} > {_INNER_EDGE_CAP_LIMIT}"
-        )
-    inner = _inner_table(graph)
-    cap = _subset_sums(graph.n, [h] * graph.n, None, np.int64)  # h|S|
-    bad = np.flatnonzero(inner > cap)
+    """Refuse the first mask with e(S) > h|S|, from one table of e(S) - h|S|.
+
+    Its entries lie in [-h*n, m], and ``_require_pa_shape`` gives
+    h*n <= vol(G) <= 2m, so int32 holds them.
+    """
+    own = [loops - h for loops in graph.loop_counts[1:]]
+    excess = _subset_sums(graph.n, own, _pair_weights(graph, 1), np.int32)
+    bad = np.flatnonzero(excess > 0)
     if bad.size:
         mask = int(bad[0])
+        cap = h * mask.bit_count()
         raise ValueError(
-            f"subset mask {mask:b} has {inner[mask]} inner edges, "
-            f"over the cap h*|S| = {cap[mask]}"
+            f"subset mask {mask:b} has {int(excess[mask]) + cap} inner edges, "
+            f"over the cap h*|S| = {cap}"
         )

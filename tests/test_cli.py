@@ -112,8 +112,10 @@ def test_mod_over_limit(tmp_path, capsys):
     run_main("gen", "--model", "standard", "--h", "2", "--n", "13",
              "--seed", "0", "--out", str(big))
     capsys.readouterr()
-    assert run_main("mod", "--graph", str(big)) == 2
-    assert run_main("mod", "--graph", str(big), "--limit", "13") == 0
+    # the default is the DP's cap of 16, and --limit can only lower it
+    assert run_main("mod", "--graph", str(big)) == 0
+    assert run_main("mod", "--graph", str(big), "--limit", "12") == 2
+    assert "exact partition limit 12" in capsys.readouterr().err
 
 
 def test_expand_limit_cannot_lift_the_memory_cap(tmp_path, capsys):
@@ -204,6 +206,35 @@ def test_lemma2_rejects_malformed_spec(capsys):
         "lemma2", "--model", "standard", "--h", "2", "--n", "2",
         "--spec", '{"S": [2], "A": [3, 4]}',
     ) == 2  # |A| = h|S|
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ('{"S": ["1"], "A": []}', "S entry must be an integer, got '1'"),
+        ('{"S": [1.5], "A": []}', "S entry must be an integer, got 1.5"),
+        ('{"S": [true], "A": []}', "S entry must be an integer, got True"),
+        ('{"S": [2], "A": [3.9]}', "A entry must be an integer, got 3.9"),
+    ],
+)
+def test_lemma2_spec_takes_integers_only(capsys, spec, message):
+    code = run_main(
+        "lemma2", "--model", "standard", "--h", "2", "--n", "2", "--spec", spec,
+    )
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_zero_trials_are_refused_not_read_as_exact(graph_file, capsys):
+    expand = ("expand", "--graph", str(graph_file), "--u", "1/2")
+    lemma2 = ("lemma2", "--model", "standard", "--h", "2", "--n", "2",
+              "--spec", '{"S": [2], "A": [3]}')
+    for argv in (expand, lemma2):
+        assert run_main(*argv, "--trials", "0") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need trials >= 1, got 0\n"
 
 
 # ----------------------------------------------------------------- sweep

@@ -106,10 +106,15 @@ def test_exact_first_edge_in_arrivals_is_impossible():
 
 
 def test_exact_respects_limit():
+    # no per-call limit: h*n = 10 runs, and only the enumerator's level
+    # cap refuses, before the level over it is allocated
     spec = CutEventSpec(h=2, n=5, subset=frozenset({5}), arrivals=frozenset({10}))
-    with pytest.raises(ValueError):
+    p = exact_cut_event(Model.STANDARD, spec)
+    assert p == Fraction(16, 323) and p <= spec_bound(spec)
+    # e_1..e_10 never cross {6}, so step 10 keeps all 10! logs
+    spec = CutEventSpec(h=2, n=6, subset=frozenset({6}), arrivals=frozenset({12}))
+    with pytest.raises(ValueError, match="step 10 would hold 3628800 logs"):
         exact_cut_event(Model.STANDARD, spec)
-    exact_cut_event(Model.STANDARD, spec, limit=10)
 
 
 def test_exact_probabilities_form_a_distribution():
@@ -197,7 +202,7 @@ def test_enumerator_refuses_denominators_over_int64_before_enumerating():
     # 35!! > 2^63: standard logs of length 18, tilde logs of length 19
     spec = CutEventSpec(h=2, n=9, subset={9}, arrivals={18})
     with pytest.raises(ValueError, match="2\\^63"):
-        exact_cut_event(Model.STANDARD, spec, limit=18)
+        exact_cut_event(Model.STANDARD, spec)
     with pytest.raises(ValueError, match="2\\^63"):
         _enumerate_logs(Model.STANDARD, 18, _never_called)
     with pytest.raises(ValueError, match="2\\^63"):
@@ -252,10 +257,14 @@ def test_scan_pairs_checked_counts_qualifying_pairs():
 
 
 def test_scan_respects_limit():
-    with pytest.raises(ValueError):
-        scan_cut_events(Model.STANDARD, 3, 3)
-    with pytest.raises(ValueError):
-        scan_cut_events(Model.STANDARD, 2, 5, limit=9)
+    # no per-call limit: the level cap admits h*n = 9 standard and 10
+    # tilde, and refuses one arrival more before that level is allocated
+    assert scan_cut_events(Model.STANDARD, 3, 3).violations == ()
+    assert scan_cut_events(Model.TILDE, 2, 5).violations == ()
+    with pytest.raises(ValueError, match="step 10 would hold 3628800 logs"):
+        scan_cut_events(Model.STANDARD, 2, 5)
+    with pytest.raises(ValueError, match="step 11 would hold 3628800 logs"):
+        scan_cut_events(Model.TILDE, 1, 11)
 
 
 def test_scan_matches_exact_on_one_cell():

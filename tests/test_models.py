@@ -26,8 +26,14 @@ from pamod import (
     merge,
     save_graph,
 )
+from pamod import cuts, modularity
 from pamod.cli import main
-from pamod.cuts import EXACT_SUBSET_LIMIT, _part_tallies, expansion_profile
+from pamod.cuts import (
+    EXACT_SUBSET_LIMIT,
+    _part_tallies,
+    _subset_sums,
+    expansion_profile,
+)
 from pamod.models import (
     _enumerate_logs,
     _IntColumns,
@@ -37,7 +43,7 @@ from pamod.models import (
     vertex_of,
 )
 from pamod.modularity import (
-    _check_inner_edge_cap,
+    _inner_table,
     _require_pa_shape,
     bound_from_expansion_profile,
     profile_modularity_bound,
@@ -228,9 +234,12 @@ def test_exact_distribution_fixtures():
 
 
 def test_exact_distribution_respects_limit():
-    with pytest.raises(ValueError):
-        exact_small_t_distribution(Model.STANDARD, 7)
-    exact_small_t_distribution(Model.STANDARD, 7, limit=7)
+    # no per-call limit: t_max = 7 runs, and the enumerator's level cap
+    # refuses 10! standard logs before allocating them
+    law = exact_small_t_distribution(Model.STANDARD, 7)
+    assert len(law) == 5040 and sum(law.values()) == 1
+    with pytest.raises(ValueError, match="step 10 would hold 3628800 logs"):
+        exact_small_t_distribution(Model.STANDARD, 10)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -840,6 +849,28 @@ def _reference_part_tallies(graph: MultiGraph, parts):
     return inner, boundary, [sum(graph.degrees[v] for v in p) for p in parts]
 
 
+# modularity._check_inner_edge_cap as it was with two int64 tables and a
+# size cap of its own, kept verbatim as the oracle for the one-table check.
+_INNER_EDGE_CAP_LIMIT = 16
+
+
+def _check_inner_edge_cap(graph: MultiGraph, h: int) -> None:
+    if graph.n > _INNER_EDGE_CAP_LIMIT:
+        raise ValueError(
+            "cannot verify e(S) <= h|S| exhaustively for "
+            f"n={graph.n} > {_INNER_EDGE_CAP_LIMIT}"
+        )
+    inner = _inner_table(graph)
+    cap = _subset_sums(graph.n, [h] * graph.n, None, np.int64)  # h|S|
+    bad = np.flatnonzero(inner > cap)
+    if bad.size:
+        mask = int(bad[0])
+        raise ValueError(
+            f"subset mask {mask:b} has {inner[mask]} inner edges, "
+            f"over the cap h*|S| = {cap[mask]}"
+        )
+
+
 def _reference_profile_modularity_bound(
     graph: MultiGraph, limit: int = EXACT_SUBSET_LIMIT
 ) -> Fraction:
@@ -890,6 +921,61 @@ def test_profile_bound_matches_tuple_count(corpus, multigraphs):
     for g in graphs:
         got = _outcome(profile_modularity_bound, g)
         assert got == _outcome(_reference_profile_modularity_bound, g)
+
+
+def test_inner_edge_cap_check_matches_the_two_table_oracle(multigraphs):
+    # loops and multi-edges up to n = 16 under h = 1..3: the int32 table
+    # of e(S) - h|S| must refuse the same first mask with the same counts
+    rnd = random.Random(23)
+    graphs = list(multigraphs)
+    for i in range(150):
+        n = rnd.randint(1, 16)
+        pairs = [
+            (rnd.randint(1, n), rnd.randint(1, n)) for _ in range(rnd.randint(1, 3 * n))
+        ]
+        graphs.append(MultiGraph.from_pairs(n, pairs, first_loop_weight1=bool(i % 2)))
+    # counts past int16
+    graphs.append(MultiGraph.from_pairs(3, [(1, 1)] * 40000 + [(1, 2)] * 40000))
+    refused = 0
+    for g in graphs:
+        for h in (1, 2, 3):
+            got = _outcome(modularity._check_inner_edge_cap, g, h)
+            assert got == _outcome(_check_inner_edge_cap, g, h)
+            refused += got is not None
+    assert 0 < refused < 3 * len(graphs)
+
+
+def _looped_cycle(n: int) -> MultiGraph:
+    """A cycle on 1..n with three loops at vertex 1, labelled h = 2.
+
+    It passes the degree checks, but e({1}) = 3 > h|S| = 2.
+    """
+    pairs = [(1, 1)] * 3 + [(v, v % n + 1) for v in range(1, n + 1)]
+    return dataclasses.replace(MultiGraph.from_pairs(n, pairs), h=2)
+
+
+def test_profile_bound_checks_the_inner_edge_cap_under_the_table_cap():
+    # the profile's size rule (n <= 24) is the check's too: at n = 20 the
+    # check runs and names the mask, where the oracle refused for size
+    g = _looped_cycle(20)
+    message = "subset mask 1 has 3 inner edges, over the cap h*|S| = 2"
+    assert _outcome(profile_modularity_bound, g) == (ValueError, message)
+    assert _outcome(_reference_profile_modularity_bound, g) == (
+        ValueError,
+        "cannot verify e(S) <= h|S| exhaustively for n=20 > 16",
+    )
+
+
+def test_profile_bound_refuses_n25_before_building_a_table(monkeypatch):
+    g = _looped_cycle(25)
+
+    def no_table(*_args):
+        raise AssertionError("a subset table was built")
+
+    monkeypatch.setattr(cuts, "_subset_sums", no_table)
+    monkeypatch.setattr(modularity, "_subset_sums", no_table)
+    with pytest.raises(ValueError, match=f"exhaustive limit {EXACT_SUBSET_LIMIT}"):
+        profile_modularity_bound(g)
 
 
 INVALID_EDGE_SETS = [

@@ -1,5 +1,6 @@
 """Modularity scores, exact/greedy maximization, and the bound chain."""
 
+import inspect
 import itertools
 import math
 import time
@@ -26,8 +27,8 @@ from pamod import (
     profile_modularity_bound,
     worst_part_bound,
 )
-from pamod import cuts, modularity
-from pamod.cuts import _members, _subset_sums
+from pamod import certify, cut_events, cuts, experiment, models, modularity
+from pamod.cuts import EXACT_SUBSET_LIMIT, _members, _subset_sums
 from pamod.models import _check_seed
 from pamod.modularity import (
     CAP_BASELINE,
@@ -124,10 +125,15 @@ def test_exact_matches_partition_enumeration(params):
 
 
 def test_exact_refuses_large_graphs():
-    _, g = generate(Model.STANDARD, 1, 13, 0)
-    with pytest.raises(ValueError):
+    # the default is the cap of 16, and a limit can only lower it
+    _, g = generate(Model.STANDARD, 1, 17, 0)
+    with pytest.raises(ValueError, match="exact partition limit 16"):
         exact_modularity(g)
-    exact_modularity(g, limit=13)
+    _, g = generate(Model.STANDARD, 1, 13, 0)
+    q, parts = exact_modularity(g)
+    assert modularity_score(g, parts).q == q
+    with pytest.raises(ValueError, match="exact partition limit 12"):
+        exact_modularity(g, limit=12)
 
 
 def test_exact_canonical_tiebreak_is_stable():
@@ -263,6 +269,33 @@ def test_no_limit_lifts_the_partition_cap(monkeypatch, limit):
     monkeypatch.setattr(modularity, "_subset_sums", no_table)
     with pytest.raises(ValueError, match="exact partition limit 16"):
         exact_modularity(g, limit=limit)
+
+
+def test_every_limit_defaults_to_its_family_cap():
+    # a `limit` may only lower its family's cap, so no default sits below
+    # it, and the exact laws have no limit beside the enumerator's cap
+    caps = {
+        cuts.exact_expansion: EXACT_SUBSET_LIMIT,
+        cuts.expansion_profile: EXACT_SUBSET_LIMIT,
+        modularity.profile_modularity_bound: EXACT_SUBSET_LIMIT,
+        modularity.exact_modularity: EXACT_PARTITION_LIMIT,
+    }
+    with_limit = [
+        fn
+        for module in (models, cuts, modularity, cut_events, certify, experiment)
+        for _name, fn in inspect.getmembers(module, inspect.isfunction)
+        if fn.__module__ == module.__name__
+        and "limit" in inspect.signature(fn).parameters
+    ]
+    assert set(with_limit) == set(caps)
+    for fn, cap in caps.items():
+        assert inspect.signature(fn).parameters["limit"].default == cap
+    for fn in (
+        models.exact_small_t_distribution,
+        cut_events.exact_cut_event,
+        cut_events.scan_cut_events,
+    ):
+        assert "limit" not in inspect.signature(fn).parameters
 
 
 def _parallel_edges(k):
