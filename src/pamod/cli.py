@@ -47,7 +47,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_expand(args) -> int:
     graph = models.load_graph(args.graph)
-    if args.subset:
+    if args.subset is not None:
+        if not args.subset:
+            raise ValueError("--subset needs at least one vertex")
         subset = [int(v) for v in args.subset.split(",")]
         report = cuts.edge_boundary(graph, subset)
         payload = {
@@ -91,10 +93,12 @@ def _cmd_mod(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    if args.trace == "":
+        raise ValueError("--trace needs a file path")
     result = cert.certify_modularity_bound(
         grid_step=args.grid_step,
         precision=args.precision,
-        with_trace=bool(args.trace),
+        with_trace=args.trace is not None,
     )
     payload = {
         "bound": result.bound,
@@ -106,7 +110,7 @@ def _cmd_certify(args) -> int:
         "constant_value": _round12(cert.expansion_constant_value(0.03418)),
     }
     _write_or_print(json.dumps(payload) + "\n", args.out)
-    if args.trace:
+    if args.trace is not None:
         lines = ["u,delta,term"]
         for u_s, delta, term in result.trace:
             lines.append(f"{u_s:.12g},{delta:.12g},{term:.12g}")

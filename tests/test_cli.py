@@ -73,6 +73,14 @@ def test_expand_subset(graph_file, capsys):
     }
 
 
+def test_expand_refuses_an_empty_subset(graph_file, capsys):
+    # an empty --subset used to fall through to the exact alpha_{1/2}
+    assert run_main("expand", "--graph", str(graph_file), "--subset", "") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --subset needs at least one vertex\n"
+
+
 def test_expand_sampled(graph_file, capsys):
     assert run_main(
         "expand", "--graph", str(graph_file), "--u", "1/2",
@@ -158,6 +166,14 @@ def test_certify_defaults_and_trace(tmp_path, capsys):
     assert len(lines) == 1 + 5000
     row = lines[142].split(",")  # u_s = 0.0142 is the 142nd grid point
     assert row[0] == "0.0142" and row[1] == "0.14851"
+
+
+def test_certify_refuses_an_empty_trace_path(capsys):
+    # an empty --trace used to skip the CSV without a word and exit 0
+    assert run_main("certify", "--grid-step", "0.001", "--trace", "") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --trace needs a file path\n"
 
 
 def test_certify_coarse_grid(capsys):

@@ -1,7 +1,9 @@
 """Modularity scores, exact/greedy maximization, and the bound chain."""
 
+import hashlib
 import inspect
 import itertools
+import json
 import math
 import time
 from fractions import Fraction
@@ -416,6 +418,68 @@ def test_greedy_matches_reference_on_multigraphs(multigraphs):
             assert greedy_modularity(g, seed=gseed) == _reference_greedy_modularity(
                 g, gseed
             )
+
+
+def _tie_heavy_graphs():
+    """Graphs whose merges tie between many pairs, or tie in a new pair."""
+    cycle = MultiGraph.from_pairs(64, [(i, i % 64 + 1) for i in range(1, 65)])
+    # K_{4,4} with every edge doubled: all 16 first merges tie
+    bipartite = MultiGraph.from_pairs(
+        8, [(u, v) for u in range(1, 5) for v in range(5, 9)] * 2
+    )
+    # a star with doubled spokes: each merge draws among all spokes left
+    star = MultiGraph.from_pairs(13, [(1, v) for v in range(2, 14)] * 2)
+    # merging 2 and 7 gives (2, 5) the gain 96 that (1, 5) and (3, 5) hold
+    # while they wait for the next draw, so the new pair must join their tie
+    hub = MultiGraph.from_pairs(7, [(4, 6), (5, 7), (2, 5), (2, 7), (3, 5), (1, 5)])
+    return cycle, bipartite, star, hub
+
+
+@pytest.mark.parametrize(
+    "g", _tie_heavy_graphs(), ids=["C64", "K44x2", "star2", "hub"]
+)
+def test_greedy_matches_reference_on_tie_heavy_graphs(g):
+    for gseed in range(4):
+        assert greedy_modularity(g, seed=gseed) == _reference_greedy_modularity(
+            g, gseed
+        )
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_greedy_matches_reference_at_n200(model):
+    for h, seed in ((1, 0), (2, 1), (3, 2)):
+        _, g = generate(model, h, 200, 7000 + seed)
+        for gseed in (0, 1):
+            assert greedy_modularity(g, seed=gseed) == _reference_greedy_modularity(
+                g, gseed
+            )
+
+
+# (model, graph seed, tie seed, q, sha256 of the JSON list of sorted parts),
+# all at h = 2, n = 500: the size the heuristic sweep runs greedy at
+GREEDY_N500_PINS = [
+    ("standard", 0, 0, "506659/1000000", "2103bcd735e549d3481d04d735d4fffa11e7d1224949bcaa53a99f881617988f"),
+    ("standard", 0, 1, "508947/1000000", "f1ad5100796c75cd3fc739a97ad944e70b43c5e9c48ee022d09a400db342560b"),
+    ("standard", 1, 0, "1032797/2000000", "6b7e26491c20268d5478c080e9c97caa5ba369ed891a19ce3948f3a1dfea4943"),
+    ("standard", 1, 1, "1032103/2000000", "d40ef6904b63b11429de90fd901dc3ecde5e72d1f878d4f70081e87a236e0b60"),
+    ("standard", 2, 0, "515451/1000000", "a6604d2fb1b77251b2c55edf9b7e27f5090c02fab30ce63c01306d1705247f6b"),
+    ("standard", 2, 1, "1036159/2000000", "1a14e4f308fede36885a0737f05be9cfd28154d7972a417d1a9800e983ec225b"),
+    ("tilde", 0, 0, "1039198803/1998000500", "caf626eafd959f6fc0e2d729ab4148bcd55ed0531e30e0ea833d8502f1d09206"),
+    ("tilde", 0, 1, "2087171619/3996001000", "ec252ece48476cf1d0dbe6c0ca9316126997d6765f3f48d4a126a99dd125175a"),
+    ("tilde", 1, 0, "2081943613/3996001000", "02c1bcdd27f095841b5f12c1686b492f8152cc961a78729c6b63a1262fab8043"),
+    ("tilde", 1, 1, "2081473597/3996001000", "ce2a92fb4b99019377f5e589e2384733829d19d4fd1ea3e4e1da622bf54efdb1"),
+    ("tilde", 2, 0, "412204321/799200200", "285d39f9b072d86c6843d84a5af31c328e35df0c0c221178f93025be5c28c005"),
+    ("tilde", 2, 1, "417955523/799200200", "2e9aa01ac1d8004f197a2535cf46a2aa4fc17a96d262d007839f4e953765e2f8"),
+]  # fmt: skip
+
+
+@pytest.mark.parametrize("model, seed, gseed, q, digest", GREEDY_N500_PINS)
+def test_greedy_n500_is_pinned(model, seed, gseed, q, digest):
+    _, g = generate(Model(model), 2, 500, seed)
+    got_q, parts = greedy_modularity(g, seed=gseed)
+    assert f"{got_q.numerator}/{got_q.denominator}" == q
+    listed = json.dumps([sorted(p) for p in parts]).encode()
+    assert hashlib.sha256(listed).hexdigest() == digest
 
 
 # ----------------------------------------------- per-part relative terms
