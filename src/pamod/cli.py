@@ -28,9 +28,14 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
+# What a string option needs instead of "" (a file path if not listed).
+_NONEMPTY = {"subset": "at least one vertex", "u": "a size fraction",
+             "spec": "a JSON spec", "h_list": "at least one h",
+             "n_list": "at least one n", "tasks": "at least one task"}
+
 
 def _write_or_print(text: str, path: str | None) -> None:
-    if path:
+    if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
@@ -48,8 +53,6 @@ def _cmd_gen(args) -> int:
 def _cmd_expand(args) -> int:
     graph = models.load_graph(args.graph)
     if args.subset is not None:
-        if not args.subset:
-            raise ValueError("--subset needs at least one vertex")
         subset = [int(v) for v in args.subset.split(",")]
         report = cuts.edge_boundary(graph, subset)
         payload = {
@@ -93,8 +96,6 @@ def _cmd_mod(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if args.trace == "":
-        raise ValueError("--trace needs a file path")
     result = cert.certify_modularity_bound(
         grid_step=args.grid_step,
         precision=args.precision,
@@ -139,59 +140,44 @@ def _cmd_lemma2(args) -> int:
     violated = False
     if args.trials is not None:
         est = events.estimate_cut_event(model, spec, args.trials, args.seed)
-        payload.update(
-            {
-                "method": "mc",
-                "trials": est.trials,
-                "hits": est.hits,
-                "p_hat": _round12(est.p_hat),
-                "std_err": _round12(est.std_err),
-            }
-        )
+        payload.update(method="mc", trials=est.trials, hits=est.hits,
+                       p_hat=_round12(est.p_hat), std_err=_round12(est.std_err))
     else:
         p = events.exact_cut_event(model, spec)
-        payload["method"] = "exact"
-        payload["p"] = _frac_str(p)
-        violated = p > events.spec_bound(spec)
-        payload["violated"] = bool(violated)
+        violated = bool(p > events.spec_bound(spec))
+        payload.update(method="exact", p=_frac_str(p), violated=violated)
     _write_or_print(json.dumps(payload) + "\n", args.out)
     return EXIT_VIOLATION if violated else EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    if args.config:
+    payload = {}
+    if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    else:
-        payload = {}
     overrides = {
         "model": args.model,
-        "h_list": _int_list(args.h_list),
-        "n_list": _int_list(args.n_list),
+        "h_list": _split(args.h_list, int),
+        "n_list": _split(args.n_list, int),
         "trials": args.trials,
         "root_seed": args.root_seed,
-        "tasks": args.tasks.split(",") if args.tasks else None,
+        "tasks": _split(args.tasks, str),
     }
     if isinstance(payload, dict):  # from_dict refuses anything else
         payload.update((key, val) for key, val in overrides.items() if val is not None)
     config = ExperimentConfig.from_dict(payload)
     report = run_experiment(config)
-    if args.out_json:
-        _write_or_print(emit_report(report, "json"), args.out_json)
-    if args.out_csv:
-        _write_or_print(emit_report(report, "csv"), args.out_csv)
-    if not args.out_json and not args.out_csv:
-        _write_or_print(emit_report(report, "json"), None)
+    outs = [("json", args.out_json), ("csv", args.out_csv)]
+    for fmt, path in [o for o in outs if o[1] is not None] or [("json", None)]:
+        _write_or_print(emit_report(report, fmt), path)  # None: stdout
     if report.summary["status"] != "ok":
         print("deterministic inequality violated; see report", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK
 
 
-def _int_list(text: str | None):
-    if text is None:
-        return None
-    return [int(x) for x in text.split(",")]
+def _split(text: str | None, cast):
+    return None if text is None else [cast(x) for x in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -266,6 +252,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if value == "":
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} needs {_NONEMPTY.get(name, 'a file path')}")
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,15 +10,10 @@ Events are identified by arrival index: edge e_t is "in the boundary"
 when its merged endpoints straddle S.  e_1 is always a loop at vertex 1,
 so any A containing arrival 1 has probability zero.
 
-Both exact checks use ``models._enumerate_logs``, which lists arrival
-logs level by level with integer probability numerators over one common
-denominator; its cap of 500000 logs per level and its refusal of
-denominators from 2^63 are the only size rules here.  The exact checker
-prunes every edge whose crossing status contradicts A; the batch scanner
-shares one unpruned enumeration across all subsets.  A log's boundary
-set of S is the XOR over v in S of the arrivals with exactly one end at
-v, so the scanner walks the subsets in Gray-code order with one XOR per
-subset and accumulates numerators per (subset, boundary-set) cell.
+Both exact checks run the lemma's chain rule, ``_chain``: S fixes the
+side of every mini-vertex and the earlier crossings fix both side
+volumes, so P(A) is a product of h*n integers over the process's common
+denominator.  Each check has one size cap and refuses before any work.
 """
 
 from __future__ import annotations
@@ -26,18 +21,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from pamod.cuts import _gray_flip_order, _members
+from pamod.cuts import _members
 from pamod.models import (
     Model,
     _check_model,
     _check_seed,
-    _enumerate_logs,
+    _enumerate_logs,  # unused here; perfbench/test_perfbench.py imports it from here
     sample_target_matrix,
     vertex_of,
 )
+
+# Longest h*n of ``exact_cut_event``; its big-integer work grows like
+# (h*n)^2, 0.4 s at the cap (2-core Xeon).
+CHAIN_LENGTH_CAP = 20_000
+# Most units (2^n - 2) * (h*n)^3 of ``scan_cut_events`` work, at about
+# 6 * 10^-8 s each (2-core Xeon).
+SCAN_WORK_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -86,19 +89,22 @@ class MCEstimate:
 
 @dataclass(frozen=True)
 class CutEventScan:
+    """``max_ratio``: the largest exact P / bound of a checked pair, first
+    reached at (S, |A|) = ``max_ratio_at`` (by subset mask, then |A|); 0
+    and None when no pair was checked."""
+
     model: Model
     h: int
     n: int
     pairs_checked: int
     violations: tuple[tuple[frozenset[int], frozenset[int]], ...]
+    max_ratio: Fraction
+    max_ratio_at: tuple[frozenset[int], int] | None
 
 
 def cut_event_bound(h: int, n: int, k: int, a: int) -> Fraction:
-    """C(hk, a) / C(hn - a, hk - a), exactly.
-
-    Can exceed 1 for large a (the bound is then vacuous but still
-    valid).
-    """
+    """C(hk, a) / C(hn - a, hk - a), exactly; over 1 (vacuous, but valid)
+    for large a."""
     if h < 1 or n < 1:
         raise ValueError(f"need h >= 1 and n >= 1, got h={h}, n={n}")
     if not 1 <= k <= n:
@@ -112,31 +118,56 @@ def spec_bound(spec: CutEventSpec) -> Fraction:
     return cut_event_bound(spec.h, spec.n, len(spec.subset), len(spec.arrivals))
 
 
-def _sides(spec: CutEventSpec) -> np.ndarray:
-    """side[m]: mini-vertex m merges into S (index 0 unused)."""
-    minis = range(spec.h * spec.n + 1)
-    return np.array([vertex_of(m, spec.h) in spec.subset for m in minis])
+def _chain(model: Model, h: int, n: int, subset, arrivals=None):
+    """The sets A of |A| < h|S| (or the one set ``arrivals``) by the chain
+    rule over arrivals 2..h*n.
+
+    Arrival tau's side is [ceil(tau/h) in S].  With vol the volume of both
+    sides before step tau, e_tau crosses with weight vol_other or stays
+    with weight vol_own + [standard], out of D_tau = vol + [standard] =
+    2 tau - 1 (standard) or 2 tau - 3 (tilde).  A crossing adds 1 to each
+    side and a stay 2 to its own; e_1 puts 2 (standard) or 1 (tilde) on
+    the side of vertex 1.  Returns (states, denom): states maps (|A|,
+    vol_S) after arrival h*n to (the largest numerator P(A) * denom of an
+    A that ends there, the number of A of positive mass that do).
+    """
+    loops, cap = model is Model.STANDARD, h * len(subset)
+    vol = 1 + loops
+    states = {(0, vol if 1 in subset else 0): (1, 1)}
+    denom = 1
+    for tau in range(2, h * n + 1):
+        own = vertex_of(tau, h) in subset
+        branches = (False, True) if arrivals is None else (tau in arrivals,)
+        after: dict = {}
+        for (a, vol_s), (num, count) in states.items():
+            vol_own = vol_s if own else vol - vol_s
+            for cross in branches:
+                weight = vol - vol_own if cross else vol_own + loops
+                if weight and a + cross < cap:
+                    key = (a + cross, vol_s + (1 if cross else 2 * own))
+                    num_w = num * weight
+                    if key in after:  # no .get: this loop is the scan's cost
+                        best, seen = after[key]
+                        after[key] = (num_w if num_w > best else best, seen + count)
+                    else:
+                        after[key] = (num_w, count)
+        states = after
+        denom *= vol + loops
+        vol += 2
+    return states, denom
 
 
 def exact_cut_event(model: Model, spec: CutEventSpec) -> Fraction:
-    """P(boundary edge set of S equals A), by exhaustive enumeration.
-
-    Enumerates the arrival logs level by level, dropping a log as soon as
-    a placed edge's crossing status contradicts A, and sums the
-    survivors' numerators.  Exact rational output; the enumerator's cap
-    refuses a surviving level over 500000 logs (use
-    :func:`estimate_cut_event` there).  Memory is a few (L, h*n) arrays
-    for the L logs of the largest surviving level: h*n = 10 with one
-    arrival in A keeps 322560 logs and peaks near 45 MiB above the
-    interpreter.
-    """
+    """P(boundary edge set of S equals A), exactly: the chain rule along
+    the one path that A fixes, refused for h*n over ``CHAIN_LENGTH_CAP``."""
     model = _check_model(model)
     hn = spec.h * spec.n
-    side = _sides(spec)
-    _targets, nums, denom = _enumerate_logs(
-        model, hn, lambda tau, s: (side[tau] != side[s]) == (tau in spec.arrivals)
-    )
-    return Fraction(int(nums.sum()), denom)
+    if hn > CHAIN_LENGTH_CAP:
+        raise ValueError(f"h*n = {hn} is over the chain length cap {CHAIN_LENGTH_CAP}")
+    if 1 in spec.arrivals:
+        return Fraction(0)
+    states, denom = _chain(model, spec.h, spec.n, spec.subset, spec.arrivals)
+    return Fraction(sum(num for num, _count in states.values()), denom)
 
 
 def estimate_cut_event(
@@ -155,7 +186,8 @@ def estimate_cut_event(
     seed = _check_seed(seed)
     hn = spec.h * spec.n
     mat = sample_target_matrix(model, hn, trials, seed)
-    side = _sides(spec)
+    # side[m]: mini-vertex m merges into S (index 0 unused)
+    side = np.array([vertex_of(m, spec.h) in spec.subset for m in range(hn + 1)])
     want = np.zeros(hn, dtype=bool)
     want[[t - 1 for t in spec.arrivals]] = True
     hits = int(((side[1:] != side[mat]) == want).all(axis=1).sum())
@@ -169,61 +201,42 @@ def estimate_cut_event(
 def scan_cut_events(model: Model, h: int, n: int) -> CutEventScan:
     """Verify the bound for every proper nonempty S and every admissible A.
 
-    The subsets share one log enumeration, walked in Gray-code order
-    with one XOR per subset (module docstring); an (n, logs) int64 array
-    of incidence masks replaces the enumerated targets.  Integer
-    probability numerators are accumulated per boundary mask, and every
-    accumulated event with |A| < h|S| is compared exactly (integer
-    cross-multiplication) against ``cut_event_bound``, computed once per
-    (|S|, |A|); events that never occur hold trivially since the bound
-    is positive.  Violations are listed by ascending subset mask.  The
-    enumerator's cap admits h*n <= 9 standard and 10 tilde: (h, n) =
-    (1, 9) and (1, 10) take 0.6 s and 1.1 s, 100 MiB peak RSS (2-core Xeon).
+    Runs ``_chain`` once per subset, in ascending mask order.  The largest
+    numerator per |A| is compared exactly with ``cut_event_bound``; sets
+    of zero mass hold trivially, and ``pairs_checked`` counts the others.
+    Only an (S, |A|) cell over its bound lists its sets, by
+    ``exact_cut_event``, in ascending arrival-mask order.  Refused over
+    ``SCAN_WORK_CAP``; (h, n) = (2, 10) takes about 0.4 s and standard
+    (2, 12) 3.3 s, under 30 MiB peak RSS (2-core Xeon).
     """
     model = _check_model(model)
     if h < 1 or n < 1:
         raise ValueError(f"need h >= 1 and n >= 1, got h={h}, n={n}")
     hn = h * n
-    targets, nums, denom = _enumerate_logs(model, hn)
-    # the cap keeps denom <= 17!!, so float64 accumulation is exact
-    assert int(nums.sum()) == denom < 2**53
-    weights = nums.astype(np.float64)
-    rows = np.arange(len(nums))
-    # bit t-1 of inc[v - 1]: edge e_t has exactly one end at v (loops cancel)
-    inc = np.zeros((n, len(nums)), dtype=np.int64)
-    for t in range(1, hn + 1):
-        bit = np.int64(1) << (t - 1)
-        inc[vertex_of(t, h) - 1] ^= bit
-        inc[vertex_of(targets[:, t - 1], h) - 1, rows] ^= bit
-    del targets
-    pairs_checked = 0
-    found: list[tuple[int, frozenset[int]]] = []
-    bounds = {
-        (k, a): cut_event_bound(h, n, k, a) for k in range(1, n) for a in range(h * k)
-    }
-    event = np.zeros(len(nums), dtype=np.int64)
-    mask = 0
-    for v in _gray_flip_order(n):
-        mask ^= 1 << v
-        event ^= inc[v]
-        if mask == (1 << n) - 1:
-            continue
-        k = mask.bit_count()
-        mass = np.bincount(event, weights=weights, minlength=1 << hn)
-        mass_int = mass.astype(np.int64)
-        for b in np.nonzero(mass_int)[0]:
-            a = int(b).bit_count()
-            if a >= h * k:
-                continue
-            pairs_checked += 1
-            bound = bounds[k, a]
-            if int(mass_int[b]) * bound.denominator > denom * bound.numerator:
-                found.append((mask, frozenset(_members(int(b)))))
-    found.sort(key=lambda item: item[0])
+    if (work := ((1 << n) - 2) * hn**3) > SCAN_WORK_CAP:
+        raise ValueError(f"{work} work units, over the scan work cap {SCAN_WORK_CAP}")
+    sizes = [(k, a) for k in range(1, n) for a in range(h * k)]
+    bounds = {ka: cut_event_bound(h, n, *ka) for ka in sizes}
+    pairs_checked, violations = 0, []
+    top, top_at, denom = Fraction(0), None, 1  # largest P / bound is top / denom
+    for mask in range(1, (1 << n) - 1):
+        subset = frozenset(_members(mask))
+        states, denom = _chain(model, h, n, subset)
+        largest: dict[int, int] = {}
+        for (a, _vol_s), (num, count) in states.items():
+            pairs_checked += count
+            largest[a] = max(largest.get(a, 0), num)
+        over = []
+        for a in sorted(largest):
+            bound = bounds[len(subset), a]
+            if (ratio := largest[a] / bound) > top:
+                top, top_at = ratio, (subset, a)
+            if ratio > denom:
+                sets = combinations(range(2, hn + 1), a)
+                cell = (CutEventSpec(h, n, subset, arrivals) for arrivals in sets)
+                over += [c.arrivals for c in cell if exact_cut_event(model, c) > bound]
+        over.sort(key=lambda arrivals: sum(1 << t for t in arrivals))
+        violations += [(subset, arrivals) for arrivals in over]
     return CutEventScan(
-        model=model,
-        h=h,
-        n=n,
-        pairs_checked=pairs_checked,
-        violations=tuple((frozenset(_members(m)), a) for m, a in found),
+        model, h, n, pairs_checked, tuple(violations), top / denom, top_at
     )

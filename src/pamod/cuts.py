@@ -125,8 +125,8 @@ def _gray_flip_order(n: int):
     """Yield the vertex bit flipped at each step of the reflected Gray code.
 
     Starting from the empty mask, the 2^n - 1 flips visit each nonempty
-    subset once.  ``scan_cut_events`` walks its subsets this way, one XOR
-    per subset, and the benchmark's tests count subsets with it.
+    subset once.  No kernel here walks it; it stays because
+    perfbench/test_perfbench.py counts subsets with it.
     """
     for i in range(1, 1 << n):
         yield (i & -i).bit_length() - 1

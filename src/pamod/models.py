@@ -37,10 +37,10 @@ and a graph its (u, v, t) edges as one read-only (m, 3) int64 array,
 read as tuples of Python ints, rebuilt on every read.  ``save_graph``
 and ``pamod gen`` write the same text, ``graph_to_text``.
 
-Exact laws come from ``_enumerate_logs``, which lists every log of a
-given length level by level, each with an integer probability numerator
-over the common denominator (2t-1)!! (standard) or (2t-3)!! (tilde) for
-logs of length t.
+``exact_small_t_distribution`` comes from ``_enumerate_logs``, which
+lists every log of a given length level by level, each with an integer
+probability numerator over the common denominator (2t-1)!! (standard) or
+(2t-3)!! (tilde) for logs of length t.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ import numpy as np
 
 MAX_SEED = 2**64
 
-# Most logs one level of ``_enumerate_logs`` may hold: the one size rule of
-# every exact law.  Unpruned, it admits lengths 9 (standard) and 10 (tilde).
+# Most logs one level of ``_enumerate_logs`` may hold: the size rule of
+# ``exact_small_t_distribution``, which admits t_max 9 (standard), 10 (tilde).
 _ENUMERATION_CAP = 500_000
 
 # Largest temporary array, in elements, that the target sampler allocates
@@ -385,18 +385,15 @@ def derive_seed(root_seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _enumerate_logs(model: Model, length: int, allowed=None):
+def _enumerate_logs(model: Model, length: int):
     """Every arrival log of ``length`` steps with its probability numerator.
 
     Returns (targets, nums, denom): targets is an (L, length) int64 array
     in lexicographic order, nums[i] * ``denom``^-1 is the probability of
-    log i, and nums sum to denom when nothing is pruned.  The logs grow
-    one step at a time: each survivor is repeated once per candidate
-    target s of arrival tau, 1..tau in the standard model (tau is the
-    self-loop, weight 1) and 1..tau-1 in the tilde model, and its
-    numerator is multiplied by deg(s).  ``allowed(tau, s)`` maps an array
-    of candidates to a bool mask; a rejected candidate's logs are dropped,
-    e_1's target 1 included.
+    log i, and nums sum to denom.  The logs grow one step at a time: each
+    log is repeated once per candidate target s of arrival tau, 1..tau in
+    the standard model (tau is the self-loop, weight 1) and 1..tau-1 in
+    the tilde model, and its numerator is multiplied by deg(s).
 
     A level of more than ``_ENUMERATION_CAP`` logs is refused before it is
     allocated.  Peak memory is at most about 20 * length bytes per log of
@@ -419,8 +416,6 @@ def _enumerate_logs(model: Model, length: int, allowed=None):
     for tau in range(1, length + 1):
         # e_1 is the loop at mini-vertex 1 in both models
         cand = np.arange(1, tau + 1 if loops or tau == 1 else tau)
-        if allowed is not None:
-            cand = cand[allowed(tau, cand)]
         if (size := len(nums) * len(cand)) > _ENUMERATION_CAP:
             raise ValueError(
                 f"{model.value} logs of length {length}: step {tau} would hold "

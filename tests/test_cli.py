@@ -253,6 +253,43 @@ def test_zero_trials_are_refused_not_read_as_exact(graph_file, capsys):
         assert captured.err == "error: need trials >= 1, got 0\n"
 
 
+GEN = ("gen", "--model", "standard", "--h", "2", "--n", "4", "--seed", "1")
+LEMMA2 = ("lemma2", "--model", "standard", "--h", "2", "--n", "2",
+          "--spec", '{"S": [2], "A": [3]}')
+SWEEP = ("sweep", "--model", "standard", "--h-list", "2", "--n-list", "4",
+         "--trials", "1", "--root-seed", "5")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, needs",
+    [
+        (GEN, "--out", "a file path"),
+        (("expand", "--graph", "g.json"), "--out", "a file path"),
+        (("expand",), "--graph", "a file path"),
+        (("expand", "--graph", "g.json"), "--u", "a size fraction"),
+        (("mod", "--graph", "g.json"), "--out", "a file path"),
+        (("certify", "--grid-step", "0.5"), "--out", "a file path"),
+        (LEMMA2, "--out", "a file path"),
+        (LEMMA2[:-2], "--spec", "a JSON spec"),
+        (SWEEP, "--out-json", "a file path"),
+        (SWEEP, "--out-csv", "a file path"),
+        (SWEEP, "--config", "a file path"),
+        (SWEEP, "--tasks", "at least one task"),
+        (SWEEP[:3], "--h-list", "at least one h"),
+        (SWEEP[:5], "--n-list", "at least one n"),
+    ],
+)
+def test_empty_string_options_are_refused(tmp_path, monkeypatch, capsys, argv, flag, needs):
+    # "" used to read as an unset option: gen --out "" printed the graph and
+    # sweep --tasks "" ran the default tasks, both with exit 0
+    monkeypatch.chdir(tmp_path)
+    assert run_main(*argv, flag, "") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} needs {needs}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # ----------------------------------------------------------------- sweep
 
 

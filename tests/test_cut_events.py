@@ -1,5 +1,7 @@
-"""Cut-event probabilities: exact enumeration, sampling, and the bound."""
+"""Cut-event probabilities: the exact chain rule, sampling, and the bound."""
 
+import math
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -20,8 +22,16 @@ from pamod import (
     spec_bound,
 )
 from pamod import cut_events, models
-from pamod.cut_events import _enumerate_logs
-from pamod.models import sample_target_matrix, vertex_of
+from pamod.cut_events import CHAIN_LENGTH_CAP, SCAN_WORK_CAP
+from pamod.cuts import _gray_flip_order, _members
+from pamod.experiment import derive_seed
+from pamod.models import (
+    _ENUMERATION_CAP,
+    _check_model,
+    _enumerate_logs,
+    sample_target_matrix,
+    vertex_of,
+)
 
 ALL_SMALL = [
     (h, n)
@@ -105,16 +115,32 @@ def test_exact_first_edge_in_arrivals_is_impossible():
     assert exact_cut_event(Model.TILDE, spec) == 0
 
 
-def test_exact_respects_limit():
-    # no per-call limit: h*n = 10 runs, and only the enumerator's level
-    # cap refuses, before the level over it is allocated
+def _last_vertex_event(n):
+    # S = {n}, A = {2n} at h = 2: e_1..e_{2n-2} stay outside S with
+    # probability 1, e_{2n-1} is the self-loop (1 in 4n - 3) and e_2n
+    # crosses with weight 4n - 4 out of 4n - 1
+    spec = CutEventSpec(h=2, n=n, subset={n}, arrivals={2 * n})
+    return spec, Fraction(4 * n - 4, (4 * n - 3) * (4 * n - 1))
+
+
+def _no_chain(*args):
+    raise AssertionError("the chain rule ran")
+
+
+def test_exact_respects_limit(monkeypatch):
+    # no per-call limit: h*n = 10 and 12, which the log enumerator refused
+    # from 12, run up to CHAIN_LENGTH_CAP; one arrival more is refused
+    # before the chain starts
     spec = CutEventSpec(h=2, n=5, subset=frozenset({5}), arrivals=frozenset({10}))
     p = exact_cut_event(Model.STANDARD, spec)
     assert p == Fraction(16, 323) and p <= spec_bound(spec)
-    # e_1..e_10 never cross {6}, so step 10 keeps all 10! logs
-    spec = CutEventSpec(h=2, n=6, subset=frozenset({6}), arrivals=frozenset({12}))
-    with pytest.raises(ValueError, match="step 10 would hold 3628800 logs"):
-        exact_cut_event(Model.STANDARD, spec)
+    for n in (6, CHAIN_LENGTH_CAP // 2):
+        spec, p = _last_vertex_event(n)
+        assert exact_cut_event(Model.STANDARD, spec) == p <= spec_bound(spec)
+    monkeypatch.setattr(cut_events, "_chain", _no_chain)
+    spec = CutEventSpec(h=1, n=CHAIN_LENGTH_CAP + 1, subset={1}, arrivals=set())
+    with pytest.raises(ValueError, match=f"over the chain length cap {CHAIN_LENGTH_CAP}"):
+        exact_cut_event(Model.TILDE, spec)
 
 
 def test_exact_probabilities_form_a_distribution():
@@ -194,24 +220,22 @@ def test_exact_matches_pruned_reference_on_every_event(model, h, n):
                     )
 
 
-def _never_called(tau, s):
-    raise AssertionError("enumeration started")
-
-
-def test_enumerator_refuses_denominators_over_int64_before_enumerating():
-    # 35!! > 2^63: standard logs of length 18, tilde logs of length 19
-    spec = CutEventSpec(h=2, n=9, subset={9}, arrivals={18})
+def test_enumerator_refuses_denominators_over_int64_before_enumerating(monkeypatch):
+    # 35!! > 2^63: standard logs of length 18, tilde logs of length 19; a
+    # zero level cap shows that the denominator is refused first
+    monkeypatch.setattr(models, "_ENUMERATION_CAP", 0)
     with pytest.raises(ValueError, match="2\\^63"):
-        exact_cut_event(Model.STANDARD, spec)
+        _enumerate_logs(Model.STANDARD, 18)
     with pytest.raises(ValueError, match="2\\^63"):
-        _enumerate_logs(Model.STANDARD, 18, _never_called)
-    with pytest.raises(ValueError, match="2\\^63"):
-        _enumerate_logs(Model.TILDE, 19, _never_called)
-    # one step shorter the denominators fit; rejecting e_1 empties the levels
+        _enumerate_logs(Model.TILDE, 19)
+    with pytest.raises(ValueError, match="enumeration cap 0"):
+        _enumerate_logs(Model.STANDARD, 17)
+    # one step shorter the denominators fit
     for model, hn in ((Model.STANDARD, 17), (Model.TILDE, 18)):
-        targets, nums, denom = _enumerate_logs(model, hn, lambda tau, s: s > 1)
-        assert targets.shape == (0, hn) and nums.shape == (0,)
-        assert denom == _denominator(model, hn) < 2**63
+        assert _denominator(model, hn) < 2**63 <= _denominator(model, hn + 1)
+    # the chain rule has no int64 denominator: h*n = 18 is exact
+    spec, p = _last_vertex_event(9)
+    assert exact_cut_event(Model.STANDARD, spec) == p == Fraction(32, 1155)
 
 
 # ------------------------------------------------------------------ scan
@@ -224,13 +248,14 @@ def test_enumerator_refuses_a_level_over_the_cap_before_allocating(monkeypatch):
     with pytest.raises(ValueError, match=message):
         _enumerate_logs(Model.STANDARD, 5)
     assert len(_enumerate_logs(Model.STANDARD, 4)[1]) == 24
-    # a pruned level counts only its survivors: e_5 is the self-loop
-    spec = CutEventSpec(h=1, n=5, subset={5}, arrivals=set())
-    assert exact_cut_event(Model.STANDARD, spec) == Fraction(1, 9)
-    with pytest.raises(ValueError, match="enumeration cap 100"):
-        scan_cut_events(Model.STANDARD, 1, 5)
     with pytest.raises(ValueError, match="enumeration cap 100"):
         exact_small_t_distribution(Model.TILDE, 6)
+    # cut-event laws enumerate no logs, so the level cap does not touch
+    # them: e_5 is the self-loop
+    spec = CutEventSpec(h=1, n=5, subset={5}, arrivals=set())
+    assert exact_cut_event(Model.STANDARD, spec) == Fraction(1, 9)
+    scan = scan_cut_events(Model.STANDARD, 1, 5)
+    assert scan.pairs_checked == 185 and scan.violations == ()
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -251,20 +276,24 @@ def test_scan_pairs_checked_counts_qualifying_pairs():
     # zero mass and every positive-mass pattern fails a < h|S|
     scan = scan_cut_events(Model.TILDE, 1, 2)
     assert scan.pairs_checked == 0
+    assert scan.max_ratio == 0 and scan.max_ratio_at is None  # no margin either
     # everywhere else there is something to check
     assert scan_cut_events(Model.TILDE, 1, 3).pairs_checked > 0
     assert scan_cut_events(Model.TILDE, 2, 2).pairs_checked > 0
 
 
-def test_scan_respects_limit():
-    # no per-call limit: the level cap admits h*n = 9 standard and 10
-    # tilde, and refuses one arrival more before that level is allocated
+def test_scan_respects_limit(monkeypatch):
+    # no per-call limit: the sizes the log enumerator refused (standard
+    # h*n = 10, tilde 11) now run, and the work cap refuses
+    # (2^n - 2) * (h*n)^3 over SCAN_WORK_CAP before the first subset
     assert scan_cut_events(Model.STANDARD, 3, 3).violations == ()
     assert scan_cut_events(Model.TILDE, 2, 5).violations == ()
-    with pytest.raises(ValueError, match="step 10 would hold 3628800 logs"):
-        scan_cut_events(Model.STANDARD, 2, 5)
-    with pytest.raises(ValueError, match="step 11 would hold 3628800 logs"):
-        scan_cut_events(Model.TILDE, 1, 11)
+    assert scan_cut_events(Model.STANDARD, 2, 5).violations == ()
+    assert scan_cut_events(Model.TILDE, 1, 11).violations == ()
+    assert (2**12 - 2) * 24**3 <= SCAN_WORK_CAP < (2**13 - 2) * 26**3
+    monkeypatch.setattr(cut_events, "_chain", _no_chain)
+    with pytest.raises(ValueError, match=f"over the scan work cap {SCAN_WORK_CAP}"):
+        scan_cut_events(Model.STANDARD, 2, 13)
 
 
 def test_scan_matches_exact_on_one_cell():
@@ -324,6 +353,25 @@ def test_scan_reports_violations_in_subset_mask_order(model, h, n, monkeypatch):
     assert want and list(got) == want
 
 
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("h, n", [(1, 5), (2, 3)])
+def test_scan_lists_every_positive_event_under_a_tiny_bound(model, h, n, monkeypatch):
+    # every event of positive mass violates a bound of 10^-30, so the list
+    # shows the order within a subset: ascending arrival mask across sizes
+    monkeypatch.setattr(cut_events, "cut_event_bound", lambda *_: Fraction(1, 10**30))
+    want = []
+    for mask in range(1, (1 << n) - 1):
+        subset = frozenset(_members(mask))
+        for bits in range(1 << (h * n)):
+            arrivals = frozenset(_members(bits))
+            if len(arrivals) < h * len(subset):
+                spec = CutEventSpec(h=h, n=n, subset=subset, arrivals=arrivals)
+                if exact_cut_event(model, spec) > 0:
+                    want.append((subset, arrivals))
+    scan = scan_cut_events(model, h, n)
+    assert list(scan.violations) == want and scan.pairs_checked == len(want)
+
+
 # ------------------------------------------------------------ estimation
 
 
@@ -368,3 +416,255 @@ def test_estimate_counts_rows_like_a_per_row_scan(model, subset, arrivals):
         for row in mat
     )
     assert estimate_cut_event(model, spec, trials=3_000, seed=5).hits == hits
+
+
+def test_estimate_agrees_with_the_exact_law_at_the_golden_mc_cells():
+    # the golden sweep's two Monte-Carlo cells, with their seeds: standard,
+    # h = 2, S = {n}, A = {2n}, 20000 trials
+    for index, (n, p, p_hat, z) in enumerate(
+        [(6, Fraction(20, 483), 0.041, -0.29), (8, Fraction(28, 899), 0.03195, 0.65)]
+    ):
+        spec, closed_form = _last_vertex_event(n)
+        assert exact_cut_event(Model.STANDARD, spec) == closed_form == p
+        seed = derive_seed(20240817, 10**6 + index)
+        est = estimate_cut_event(Model.STANDARD, spec, trials=20_000, seed=seed)
+        assert est.p_hat == p_hat
+        got = (est.p_hat - float(p)) / math.sqrt(float(p * (1 - p)) / est.trials)
+        assert round(got, 2) == z
+
+
+# ------------------------------------------------------------------ margin
+
+
+@pytest.mark.parametrize(
+    "model, h, n, ratio",
+    [
+        (Model.TILDE, 1, 3, Fraction(1)),
+        (Model.TILDE, 1, 5, Fraction(1)),
+        (Model.TILDE, 1, 8, Fraction(1)),
+        (Model.STANDARD, 1, 3, Fraction(4, 5)),
+        (Model.STANDARD, 1, 5, Fraction(8, 9)),
+        (Model.STANDARD, 1, 8, Fraction(14, 15)),
+    ],
+)
+def test_scan_reports_its_margin(model, h, n, ratio):
+    # tilde h = 1 meets the bound exactly; standard stays (2n-2)/(2n-1) below
+    scan = scan_cut_events(model, h, n)
+    assert scan.max_ratio == ratio
+    subset, a = scan.max_ratio_at
+    assert len(subset) < n and 0 <= a < h * len(subset)
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("h, n", [(1, 4), (2, 3), (3, 2)])
+def test_scan_margin_is_the_largest_exact_ratio(model, h, n):
+    # the first (S, |A|) by ascending subset mask, then |A|, that reaches
+    # the largest P / bound over every event
+    best, at = Fraction(0), None
+    for mask in range(1, (1 << n) - 1):
+        subset = frozenset(_members(mask))
+        for a in range(h * len(subset)):
+            for arrivals in combinations(range(1, h * n + 1), a):
+                spec = CutEventSpec(h=h, n=n, subset=subset, arrivals=arrivals)
+                ratio = exact_cut_event(model, spec) / spec_bound(spec)
+                if ratio > best:
+                    best, at = ratio, (subset, a)
+    scan = scan_cut_events(model, h, n)
+    assert (scan.max_ratio, scan.max_ratio_at) == (best, at)
+
+
+@pytest.mark.parametrize(
+    "model, pairs, ratio",
+    [(Model.STANDARD, 87534959, Fraction(12, 13)), (Model.TILDE, 39547501, Fraction(36, 37))],
+)
+def test_scan_runs_h2_n10_exactly(model, pairs, ratio):
+    # beyond the log enumerator, which stopped at h*n = 9 (standard) or 10
+    scan = scan_cut_events(model, 2, 10)
+    assert scan.violations == ()
+    assert scan.pairs_checked == pairs
+    assert scan.max_ratio == ratio
+    assert scan.max_ratio_at == (frozenset(range(1, 10)), 2)
+
+
+# ------------------------------------------------------- enumerator oracle
+#
+# The log-enumerating exact_cut_event and scan_cut_events that the chain
+# rule replaced, with the pruning enumerator they ran on, kept verbatim but
+# for the _reference_ names.  The chain rule must give the same laws, pair
+# counts and violations wherever the enumerator runs.
+
+
+def _reference_enumerate_logs(model: Model, length: int, allowed=None):
+    """Every arrival log of ``length`` steps with its probability numerator.
+
+    Returns (targets, nums, denom): targets is an (L, length) int64 array
+    in lexicographic order, nums[i] * ``denom``^-1 is the probability of
+    log i, and nums sum to denom when nothing is pruned.  The logs grow
+    one step at a time: each survivor is repeated once per candidate
+    target s of arrival tau, 1..tau in the standard model (tau is the
+    self-loop, weight 1) and 1..tau-1 in the tilde model, and its
+    numerator is multiplied by deg(s).  ``allowed(tau, s)`` maps an array
+    of candidates to a bool mask; a rejected candidate's logs are dropped,
+    e_1's target 1 included.
+
+    A level of more than ``_ENUMERATION_CAP`` logs is refused before it is
+    allocated.  Peak memory is at most about 20 * length bytes per log of
+    the widest level (that level, the one before it and temporaries): at
+    the cap, under 100 MB for length 10 and under 180 MB for length 18,
+    the longest the int64 denominator check lets through.
+    """
+    model = _check_model(model)
+    loops = model is Model.STANDARD
+    denom = math.prod(2 * tau - (1 if loops else 3) for tau in range(2, length + 1))
+    if denom >= 2**63:
+        raise ValueError(
+            f"{model.value} logs of length {length} have denominator {denom} "
+            ">= 2^63, beyond int64 numerators"
+        )
+    targets = np.zeros((1, length), dtype=np.int64)
+    # the denominator check caps length at 19, so degrees fit in uint8
+    degs = np.zeros((1, length), dtype=np.uint8)
+    nums = np.ones(1, dtype=np.int64)
+    for tau in range(1, length + 1):
+        # e_1 is the loop at mini-vertex 1 in both models
+        cand = np.arange(1, tau + 1 if loops or tau == 1 else tau)
+        if allowed is not None:
+            cand = cand[allowed(tau, cand)]
+        if (size := len(nums) * len(cand)) > _ENUMERATION_CAP:
+            raise ValueError(
+                f"{model.value} logs of length {length}: step {tau} would hold "
+                f"{size} logs, over the enumeration cap {_ENUMERATION_CAP}"
+            )
+        rows = np.repeat(np.arange(len(nums)), len(cand))
+        s = np.tile(cand, len(nums))
+        own = s == tau
+        targets = targets[rows]
+        degs = degs[rows]
+        targets[:, tau - 1] = s
+        cell = (np.arange(len(s)), s - 1)
+        nums = nums[rows] * np.where(own, 1, degs[cell])
+        degs[cell] += 1
+        # arrival tau's own endpoint, plus the other end of a weight-2 loop
+        degs[:, tau - 1] = 1 + (own & loops)
+    return targets, nums, denom
+
+
+def _reference_sides(spec: CutEventSpec) -> np.ndarray:
+    """side[m]: mini-vertex m merges into S (index 0 unused)."""
+    minis = range(spec.h * spec.n + 1)
+    return np.array([vertex_of(m, spec.h) in spec.subset for m in minis])
+
+
+def _reference_exact_cut_event(model: Model, spec: CutEventSpec) -> Fraction:
+    """P(boundary edge set of S equals A), by exhaustive enumeration.
+
+    Enumerates the arrival logs level by level, dropping a log as soon as
+    a placed edge's crossing status contradicts A, and sums the
+    survivors' numerators.  Exact rational output; the enumerator's cap
+    refuses a surviving level over 500000 logs (use
+    :func:`estimate_cut_event` there).  Memory is a few (L, h*n) arrays
+    for the L logs of the largest surviving level: h*n = 10 with one
+    arrival in A keeps 322560 logs and peaks near 45 MiB above the
+    interpreter.
+    """
+    model = _check_model(model)
+    hn = spec.h * spec.n
+    side = _reference_sides(spec)
+    _targets, nums, denom = _reference_enumerate_logs(
+        model, hn, lambda tau, s: (side[tau] != side[s]) == (tau in spec.arrivals)
+    )
+    return Fraction(int(nums.sum()), denom)
+
+
+def _reference_scan_cut_events(model: Model, h: int, n: int):
+    """Verify the bound for every proper nonempty S and every admissible A.
+
+    The subsets share one log enumeration, walked in Gray-code order
+    with one XOR per subset (module docstring); an (n, logs) int64 array
+    of incidence masks replaces the enumerated targets.  Integer
+    probability numerators are accumulated per boundary mask, and every
+    accumulated event with |A| < h|S| is compared exactly (integer
+    cross-multiplication) against ``cut_event_bound``, computed once per
+    (|S|, |A|); events that never occur hold trivially since the bound
+    is positive.  Violations are listed by ascending subset mask.  The
+    enumerator's cap admits h*n <= 9 standard and 10 tilde: (h, n) =
+    (1, 9) and (1, 10) take 0.6 s and 1.1 s, 100 MiB peak RSS (2-core Xeon).
+    """
+    model = _check_model(model)
+    if h < 1 or n < 1:
+        raise ValueError(f"need h >= 1 and n >= 1, got h={h}, n={n}")
+    hn = h * n
+    targets, nums, denom = _reference_enumerate_logs(model, hn)
+    # the cap keeps denom <= 17!!, so float64 accumulation is exact
+    assert int(nums.sum()) == denom < 2**53
+    weights = nums.astype(np.float64)
+    rows = np.arange(len(nums))
+    # bit t-1 of inc[v - 1]: edge e_t has exactly one end at v (loops cancel)
+    inc = np.zeros((n, len(nums)), dtype=np.int64)
+    for t in range(1, hn + 1):
+        bit = np.int64(1) << (t - 1)
+        inc[vertex_of(t, h) - 1] ^= bit
+        inc[vertex_of(targets[:, t - 1], h) - 1, rows] ^= bit
+    del targets
+    pairs_checked = 0
+    found: list[tuple[int, frozenset[int]]] = []
+    bounds = {
+        (k, a): cut_event_bound(h, n, k, a) for k in range(1, n) for a in range(h * k)
+    }
+    event = np.zeros(len(nums), dtype=np.int64)
+    mask = 0
+    for v in _gray_flip_order(n):
+        mask ^= 1 << v
+        event ^= inc[v]
+        if mask == (1 << n) - 1:
+            continue
+        k = mask.bit_count()
+        mass = np.bincount(event, weights=weights, minlength=1 << hn)
+        mass_int = mass.astype(np.int64)
+        for b in np.nonzero(mass_int)[0]:
+            a = int(b).bit_count()
+            if a >= h * k:
+                continue
+            pairs_checked += 1
+            bound = bounds[k, a]
+            if int(mass_int[b]) * bound.denominator > denom * bound.numerator:
+                found.append((mask, frozenset(_members(int(b)))))
+    found.sort(key=lambda item: item[0])
+    return SimpleNamespace(
+        model=model,
+        h=h,
+        n=n,
+        pairs_checked=pairs_checked,
+        violations=tuple((frozenset(_members(m)), a) for m, a in found),
+    )
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_exact_matches_the_enumerator_on_random_specs(model):
+    rng = random.Random(12)
+    for _ in range(150):
+        h = rng.randint(1, 4)
+        n = rng.randint(1, 9 // h)
+        subset = rng.sample(range(1, n + 1), rng.randint(1, n))
+        arrivals = rng.sample(range(1, h * n + 1), rng.randrange(h * len(subset)))
+        spec = CutEventSpec(h=h, n=n, subset=subset, arrivals=arrivals)
+        assert exact_cut_event(model, spec) == _reference_exact_cut_event(model, spec)
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("h, n", ALL_SMALL + [(1, 9)])
+def test_scan_matches_the_enumerator(model, h, n):
+    scan = scan_cut_events(model, h, n)
+    want = _reference_scan_cut_events(model, h, n)
+    assert (scan.pairs_checked, scan.violations) == (want.pairs_checked, want.violations)
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("h, n", [(1, 6), (2, 4), (3, 2)])
+def test_scan_lists_the_enumerators_violations_of_a_cubed_bound(model, h, n, monkeypatch):
+    # cubing both binomials makes many events violate the bound
+    monkeypatch.setattr(
+        cut_events, "math", SimpleNamespace(comb=lambda a, b: comb(a, b) ** 3)
+    )
+    got = scan_cut_events(model, h, n).violations
+    assert got and got == _reference_scan_cut_events(model, h, n).violations
