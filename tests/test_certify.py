@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pamod import certify
 from pamod.certify import (
     TailParams,
     certify_modularity_bound,
@@ -262,6 +263,17 @@ def test_delta_hat_coarse_precision():
         max_certified_delta(0.5, precision=0.1)  # even 0.1 fails at u=1/2
 
 
+def test_delta_hat_refuses_a_precision_below_two_to_the_minus_55():
+    # at 5e-324 and 1e-310, 0.25/precision is inf and math.floor of it
+    # escaped as an OverflowError; at 3e-300 and 1.7e-200 the search for
+    # the top multiple below 1/4 never ended
+    for precision in (5e-324, 1e-310, 3e-300, 1.7e-200, 2.0**-55 * (1 - 2**-53)):
+        with pytest.raises(ValueError, match="need 2\\^-55 <= precision"):
+            max_certified_delta(0.5, precision=precision)
+    for precision in (2.0**-55, 1e-16):
+        assert max_certified_delta(0.5, precision) == pytest.approx(0.0341848, abs=1e-7)
+
+
 # ------------------------------------------------------------ bound grid
 
 
@@ -307,6 +319,23 @@ def test_certify_rejects_nondividing_grid():
         certify_modularity_bound(grid_step=0.0003)
     with pytest.raises(ValueError):
         certify_modularity_bound(grid_step=0.7)
+
+
+def test_certify_refuses_a_grid_over_the_point_cap(monkeypatch):
+    def no_delta(u, precision):
+        raise AssertionError("max_certified_delta was called")
+
+    monkeypatch.setattr(certify, "max_certified_delta", no_delta)
+    # 1e-300 divides 1/2 to within 1e-9; 5e-324 makes 0.5/grid_step inf
+    for step in (1e-300, 5e-324, 4.99e-7):
+        with pytest.raises(ValueError, match="GRID_POINT_CAP = 1000000 grid"):
+            certify_modularity_bound(grid_step=step, with_trace=True)
+    # the cap counts points: at a cap of 10, ten points run and eleven do not
+    monkeypatch.setattr(certify, "GRID_POINT_CAP", 10)
+    monkeypatch.setattr(certify, "max_certified_delta", lambda u, precision: 0.1)
+    assert len(certify_modularity_bound(grid_step=0.05, with_trace=True).trace) == 10
+    with pytest.raises(ValueError, match="GRID_POINT_CAP = 10 grid"):
+        certify_modularity_bound(grid_step=0.5 / 11)
 
 
 # --------------------------------------------------- complement coverage

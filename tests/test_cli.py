@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from pamod import certify as cert
 from pamod import cuts, load_graph, modularity
 from pamod.cli import main
 
@@ -184,6 +185,27 @@ def test_certify_coarse_grid(capsys):
 
 def test_certify_bad_grid():
     assert run_main("certify", "--grid-step", "0.3") == 2
+
+
+def test_certify_refuses_a_precision_below_two_to_the_minus_55(capsys):
+    # 5e-324 used to end in an OverflowError traceback and exit 1
+    assert run_main("certify", "--precision", "5e-324") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need 2^-55 <= precision <= 1/4, got 5e-324\n"
+
+
+def test_certify_refuses_a_grid_over_the_point_cap(monkeypatch, capsys):
+    def no_delta(u, precision):
+        raise AssertionError("max_certified_delta was called")
+
+    monkeypatch.setattr(cert, "max_certified_delta", no_delta)
+    assert run_main("certify", "--grid-step", "1e-300") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: grid_step 1e-300 gives more than GRID_POINT_CAP = 1000000 grid points\n"
+    )
 
 
 # ---------------------------------------------------------------- lemma2

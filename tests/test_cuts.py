@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -199,6 +200,40 @@ def test_no_limit_lifts_the_subset_table_cap(monkeypatch, call):
     monkeypatch.setattr(modularity, "_subset_sums", no_table)
     with pytest.raises(ValueError, match=f"exhaustive limit {EXACT_SUBSET_LIMIT}"):
         call(g)
+
+
+def test_expansion_refuses_n25_even_when_no_subset_qualifies(monkeypatch):
+    # floor(u*n) = 0 is answered +inf without a table, but only after the
+    # size refusal
+    _, g = generate(Model.STANDARD, 1, 25, 0)
+
+    def no_table(*_args):
+        raise AssertionError("a subset table was built")
+
+    monkeypatch.setattr(cuts, "_subset_sums", no_table)
+    assert math.floor(Fraction(1, 1000) * 25) == 0
+    with pytest.raises(ValueError, match=f"exhaustive limit {EXACT_SUBSET_LIMIT}"):
+        exact_expansion(g, Fraction(1, 1000))
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_subset_table_peaks_per_mask(model):
+    # the profile holds an int32 boundary and a uint8 size table, 5 bytes
+    # per mask; exact expansion's witness search adds one boolean table
+    n = 22
+    _, g = generate(model, 2, n, 1)
+    calls = {
+        "exact_expansion": (lambda: exact_expansion(g, Fraction(1, 2)), 6.25),
+        "expansion_profile": (lambda: expansion_profile(g), 5.25),
+    }
+    for name, (call, cap) in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap * 2**n, (name, peak / 2**n)
 
 
 @given(graph_params, st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]))
