@@ -29,8 +29,8 @@ The one slack exception: ``complement_term_dominates`` allows
 
 ``certify_modularity_bound`` refuses grids of more than
 ``GRID_POINT_CAP`` points before it starts.  Its cost is linear in the
-point count: at the cap, about 18 s on a 2-core Xeon host, and 22 s and
-340 MiB peak RSS when ``pamod certify --trace`` keeps every point's row.
+point count: at the cap, about 18 s on a 2-core Xeon host, and 20 s and
+200 MiB peak RSS when ``pamod certify --trace`` keeps every point's row.
 """
 
 from __future__ import annotations

@@ -112,17 +112,18 @@ def _cmd_certify(args) -> int:
     }
     _write_or_print(json.dumps(payload) + "\n", args.out)
     if args.trace is not None:
-        lines = ["u,delta,term"]
-        for u_s, delta, term in result.trace:
-            lines.append(f"{u_s:.12g},{delta:.12g},{term:.12g}")
         with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write("u,delta,term\n")
+            fh.writelines(
+                f"{u_s:.12g},{delta:.12g},{term:.12g}\n"
+                for u_s, delta, term in result.trace
+            )
     return EXIT_OK
 
 
 def _cmd_lemma2(args) -> int:
     model = models.Model(args.model)
-    raw = json.loads(args.spec)
+    raw = models._parse_json(args.spec)
     try:
         subset = frozenset(models._json_int(v, "S entry") for v in raw["S"])
         arrivals = frozenset(models._json_int(t, "A entry") for t in raw["A"])
@@ -154,7 +155,7 @@ def _cmd_sweep(args) -> int:
     payload = {}
     if args.config is not None:
         with open(args.config, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = models._parse_json(fh.read())
     overrides = {
         "model": args.model,
         "h_list": _split(args.h_list, int),

@@ -183,6 +183,18 @@ def test_certify_coarse_grid(capsys):
     assert payload["bound"] == 0.92428
 
 
+def test_certify_trace_matches_the_joined_lines(tmp_path):
+    # the CSV is streamed row by row; its bytes are those of one string
+    # of newline-joined lines
+    trace = tmp_path / "trace.csv"
+    assert run_main("certify", "--grid-step", "0.001", "--trace", str(trace)) == 0
+    rows = cert.certify_modularity_bound(grid_step=0.001, with_trace=True).trace
+    lines = ["u,delta,term"]
+    for u_s, delta, term in rows:
+        lines.append(f"{u_s:.12g},{delta:.12g},{term:.12g}")
+    assert trace.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
 def test_certify_bad_grid():
     assert run_main("certify", "--grid-step", "0.3") == 2
 
@@ -310,6 +322,35 @@ def test_empty_string_options_are_refused(tmp_path, monkeypatch, capsys, argv, f
     assert captured.out == ""
     assert captured.err == f"error: {flag} needs {needs}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# ------------------------------------------------------ deep JSON nesting
+
+DEEP = "[" * 100_000 + "]" * 100_000
+DEEP_EDGE = (
+    '{"model": "standard", "h": 1, "n": 1, "seed": 0, "edges": ['
+    + "[" * 50_000 + "1, 1, 1" + "]" * 50_000 + "]}"
+)
+DEEP_ERROR = "error: JSON input is nested too deeply\n"
+
+
+@pytest.mark.parametrize("text", [DEEP, DEEP_EDGE], ids=["deep", "deep_edge"])
+@pytest.mark.parametrize("argv", [("expand", "--graph"), ("mod", "--graph"),
+                                  ("sweep", "--config")])
+def test_deeply_nested_files_are_usage_errors(tmp_path, capsys, argv, text):
+    # they used to end in a RecursionError traceback and exit 1
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    assert run_main(*argv, str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == DEEP_ERROR
+
+
+def test_deeply_nested_lemma2_spec_is_a_usage_error(capsys):
+    spec = "[" * 20_000 + "]" * 20_000
+    assert run_main(*LEMMA2[:-1], spec) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == DEEP_ERROR
 
 
 # ----------------------------------------------------------------- sweep

@@ -2,11 +2,13 @@
 
 import ast
 import dataclasses
+import gc
 import itertools
 import json
 import pathlib
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -39,6 +41,7 @@ from pamod.models import (
     _IntColumns,
     graph_from_json,
     graph_to_json,
+    graph_to_text,
     sample_target_matrix,
     vertex_of,
 )
@@ -494,6 +497,111 @@ def test_golden_graph_file(tmp_path):
     save_graph(g, saved)
     assert saved.read_bytes() == golden
     assert load_graph(DATA / "graph_standard_h2_n12_seed7.json") == g
+
+
+# ------------------------------------------------------ graph file codec
+
+
+def _list_encoding(graph):
+    """The graph file as ``json.dumps`` writes the list-of-lists form."""
+    return json.dumps(graph_to_json(graph)) + "\n"
+
+
+I64 = 2**63 - 1
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (1, []),
+        (1, [(1, 1, 1)]),
+        (3, [(1, 2, -1), (2, 3, -40), (1, 1, 0)]),
+        (2, [(1, 2, I64), (1, 1, -I64), (2, 2, -I64 - 1)]),
+        (12345, [(9, 10, 11), (99, 12345, 100), (1000, 1000, 123456789)]),
+    ],
+)
+def test_graph_to_text_matches_the_list_encoding(model, n, edges):
+    for h, seed in [(1, 0), (7, 2**64 - 1)]:
+        g = MultiGraph(n=n, edges=edges, model=model, h=h, seed=seed)
+        assert graph_to_text(g) == _list_encoding(g)
+
+
+def test_graph_to_text_matches_the_golden_file():
+    golden = DATA / "graph_standard_h2_n12_seed7.json"
+    g = load_graph(golden)
+    assert graph_to_text(g) == _list_encoding(g) == golden.read_text()
+
+
+def test_graph_encoders_refuse_graphs_without_metadata():
+    g = MultiGraph.from_pairs(2, [(1, 1), (1, 2)])
+    for encode in (graph_to_json, graph_to_text):
+        with pytest.raises(ValueError, match="only generated graphs"):
+            encode(g)
+
+
+@pytest.fixture()
+def restore_collector():
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (None, None),
+        ('{"model": "standard", "h": ', "Expecting value"),
+        ("[" * 100_000 + "]" * 100_000, "JSON input is nested too deeply"),
+    ],
+    ids=["valid", "malformed", "deep"],
+)
+def test_load_graph_leaves_the_collector_as_it_found_it(
+    tmp_path, monkeypatch, restore_collector, enabled, text, error
+):
+    path = tmp_path / "g.json"
+    if text is None:
+        save_graph(generate(Model.TILDE, 2, 5, 3)[1], path)
+    else:
+        path.write_text(text)
+    during = []
+    loads = json.loads
+
+    def spy(*args, **kwargs):
+        during.append(gc.isenabled())
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", spy)
+    (gc.enable if enabled else gc.disable)()
+    if error is None:
+        assert load_graph(path).m == 10
+    else:
+        with pytest.raises(ValueError, match=error):
+            load_graph(path)
+    assert gc.isenabled() is enabled
+    assert during == [False]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_graph_codec_peaks_per_edge(model, tmp_path):
+    # the encoder formats one flat list of ints, with no list per edge; a
+    # load holds json's parse, a list per edge, while it builds the array
+    _, g = generate(model, 4, 25_000, 1)
+    path = tmp_path / "g.json"
+    save_graph(g, path)
+    calls = {
+        "graph_to_text": (lambda: graph_to_text(g), 190),
+        "load_graph": (lambda: load_graph(path), 232),
+    }
+    for name, (call, cap) in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cap * g.m, (name, peak / g.m)
 
 
 # ------------------------------------------------ graph path oracle
