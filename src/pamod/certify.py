@@ -42,6 +42,18 @@ import numpy as np
 
 COMPLEMENT_SLACK = 1e-12
 GRID_POINT_CAP = 10**6
+# eta with expansion >= eta*h certified: (2e/eta)^(4 eta) < 2 at h = 2
+EXPANSION_CONSTANT = 0.03418
+
+
+def _check_h(h: int) -> None:
+    if h < 2:
+        raise ValueError(f"need h >= 2, got {h}")
+
+
+def _check_u(u: float) -> None:
+    if not 0 < u <= 0.5:
+        raise ValueError(f"need 0 < u <= 1/2, got {u}")
 
 
 @dataclass(frozen=True)
@@ -58,8 +70,7 @@ class TailParams:
     u: float
 
     def __post_init__(self) -> None:
-        if self.h < 2:
-            raise ValueError(f"need h >= 2, got {self.h}")
+        _check_h(self.h)
         if not 0 < self.alpha_hat < (self.h - 1) / 2:
             raise ValueError(
                 f"need 0 < alpha_hat < (h-1)/2 = {(self.h - 1) / 2}, "
@@ -67,8 +78,7 @@ class TailParams:
             )
         if self.n < 1:
             raise ValueError(f"need n >= 1, got {self.n}")
-        if not 0 < self.u <= 0.5:
-            raise ValueError(f"need 0 < u <= 1/2, got {self.u}")
+        _check_u(self.u)
 
 
 @dataclass(frozen=True)
@@ -174,10 +184,8 @@ def _rate_holds(h: int, u: float, x: float) -> bool:
 
 def check_rate_condition(h: int, u: float, x: float) -> bool:
     """Strict log-space test of (e/(u x))^(2 h x) < (1/u)^(h-1)."""
-    if h < 2:
-        raise ValueError(f"need h >= 2, got {h}")
-    if not 0 < u <= 0.5:
-        raise ValueError(f"need 0 < u <= 1/2, got {u}")
+    _check_h(h)
+    _check_u(u)
     if not 0 < x <= 1:
         raise ValueError(f"need 0 < x <= 1, got {x}")
     return _rate_holds(h, u, x)
@@ -197,8 +205,7 @@ def max_certified_delta(u: float, precision: float = 1e-5) -> float:
     precision 2^-55 there are more than 2^53 multiples under 1/4, past
     float64's exact integers, so the search could not find the top one.
     """
-    if not 0 < u <= 0.5:
-        raise ValueError(f"need 0 < u <= 1/2, got {u}")
+    _check_u(u)
     if not 2.0**-55 <= precision <= 0.25:
         raise ValueError(f"need 2^-55 <= precision <= 1/4, got {precision}")
 
@@ -212,8 +219,6 @@ def max_certified_delta(u: float, precision: float = 1e-5) -> float:
         raise ValueError(f"precision {precision} leaves no admissible multiples")
     if not ok(1):
         raise ValueError(f"no multiple of {precision} certifiable at u={u}")
-    if ok(j_max):
-        return j_max * precision
     lo, hi = 1, j_max
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -295,8 +300,7 @@ def complement_term_dominates(u: float, delta: float) -> bool:
     large sets.  The two sides agree exactly at u = 1/2, hence the tiny
     additive slack instead of the strict zero-slack rule used elsewhere.
     """
-    if not 0 < u <= 0.5:
-        raise ValueError(f"need 0 < u <= 1/2, got {u}")
+    _check_u(u)
     if not 0 <= delta <= 1:
         raise ValueError(f"need 0 <= delta <= 1, got {delta}")
     lhs, rhs = _complement_sides(u, delta)
@@ -317,7 +321,7 @@ def expansion_constant_value(eta: float) -> float:
     return rate_condition_value(2, 0.5, eta)
 
 
-def check_expansion_constant(eta: float = 0.03418) -> bool:
+def check_expansion_constant(eta: float = EXPANSION_CONSTANT) -> bool:
     """True when (2e/eta)^(4 eta) < 2, certifying expansion >= eta*h.
 
     The test is the u = 1/2 rate condition at h = 2; for h > 2 the
@@ -335,6 +339,5 @@ def large_h_modularity_bound(h: int) -> float:
     Kept for reporting only: it drops lower-order terms, so nothing is
     asserted against it.  Strictly decreasing for h >= 3 and -> 0.
     """
-    if h < 2:
-        raise ValueError(f"need h >= 2, got {h}")
+    _check_h(h)
     return 3.0 * math.sqrt(2.0 * math.log(2.0)) * math.sqrt(math.log(h) / h)

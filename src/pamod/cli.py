@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from pamod import certify as cert
 from pamod import cut_events as events
@@ -63,11 +62,10 @@ def _cmd_expand(args) -> int:
             "ratio": _frac_str(report.ratio),
         }
     else:
-        u = Fraction(args.u)
         if args.trials is not None:
-            res = cuts.sampled_expansion(graph, u, args.trials, args.seed)
+            res = cuts.sampled_expansion(graph, args.u, args.trials, args.seed)
         else:
-            res = cuts.exact_expansion(graph, u, limit=args.limit)
+            res = cuts.exact_expansion(graph, args.u, limit=args.limit)
         payload = {
             "u": _frac_str(res.u),
             "alpha": _frac_str(res.alpha),
@@ -101,14 +99,15 @@ def _cmd_certify(args) -> int:
         precision=args.precision,
         with_trace=args.trace is not None,
     )
+    eta = cert.EXPANSION_CONSTANT
     payload = {
         "bound": result.bound,
         "minimizer_u": result.minimizer_u,
         "minimizer_delta": result.minimizer_delta,
         "grid_step": result.grid_step,
         "delta_precision": result.delta_precision,
-        "constant_ok": cert.check_expansion_constant(),
-        "constant_value": _round12(cert.expansion_constant_value(0.03418)),
+        "constant_ok": cert.check_expansion_constant(eta),
+        "constant_value": _round12(cert.expansion_constant_value(eta)),
     }
     _write_or_print(json.dumps(payload) + "\n", args.out)
     if args.trace is not None:

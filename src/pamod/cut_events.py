@@ -28,8 +28,10 @@ import numpy as np
 from pamod.cuts import _members
 from pamod.models import (
     Model,
+    _check_hn,
     _check_model,
     _check_seed,
+    _check_vertices,
     _enumerate_logs,  # unused here; perfbench/test_perfbench.py imports it from here
     sample_target_matrix,
     vertex_of,
@@ -60,13 +62,10 @@ class CutEventSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "subset", frozenset(self.subset))
         object.__setattr__(self, "arrivals", frozenset(self.arrivals))
-        if self.h < 1 or self.n < 1:
-            raise ValueError(f"need h >= 1 and n >= 1, got h={self.h}, n={self.n}")
+        _check_hn(self.h, self.n)
         if not self.subset:
             raise ValueError("subset must be nonempty")
-        for v in self.subset:
-            if not 1 <= v <= self.n:
-                raise ValueError(f"vertex {v} out of range 1..{self.n}")
+        _check_vertices(self.subset, self.n)
         hn = self.h * self.n
         for t in self.arrivals:
             if not 1 <= t <= hn:
@@ -105,8 +104,7 @@ class CutEventScan:
 def cut_event_bound(h: int, n: int, k: int, a: int) -> Fraction:
     """C(hk, a) / C(hn - a, hk - a), exactly; over 1 (vacuous, but valid)
     for large a."""
-    if h < 1 or n < 1:
-        raise ValueError(f"need h >= 1 and n >= 1, got h={h}, n={n}")
+    _check_hn(h, n)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
     if not 0 <= a < h * k:
@@ -210,8 +208,7 @@ def scan_cut_events(model: Model, h: int, n: int) -> CutEventScan:
     (2, 12) 3.3 s, under 30 MiB peak RSS (2-core Xeon).
     """
     model = _check_model(model)
-    if h < 1 or n < 1:
-        raise ValueError(f"need h >= 1 and n >= 1, got h={h}, n={n}")
+    _check_hn(h, n)
     hn = h * n
     if (work := ((1 << n) - 2) * hn**3) > SCAN_WORK_CAP:
         raise ValueError(f"{work} work units, over the scan work cap {SCAN_WORK_CAP}")

@@ -25,7 +25,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from pamod.models import MultiGraph, _check_seed
+from pamod.models import MultiGraph, _check_seed, _check_vertices
 
 # Largest n for the exhaustive search: an int32 boundary and a uint8 size
 # table over all 2^n masks, 5 bytes per mask (6 in exact expansion's witness
@@ -68,7 +68,10 @@ def as_fraction(u) -> Fraction:
             raise ValueError(f"u must be finite, got {u}")
         return Fraction(u)
     if isinstance(u, str):
-        return Fraction(u)
+        try:
+            return Fraction(u)
+        except ZeroDivisionError:  # "1/0", "0/0"
+            pass
     raise ValueError(f"cannot interpret {u!r} as a rational")
 
 
@@ -87,10 +90,7 @@ def edge_boundary(graph: MultiGraph, subset) -> CutReport:
     weight-1 loop of a tilde graph sits inside S (it counts once in the
     volume but is a full inner edge).
     """
-    sset = frozenset(subset)
-    for v in sset:
-        if not 1 <= v <= graph.n:
-            raise ValueError(f"vertex {v} out of range 1..{graph.n}")
+    sset = _check_vertices(subset, graph.n)
     rest = frozenset(range(1, graph.n + 1)) - sset
     inner, boundary, vols = _part_tallies(graph, (sset, rest))
     ratio = Fraction(boundary[0], len(sset)) if sset else None

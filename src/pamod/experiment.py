@@ -31,6 +31,7 @@ from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from itertools import product
 
+from pamod.certify import EXPANSION_CONSTANT
 from pamod.cut_events import CutEventSpec, estimate_cut_event, scan_cut_events
 from pamod.cuts import (
     EXACT_SUBSET_LIMIT, SearchMethod, expansion_profile, sampled_expansion
@@ -46,7 +47,6 @@ from pamod.modularity import (
     greedy_modularity,
 )
 
-EXPANSION_CONSTANT = 0.03418
 CERTIFIED_BOUND = 0.92383
 
 # Largest h*n whose lemma2 cell is an exact scan rather than Monte Carlo.

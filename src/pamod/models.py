@@ -86,12 +86,28 @@ def _check_seed(seed: int) -> int:
 
 
 def _check_model(model: Model) -> Model:
+    # by type: Model()'s message reprs the value, maybe a deeply nested list
+    if not isinstance(model, str):
+        raise ValueError(f"model must be a string, got {type(model).__name__}")
     if not isinstance(model, Model):
         try:
             return Model(model)
         except ValueError:
             raise ValueError(f"unknown model {model!r}") from None
     return model
+
+
+def _check_hn(h: int, n: int) -> None:
+    if h < 1 or n < 1:
+        raise ValueError(f"need h >= 1 and n >= 1, got h={h}, n={n}")
+
+
+def _check_vertices(vertices, n: int) -> frozenset[int]:
+    """``vertices`` as a frozenset, refused if one lies outside 1..n."""
+    for v in (vs := frozenset(vertices)):
+        if not 1 <= v <= n:
+            raise ValueError(f"vertex {v} out of range 1..{n}")
+    return vs
 
 
 def vertex_of(mini, h: int):
@@ -180,8 +196,7 @@ class ArrivalLog(_ColumnRecord):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", _check_model(self.model))
-        if self.h < 1 or self.n < 1:
-            raise ValueError(f"need h >= 1 and n >= 1, got h={self.h}, n={self.n}")
+        _check_hn(self.h, self.n)
         s = self.target_array
         if len(s) != self.h * self.n:
             raise ValueError(f"log length {len(s)} != h*n = {self.h * self.n}")
@@ -285,13 +300,14 @@ def merge(log: ArrivalLog, *, seed: int | None = None) -> MultiGraph:
     cols[:, :2] += log.h - 1  # vertex_of, in place
     cols[:, :2] //= log.h
     cols.flags.writeable = False
+    return _generated_graph(log.model, log.h, log.n, cols, seed)
+
+
+def _generated_graph(model: Model, h: int, n: int, edges, seed) -> MultiGraph:
+    """A run's graph: only a tilde run has a weight-1 first loop."""
     return MultiGraph(
-        n=log.n,
-        edges=cols,
-        first_loop_weight1=(log.model is Model.TILDE),
-        model=log.model,
-        h=log.h,
-        seed=seed,
+        n=n, edges=edges, first_loop_weight1=(model is Model.TILDE),
+        model=model, h=h, seed=seed,
     )
 
 
@@ -347,8 +363,7 @@ def generate(model: Model, h: int, n: int, seed: int) -> tuple[ArrivalLog, Multi
         The arrival log and its merged multigraph.
     """
     model = _check_model(model)
-    if h < 1 or n < 1:
-        raise ValueError(f"need h >= 1 and n >= 1, got h={h}, n={n}")
+    _check_hn(h, n)
     seed = _check_seed(seed)
     targets = _sample_runs(model, h * n, 1, np.random.default_rng(seed))[0]
     targets.flags.writeable = False
@@ -399,11 +414,11 @@ def _enumerate_logs(model: Model, length: int):
     the standard model (tau is the self-loop, weight 1) and 1..tau-1 in
     the tilde model, and its numerator is multiplied by deg(s).
 
-    A level of more than ``_ENUMERATION_CAP`` logs is refused before it is
-    allocated.  Peak memory is at most about 20 * length bytes per log of
-    the widest level (that level, the one before it and temporaries): at
-    the cap, under 100 MB for length 10 and under 180 MB for length 18,
-    the longest the int64 denominator check lets through.
+    A level over ``_ENUMERATION_CAP`` logs is refused before any is built.
+    Peak memory is at most about 20 * length bytes per log of the widest
+    level (that level, the one before it and temporaries): at the cap,
+    under 100 MB for length 10 and under 180 MB for length 18, the
+    longest the int64 denominator check lets through.
     """
     model = _check_model(model)
     loops = model is Model.STANDARD
@@ -413,6 +428,13 @@ def _enumerate_logs(model: Model, length: int):
             f"{model.value} logs of length {length} have denominator {denom} "
             ">= 2^63, beyond int64 numerators"
         )
+    # level tau holds tau! (standard) or (tau-1)! (tilde) logs
+    for tau in range(1, length + 1):
+        if (size := math.factorial(tau - (not loops))) > _ENUMERATION_CAP:
+            raise ValueError(
+                f"{model.value} logs of length {length}: step {tau} would hold "
+                f"{size} logs, over the enumeration cap {_ENUMERATION_CAP}"
+            )
     targets = np.zeros((1, length), dtype=np.int64)
     # the denominator check caps length at 19, so degrees fit in uint8
     degs = np.zeros((1, length), dtype=np.uint8)
@@ -420,11 +442,6 @@ def _enumerate_logs(model: Model, length: int):
     for tau in range(1, length + 1):
         # e_1 is the loop at mini-vertex 1 in both models
         cand = np.arange(1, tau + 1 if loops or tau == 1 else tau)
-        if (size := len(nums) * len(cand)) > _ENUMERATION_CAP:
-            raise ValueError(
-                f"{model.value} logs of length {length}: step {tau} would hold "
-                f"{size} logs, over the enumeration cap {_ENUMERATION_CAP}"
-            )
         rows = np.repeat(np.arange(len(nums)), len(cand))
         s = np.tile(cand, len(nums))
         own = s == tau
@@ -562,14 +579,7 @@ def graph_from_json(payload: dict) -> MultiGraph:
             f"endpoint must be ceil(t/h) = {vertex_of(t0, h)}"
         )
     cols.flags.writeable = False
-    graph = MultiGraph(
-        n=n,
-        edges=cols,
-        first_loop_weight1=(model is Model.TILDE),
-        model=model,
-        h=h,
-        seed=seed,
-    )
+    graph = _generated_graph(model, h, n, cols, seed)
     # A tilde arrival never targets itself, so a loop at the first
     # mini-vertex of its block (t = (v-1)*h + 1) has no earlier mini there.
     bad = np.flatnonzero((lo == hi) & ((t - 1) % h == 0) & (t > 1))

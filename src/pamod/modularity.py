@@ -50,7 +50,7 @@ from pamod.cuts import (
     edge_boundary,
     expansion_profile,
 )
-from pamod.models import MultiGraph, _check_seed
+from pamod.models import MultiGraph, _check_seed, _check_vertices
 
 # Largest n the exact DP accepts; a ``limit`` argument may only lower it.
 # Time grows as 3^n: 0.13 s at n = 16, past 1 s per graph near n = 18.
@@ -81,9 +81,7 @@ def check_partition(graph: MultiGraph, parts) -> Partition:
     for p in norm:
         if not p:
             raise ValueError("empty part in partition")
-        for v in p:
-            if not 1 <= v <= graph.n:
-                raise ValueError(f"vertex {v} out of range 1..{graph.n}")
+        for v in _check_vertices(p, graph.n):
             if v in seen:
                 raise ValueError(f"vertex {v} appears in two parts")
             seen.add(v)

@@ -1,15 +1,18 @@
 """End-to-end CLI behavior: every subcommand plus the exit-code contract."""
 
+import csv
 import json
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from pamod import certify as cert
-from pamod import cuts, load_graph, modularity
+from pamod import cuts, experiment, load_graph, modularity
 from pamod.cli import main
+from pamod.experiment import ExperimentConfig
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -96,6 +99,24 @@ def test_expand_sampled(graph_file, capsys):
 
 def test_expand_missing_file(tmp_path):
     assert run_main("expand", "--graph", str(tmp_path / "no.json")) == 2
+
+
+@pytest.mark.parametrize("trials", [(), ("--trials", "4")], ids=["exact", "sampled"])
+@pytest.mark.parametrize(
+    "u, message",
+    [
+        ("1/0", "cannot interpret '1/0' as a rational"),
+        ("0/0", "cannot interpret '0/0' as a rational"),
+        ("abc", "Invalid literal for Fraction: 'abc'"),
+        ("0", "need 0 < u <= 1/2, got 0"),
+        ("0.75", "need 0 < u <= 1/2, got 3/4"),
+    ],
+)
+def test_expand_u_errors_are_usage_errors(graph_file, capsys, u, message, trials):
+    # 1/0 and 0/0 used to end in a ZeroDivisionError traceback and exit 1
+    assert run_main("expand", "--graph", str(graph_file), "--u", u, *trials) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"
 
 
 # ------------------------------------------------------------------- mod
@@ -389,6 +410,65 @@ def test_sweep_config_file_with_override(tmp_path, capsys):
     assert capsys.readouterr().out == (DATA / "golden_sweep.json").read_text()
 
 
+def test_sweep_exits_1_when_an_inequality_is_violated(tmp_path, capsys, monkeypatch):
+    # a profile bound of 0 puts every positive exact q above it
+    monkeypatch.setattr(
+        experiment, "bound_from_expansion_profile", lambda *args: Fraction(0)
+    )
+    out_json, out_csv = tmp_path / "r.json", tmp_path / "r.csv"
+    argv = ("sweep", "--model", "standard", "--h-list", "2", "--n-list", "6",
+            "--trials", "2", "--root-seed", "5", "--tasks", "modularity,bounds")
+    violated = "deterministic inequality violated; see report\n"
+    assert run_main(*argv, "--out-json", str(out_json), "--out-csv", str(out_csv)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == violated
+    assert json.loads(out_json.read_text())["summary"]["status"] == "FAILED"
+    rows = list(csv.DictReader(out_csv.read_text().splitlines()))
+    assert [row["q_above_profile"] for row in rows] == ["1", "1"]
+    assert run_main(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == violated
+    report = json.loads(captured.out)
+    assert report["summary"]["status"] == "FAILED"
+    assert report["summary"]["violations"]["q_above_profile_bound"] == 2
+
+
+NESTED_MODEL_SCRIPT = """
+import contextlib, io, json, runpy, sys
+path = sys.argv[1]
+for depth in range(980, 991):
+    with open(path, "w") as fh:
+        fh.write('{"model": ' + "[" * depth + "]" * depth
+                 + ', "h_list": [2], "n_list": [4], "trials": 1, "root_seed": 1}')
+    sys.argv = ["pamod", "sweep", "--config", path]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            runpy.run_module("pamod", run_name="__main__")
+        except SystemExit as exc:
+            code = exc.code
+    print(json.dumps([depth, code, err.getvalue()]))
+"""
+
+
+def test_a_deeply_nested_sweep_model_is_a_short_usage_error(tmp_path):
+    # A config whose model is a list nested 987-988 deep (just inside the
+    # parser's limit at the CLI's stack depth) ended in a RecursionError,
+    # raised where Model() repr'd the list; at depth 900 the repr made a
+    # 1,800-character error line.  Run as the CLI runs, in a fresh process.
+    out = subprocess.run(
+        [sys.executable, "-c", NESTED_MODEL_SCRIPT, str(tmp_path / "cfg.json")],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr[-500:]
+    results = [json.loads(line) for line in out.stdout.splitlines()]
+    assert [depth for depth, _code, _err in results] == list(range(980, 991))
+    for _depth, code, err in results:
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 80
+    assert "error: model must be a string, got list\n" in [e for _d, _c, e in results]
+
+
 def test_sweep_bad_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"model": "standard"}')
@@ -420,6 +500,20 @@ def test_sweep_malformed_config_is_a_usage_error(tmp_path, capsys, payload, flag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_a_non_string_model_is_refused_by_its_type(tmp_path, capsys):
+    deep = []
+    for _ in range(900):
+        deep = [deep]
+    for model in (3, None, deep):
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig.from_dict({**GOOD_CONFIG, "model": model})
+        assert str(info.value) == f"model must be a string, got {type(model).__name__}"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**GOOD_CONFIG, "model": "bogus"}))
+    assert run_main("sweep", "--config", str(cfg)) == 2
+    assert capsys.readouterr().err == "error: unknown model 'bogus'\n"
 
 
 # ------------------------------------------------------- console script

@@ -238,6 +238,21 @@ def test_enumerator_refuses_denominators_over_int64_before_enumerating(monkeypat
     assert exact_cut_event(Model.STANDARD, spec) == p == Fraction(32, 1155)
 
 
+def test_enumerator_refuses_before_it_builds_a_level(monkeypatch):
+    # the refusal used to come at step 10 (standard) or 11 (tilde), after
+    # the levels below it were built: 0.1 s and 96 MiB peak RSS
+    def no_level(*args, **kwargs):
+        raise AssertionError("a level was built before the refusal")
+
+    monkeypatch.setattr(models.np, "repeat", no_level)
+    with pytest.raises(ValueError, match="step 10 would hold 3628800 logs"):
+        _enumerate_logs(Model.STANDARD, 15)
+    with pytest.raises(ValueError, match="step 11 would hold 3628800 logs"):
+        exact_small_t_distribution(Model.TILDE, 12)
+    with pytest.raises(AssertionError, match="a level was built"):
+        _enumerate_logs(Model.STANDARD, 9)
+
+
 # ------------------------------------------------------------------ scan
 
 

@@ -172,6 +172,20 @@ def test_expansion_u_validation():
         exact_expansion(K4, float("nan"))
 
 
+@pytest.mark.parametrize("u", ["1/0", "0/0"])
+def test_a_zero_denominator_is_not_a_rational(u):
+    # Fraction("1/0") raises ZeroDivisionError, which no caller expects
+    message = f"cannot interpret '{u}' as a rational"
+    for call in (
+        lambda: exact_expansion(K4, u),
+        lambda: sampled_expansion(K4, u, trials=2, seed=0),
+        lambda: cuts.as_fraction(u),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert type(info.value) is ValueError and str(info.value) == message
+
+
 def test_expansion_refuses_large_graphs():
     _, g = generate(Model.STANDARD, 1, 30, 0)
     with pytest.raises(ValueError, match="sampled_expansion"):

@@ -1,0 +1,181 @@
+"""Every input rule's refusal, pinned by exact type and message, and the
+one place in ``src/pamod`` where each shared rule is written."""
+
+import ast
+import math
+import pathlib
+from fractions import Fraction
+
+import pytest
+
+from pamod import certify, cut_events, cuts, experiment, models, modularity
+from pamod.models import Model, MultiGraph
+
+SRC = pathlib.Path(models.__file__).parent
+STD, TIL = Model.STANDARD, Model.TILDE
+K3 = MultiGraph.from_pairs(3, [(1, 2), (2, 3), (1, 3)])
+EDGELESS = MultiGraph(n=3, edges=())
+ISOLATED_3 = MultiGraph.from_pairs(3, [(1, 2)])
+SWEEP = dict(model="standard", h_list=(2,), n_list=(4,), trials=1, root_seed=1)
+GRAPH = {"model": "standard", "h": 0, "n": 3, "seed": 0, "edges": []}
+
+HN = "need h >= 1 and n >= 1, got h={}, n={}"
+U = "need 0 < u <= 1/2, got {}"
+H2 = "need h >= 2, got {}"
+CAP = "{} logs of length {}: step {} would hold {} logs, over the enumeration cap 500000"
+
+# (callable, positional args, exact ValueError message)
+REFUSALS = [
+    # models: processes, seeds, sampler and exact laws
+    (models.ArrivalLog, (STD, 0, 3, (1,)), HN.format(0, 3)),
+    (models.ArrivalLog, (TIL, 2, -1, (1,)), HN.format(2, -1)),
+    (models.generate, (STD, 2, 0, 1), HN.format(2, 0)),
+    (models.generate, (TIL, 0, 0, 1), HN.format(0, 0)),
+    (models.generate, ("bogus", 1, 1, 1), "unknown model 'bogus'"),
+    (models.sample_target_matrix, (STD, 0, 5, 1), "need length >= 1 and trials >= 1"),
+    (models.sample_target_matrix, (TIL, 5, 0, 1), "need length >= 1 and trials >= 1"),
+    (models.derive_seed, (1, -1), "stream index must be >= 0, got -1"),
+    (models.exact_small_t_distribution, (STD, 0), "need t_max >= 1, got 0"),
+    (models._enumerate_logs, (STD, 15), CAP.format("standard", 15, 10, 3628800)),
+    (models.exact_small_t_distribution, (TIL, 12), CAP.format("tilde", 12, 11, 3628800)),
+    (models.graph_from_json, (GRAPH,), "need h >= 1, got h=0"),
+    # cut events
+    (cut_events.CutEventSpec, (0, 2, {1}, ()), HN.format(0, 2)),
+    (cut_events.CutEventSpec, (1, 2, set(), ()), "subset must be nonempty"),
+    (cut_events.CutEventSpec, (1, 2, {3}, ()), "vertex 3 out of range 1..2"),
+    (cut_events.CutEventSpec, (1, 2, {1}, {3}), "arrival 3 out of range 1..2"),
+    (cut_events.CutEventSpec, (1, 2, {1}, {2}), "|A| = 1 must be < h|S| = 1"),
+    (cut_events.cut_event_bound, (0, 2, 1, 0), HN.format(0, 2)),
+    (cut_events.cut_event_bound, (2, 2, 3, 0), "need 1 <= k <= n, got k=3"),
+    (cut_events.cut_event_bound, (2, 2, 1, 2), "need 0 <= a < h*k = 2, got a=2"),
+    (cut_events.scan_cut_events, (STD, 1, 0), HN.format(1, 0)),
+    (cut_events.scan_cut_events, (TIL, -1, 3), HN.format(-1, 3)),
+    # cuts: vertex sets and the rational u
+    (cuts.edge_boundary, (K3, {0}), "vertex 0 out of range 1..3"),
+    (cuts.edge_boundary, (K3, {1, 4}), "vertex 4 out of range 1..3"),
+    (cuts.exact_expansion, (K3, 0), U.format(0)),
+    (cuts.exact_expansion, (K3, "3/4"), U.format("3/4")),
+    (cuts.exact_expansion, (K3, "abc"), "Invalid literal for Fraction: 'abc'"),
+    (cuts.exact_expansion, (K3, math.inf), "u must be finite, got inf"),
+    (cuts.exact_expansion, (K3, [1]), "cannot interpret [1] as a rational"),
+    (cuts.sampled_expansion, (K3, 1, 4, 0), U.format(1)),
+    (cuts.sampled_expansion, (K3, "1/2", 0, 0), "need trials >= 1, got 0"),
+    # modularity
+    (modularity.check_partition, (K3, [{1, 2, 3, 4}]), "vertex 4 out of range 1..3"),
+    (modularity.check_partition, (K3, [{1}, {0, 2, 3}]), "vertex 0 out of range 1..3"),
+    (modularity.check_partition, (K3, [{1, 2}, set(), {3}]), "empty part in partition"),
+    (modularity.check_partition, (K3, [{1, 2}, {2, 3}]), "vertex 2 appears in two parts"),
+    (modularity.check_partition, (K3, [{1, 2}]), "partition does not cover all vertices"),
+    (modularity.modularity_score, (K3, [{5}]), "vertex 5 out of range 1..3"),
+    (modularity.negative_relative_modularity, (EDGELESS, {1}), "subset has zero volume"),
+    (modularity.negative_relative_modularity, (K3, {9}), "vertex 9 out of range 1..3"),
+    (modularity.worst_part_bound, (EDGELESS, [{1, 2, 3}]), "graph has no edges"),
+    (modularity.worst_part_bound, (ISOLATED_3, [{1, 2}, {3}]), "part has zero volume"),
+    (modularity.bound_from_expansion_profile, ({}, 2, 1), "profile bound needs n >= 2"),
+    (modularity.bound_from_expansion_profile, ({1: Fraction(1)}, 0, 2), "need h >= 1"),
+    # certify: h >= 2, the float u, precision and eta
+    (certify.TailParams, (1, 0.1, 10, 0.5), H2.format(1)),
+    (certify.TailParams, (2, 0.1, 10, 0.6), U.format(0.6)),
+    (certify.TailParams, (2, 0.1, 10, 0.0), U.format(0.0)),
+    (certify.check_rate_condition, (1, 0.5, 0.1), H2.format(1)),
+    (certify.check_rate_condition, (2, 0.0, 0.1), U.format(0.0)),
+    (certify.check_rate_condition, (2, 0.5, 0.0), "need 0 < x <= 1, got 0.0"),
+    (certify.max_certified_delta, (0.0,), U.format(0.0)),
+    (certify.max_certified_delta, (0.75, 1e-3), U.format(0.75)),
+    (certify.max_certified_delta, (0.5, 1e-17), "need 2^-55 <= precision <= 1/4, got 1e-17"),
+    (certify.max_certified_delta, (0.5, 0.25), "precision 0.25 leaves no admissible multiples"),
+    (certify.complement_term_dominates, (0.0, 0.1), U.format(0.0)),
+    (certify.complement_term_dominates, (0.6, 0.1), U.format(0.6)),
+    (certify.expansion_constant_value, (0.0,), "need 0 < eta < 1, got 0.0"),
+    (certify.check_expansion_constant, (1.0,), "need 0 < eta < 1, got 1.0"),
+    (certify.large_h_modularity_bound, (1,), H2.format(1)),
+    # experiment
+    (experiment.ExperimentConfig.from_dict, ({**SWEEP, "tasks": []},),
+     "tasks must be nonempty"),
+    (experiment.ExperimentConfig.from_dict, ({**SWEEP, "model": "bogus"},),
+     "unknown model 'bogus'"),
+]
+
+
+@pytest.mark.parametrize(
+    "call,args,message",
+    REFUSALS,
+    ids=[f"{i:02d}-{call.__qualname__}" for i, (call, _a, _m) in enumerate(REFUSALS)],
+)
+def test_each_refusal_keeps_its_type_and_message(call, args, message):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+def test_the_edge_cases_next_to_the_refusals_keep_their_results():
+    # an edgeless graph scores zero by convention
+    score = modularity.modularity_score(EDGELESS, [{1, 2, 3}])
+    assert score == modularity.ModularityScore(Fraction(0), Fraction(0), Fraction(0))
+    # the top admissible multiple of 0.05 below 1/4 is certifiable at u = 1e-6
+    assert certify.max_certified_delta(1e-6, 0.05) == 0.2
+    assert certify.max_certified_delta(1e-6, 0.125) == 0.125
+    # the default constant reads the same wherever it is reported
+    assert certify.check_expansion_constant()
+    assert experiment._summarize([], [])["expansion_constant"] == 0.03418
+
+
+# ---------------------------------------------------------- one owner each
+
+
+def _template(node: ast.JoinedStr) -> str:
+    """An f-string with every replacement field written as {…}."""
+    return "".join(
+        part.value if isinstance(part, ast.Constant) else "{…}" for part in node.values
+    )
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+
+
+def _templates(tree) -> list[str]:
+    return [_template(node) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)]
+
+
+@pytest.mark.parametrize(
+    "template,modules",
+    [
+        ("need h >= 1 and n >= 1, got h={…}, n={…}", None),
+        ("vertex {…} out of range 1..{…}", None),
+        # cuts._check_u prints the Fraction; certify's is the float rule
+        ("need 0 < u <= 1/2, got {…}", ["certify.py"]),
+        ("need h >= 2, got {…}", None),
+    ],
+    ids=["h-n", "vertex", "certify-u", "certify-h"],
+)
+def test_each_shared_refusal_is_written_once(template, modules):
+    trees = _trees()
+    found = [
+        name
+        for name, tree in trees.items()
+        if modules is None or name in modules
+        for text in _templates(tree)
+        if text == template
+    ]
+    assert len(found) == 1, found
+
+
+def test_the_tilde_loop_rule_and_the_expansion_constant_are_written_once():
+    tilde_keywords, constants = [], []
+    for name, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.keyword) and node.arg == "first_loop_weight1":
+                value = node.value
+                if (
+                    isinstance(value, ast.Compare)
+                    and isinstance(value.ops[0], ast.Is)
+                    and ast.unparse(value.comparators[0]) == "Model.TILDE"
+                ):
+                    tilde_keywords.append(name)
+            # a float constant is never a docstring
+            if isinstance(node, ast.Constant) and node.value == 0.03418:
+                constants.append(name)
+    assert tilde_keywords == ["models.py"]
+    assert constants == ["certify.py"]
