@@ -28,14 +28,32 @@ The one slack exception: ``complement_term_dominates`` allows
 ``COMPLEMENT_SLACK`` because its two sides are exactly equal at u = 1/2.
 
 ``certify_modularity_bound`` refuses grids of more than
-``GRID_POINT_CAP`` points before it starts.  Its cost is linear in the
-point count: at the cap, about 18 s on a 2-core Xeon host, and 20 s and
-200 MiB peak RSS when ``pamod certify --trace`` keeps every point's row.
+``GRID_POINT_CAP`` points before it starts.  All grid points bisect in
+lock-step, in numpy blocks of ``_BLOCK`` points, so the temporaries do
+not grow with the grid.  On a 2-core Xeon host the default grid takes
+about 4 ms (0.12 s for one scalar bisection per point), and the cap
+0.9 s; ``pamod certify`` at the cap peaks at 32 MiB RSS, and with
+``--trace`` at 55 MiB in about 3.5 s, the trace being three float64
+columns per block.
+
+The blocked search evaluates the rate condition with ``np.log``, which
+may differ from ``math.log`` in the last bit.  Its decisions are still
+exactly those of the scalar ``_rate_holds``: every decision whose gap
+``|lhs - rhs|`` is at most ``_RECHECK_RTOL * rhs``, with
+``rhs = ln(1/u) > 0`` and ``_RECHECK_RTOL = 2^-46`` (128 unit
+roundoffs), is decided again by ``_rate_holds``.  That tolerance rests
+on ``np.log`` staying within ``_LOG_ULP_BUDGET = 4`` ulp of ``math.log``
+(measured: at most 1 ulp on 10^6 random doubles in (0, 1/2], checked by
+the tests).  b ulp in each log move the left side by at most (2b + 4)
+and the right side by at most 2b unit roundoffs of max(lhs, rhs), so a
+decision can only flip where the gap is within (4b + 4) = 20 units of
+max(lhs, rhs), which there is rhs to within a few units.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +62,12 @@ COMPLEMENT_SLACK = 1e-12
 GRID_POINT_CAP = 10**6
 # eta with expansion >= eta*h certified: (2e/eta)^(4 eta) < 2 at h = 2
 EXPANSION_CONSTANT = 0.03418
+# q* <= this for h = 2: certify_modularity_bound() at its default grid
+MODULARITY_CONSTANT = 0.92383
+
+_BLOCK = 2**14  # grid points bisected together; bounds the temporaries
+_LOG_ULP_BUDGET = 4  # assumed max distance of np.log from math.log, in ulp
+_RECHECK_RTOL = 2.0**-46  # 128 unit roundoffs; a flip needs at most 20
 
 
 def _check_h(h: int) -> None:
@@ -54,6 +78,11 @@ def _check_h(h: int) -> None:
 def _check_u(u: float) -> None:
     if not 0 < u <= 0.5:
         raise ValueError(f"need 0 < u <= 1/2, got {u}")
+
+
+def _check_eta(eta: float) -> None:
+    if not 0 < eta < 1:
+        raise ValueError(f"need 0 < eta < 1, got {eta}")
 
 
 @dataclass(frozen=True)
@@ -95,6 +124,28 @@ class UnimodalityResult:
     trough: int  # position of the minimum of log f over 1..floor(n/2)
 
 
+@dataclass(frozen=True, eq=False)
+class GridTrace(Sequence):
+    """The certificate grid's (u_s, delta, term) rows as a sequence of
+    float triples, stored as three float64 columns per block of grid
+    points rather than one Python tuple per point."""
+
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def __len__(self) -> int:
+        return sum(len(us) for us, _, _ in self.blocks)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(self[i] for i in range(len(self))[key])
+        block, row = divmod(range(len(self))[key], len(self.blocks[0][0]))
+        return tuple(float(col[row]) for col in self.blocks[block])
+
+    def __iter__(self):
+        for cols in self.blocks:  # one block's Python floats at a time
+            yield from zip(*(col.tolist() for col in cols))
+
+
 @dataclass(frozen=True)
 class BoundCertificate:
     bound: float  # rounded up at 5 decimals
@@ -102,7 +153,7 @@ class BoundCertificate:
     minimizer_delta: float
     grid_step: float
     delta_precision: float
-    trace: tuple[tuple[float, float, float], ...] | None  # (u_s, delta, term)
+    trace: GridTrace | None
 
 
 def log_tail_term(params: TailParams, k: int) -> float:
@@ -172,9 +223,10 @@ def verify_unimodality(params: TailParams) -> UnimodalityResult:
     return UnimodalityResult(is_unimodal=bool(is_unimodal), trough=first_up + 1)
 
 
-def _log_rate(h: int, u: float, x: float) -> float:
-    """ln (e/(u x))^(2 h x), the left side of the rate condition."""
-    return 2.0 * h * x * (1.0 - math.log(u * x))
+def _log_rate(h: int, u, x, log=math.log):
+    """ln (e/(u x))^(2 h x), the left side of the rate condition; on
+    arrays with ``log=np.log``."""
+    return 2.0 * h * x * (1.0 - log(u * x))
 
 
 def _rate_holds(h: int, u: float, x: float) -> bool:
@@ -196,37 +248,65 @@ def rate_condition_value(h: int, u: float, x: float) -> float:
     return math.exp(_log_rate(h, u, x))
 
 
-def max_certified_delta(u: float, precision: float = 1e-5) -> float:
-    """Largest multiple d of ``precision`` with d < 1/4 certifiable at u.
+def _rate_holds_h2(us: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """``_rate_holds(2, u, x)`` elementwise, with the same decisions.
+
+    A gap within ``_RECHECK_RTOL * rhs``, where the last bit of
+    ``np.log`` could matter, or a non-finite side (u x underflows to 0)
+    is decided again by the scalar form.
+    """
+    with np.errstate(divide="ignore"):
+        lhs = _log_rate(2, us, xs, np.log)
+        rhs = -np.log(us)  # (h - 1) * -ln u at h = 2
+    holds = lhs < rhs
+    sure = (np.abs(lhs - rhs) > _RECHECK_RTOL * rhs) & np.isfinite(lhs)
+    for i in np.flatnonzero(~sure):
+        holds[i] = _rate_holds(2, float(us[i]), float(xs[i]))
+    return holds
+
+
+def _certified_js(us: np.ndarray, precision: float) -> np.ndarray:
+    """Per u in ``us``, the largest j with j * precision < 1/4 such that
+    d = j * precision is certifiable at u.
 
     Certifiable means the h = 2 rate condition (e/(u d))^(4d) < 1/u
     holds strictly.  The left side is increasing in d on (0, 1/u), so
-    admissible multiples form a prefix and binary search applies.  Below
-    precision 2^-55 there are more than 2^53 multiples under 1/4, past
-    float64's exact integers, so the search could not find the top one.
+    admissible multiples form a prefix and binary search applies: all
+    points bisect in lock-step with mid = (lo + hi + 1) // 2, each step
+    moving only the points with lo < hi, so each walks the path of a
+    scalar search.  Callers pass at most ``_BLOCK`` points, which bounds
+    the temporaries.  Below precision 2^-55 there are more than 2^53
+    multiples under 1/4, past float64's exact integers, so the search
+    could not find the top one.
     """
-    _check_u(u)
     if not 2.0**-55 <= precision <= 0.25:
         raise ValueError(f"need 2^-55 <= precision <= 1/4, got {precision}")
-
-    def ok(j: int) -> bool:
-        return _rate_holds(2, u, j * precision)
-
     j_max = int(math.floor(0.25 / precision))
     while j_max * precision >= 0.25:
         j_max -= 1
     if j_max < 1:
         raise ValueError(f"precision {precision} leaves no admissible multiples")
-    if not ok(1):
+    fails = np.flatnonzero(~_rate_holds_h2(us, np.full(us.shape, precision)))
+    if fails.size:
+        u = float(us[fails[0]])
         raise ValueError(f"no multiple of {precision} certifiable at u={u}")
-    lo, hi = 1, j_max
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo * precision
+    lo = np.ones(us.shape, np.int64)
+    hi = np.full(us.shape, j_max, np.int64)
+    live = np.flatnonzero(lo < hi)
+    while live.size:
+        mid = (lo[live] + hi[live] + 1) // 2
+        ok = _rate_holds_h2(us[live], mid * precision)
+        lo[live[ok]] = mid[ok]
+        hi[live[~ok]] = mid[~ok] - 1
+        live = live[lo[live] < hi[live]]
+    return lo
+
+
+def max_certified_delta(u: float, precision: float = 1e-5) -> float:
+    """Largest multiple d of ``precision`` with d < 1/4 certifiable at u:
+    the one-point case of ``_certified_js``."""
+    _check_u(u)
+    return int(_certified_js(np.array([u], np.float64), precision)[0]) * precision
 
 
 def _small_set_term(u, delta):
@@ -244,9 +324,11 @@ def certify_modularity_bound(
 
     For grid points u_s = s*grid_step up to 1/2, the certified term is
     delta_s/(2 + delta_s) + u_{s-1}/2 with delta_s the largest
-    certifiable rate at u_s; the bound is one minus the smallest term,
-    rounded up at five decimals so it stays an upper bound.  The default
-    grid reproduces bound 0.92383 at u = 0.0142 with delta 0.14851.
+    certifiable rate at u_s; the bound is one minus the smallest term
+    (its first occurrence), rounded up at five decimals so it stays an
+    upper bound.  The default grid reproduces ``MODULARITY_CONSTANT``
+    0.92383 at u = 0.0142 with delta 0.14851.  Points are certified in
+    blocks of ``_BLOCK``.
     """
     if not 0 < grid_step <= 0.5:
         raise ValueError(f"need 0 < grid_step <= 1/2, got {grid_step}")
@@ -262,17 +344,19 @@ def certify_modularity_bound(
     best_term = math.inf
     best_u = 0.0
     best_delta = 0.0
-    trace: list[tuple[float, float, float]] = []
-    for s in range(1, steps + 1):
-        u_s = s * grid_step
-        delta = max_certified_delta(u_s, precision)
-        term = _small_set_term((s - 1) * grid_step, delta)
+    blocks = []
+    for start in range(0, steps, _BLOCK):
+        s = np.arange(start + 1, min(start + _BLOCK, steps) + 1)
+        us = s * grid_step
+        deltas = _certified_js(us, precision) * precision
+        terms = _small_set_term((s - 1) * grid_step, deltas)
+        i = int(np.argmin(terms))
+        if terms[i] < best_term:
+            best_term = float(terms[i])
+            best_u = float(us[i])
+            best_delta = float(deltas[i])
         if with_trace:
-            trace.append((u_s, delta, term))
-        if term < best_term:
-            best_term = term
-            best_u = u_s
-            best_delta = delta
+            blocks.append((us, deltas, terms))
     bound = math.ceil((1.0 - best_term) * 1e5) / 1e5
     return BoundCertificate(
         bound=bound,
@@ -280,7 +364,7 @@ def certify_modularity_bound(
         minimizer_delta=round(best_delta, 10),
         grid_step=grid_step,
         delta_precision=precision,
-        trace=tuple(trace) if with_trace else None,
+        trace=GridTrace(tuple(blocks)) if with_trace else None,
     )
 
 
@@ -316,8 +400,7 @@ def complement_gap_grid(us: np.ndarray, deltas: np.ndarray) -> np.ndarray:
 
 def expansion_constant_value(eta: float) -> float:
     """(2e/eta)^(4 eta), the h = 2 witness value for the constant eta."""
-    if not 0 < eta < 1:
-        raise ValueError(f"need 0 < eta < 1, got {eta}")
+    _check_eta(eta)
     return rate_condition_value(2, 0.5, eta)
 
 
@@ -328,8 +411,7 @@ def check_expansion_constant(eta: float = EXPANSION_CONSTANT) -> bool:
     condition only gets easier, so one strict comparison covers all h.
     The default constant passes with value 1.99984; already 0.035 fails.
     """
-    if not 0 < eta < 1:
-        raise ValueError(f"need 0 < eta < 1, got {eta}")
+    _check_eta(eta)
     return _rate_holds(2, 0.5, eta)
 
 

@@ -31,7 +31,7 @@ from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from itertools import product
 
-from pamod.certify import EXPANSION_CONSTANT
+from pamod.certify import EXPANSION_CONSTANT, MODULARITY_CONSTANT
 from pamod.cut_events import CutEventSpec, estimate_cut_event, scan_cut_events
 from pamod.cuts import (
     EXACT_SUBSET_LIMIT, SearchMethod, expansion_profile, sampled_expansion
@@ -46,8 +46,6 @@ from pamod.modularity import (
     expansion_modularity_bound,
     greedy_modularity,
 )
-
-CERTIFIED_BOUND = 0.92383
 
 # Largest h*n whose lemma2 cell is an exact scan rather than Monte Carlo.
 EXACT_EVENT_LIMIT = 8
@@ -289,10 +287,10 @@ def _summarize(rows, cells) -> dict:
         "max_q": _round12(max(qs_all)) if qs_all else None,
         "frac_alpha_ge_constant_h": _ratio(alpha_hits, len(alpha_ratios)),
         "frac_exact_q_le_certified": _ratio(
-            sum(q <= CERTIFIED_BOUND for q in qs_exact), len(qs_exact)
+            sum(q <= MODULARITY_CONSTANT for q in qs_exact), len(qs_exact)
         ),
         "expansion_constant": EXPANSION_CONSTANT,
-        "certified_bound": CERTIFIED_BOUND,
+        "certified_bound": MODULARITY_CONSTANT,
     }
     if cells:
         summary["cut_event_cells"] = cells

@@ -308,10 +308,8 @@ def greedy_modularity(graph: MultiGraph, seed: int) -> tuple[Fraction, Partition
 def negative_relative_modularity(graph: MultiGraph, subset) -> Fraction:
     """(vol(G)/vol(S)) * (e(S,S-compl)/(2 e(G)) + vol(S)^2/vol(G)^2)."""
     report = edge_boundary(graph, subset)
-    if report.vol == 0:
+    if report.vol == 0:  # also catches a graph with no edges
         raise ValueError("subset has zero volume")
-    if graph.m == 0:
-        raise ValueError("graph has no edges")
     return _relative_term(graph, report.e_boundary, report.vol)
 
 

@@ -9,11 +9,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from pamod import certify
 from pamod.certify import (
+    MODULARITY_CONSTANT,
     TailParams,
     certify_modularity_bound,
     check_expansion_constant,
@@ -322,20 +323,44 @@ def test_certify_rejects_nondividing_grid():
 
 
 def test_certify_refuses_a_grid_over_the_point_cap(monkeypatch):
-    def no_delta(u, precision):
-        raise AssertionError("max_certified_delta was called")
+    def no_js(us, precision):
+        raise AssertionError("_certified_js was called")
 
-    monkeypatch.setattr(certify, "max_certified_delta", no_delta)
+    monkeypatch.setattr(certify, "_certified_js", no_js)
     # 1e-300 divides 1/2 to within 1e-9; 5e-324 makes 0.5/grid_step inf
     for step in (1e-300, 5e-324, 4.99e-7):
         with pytest.raises(ValueError, match="GRID_POINT_CAP = 1000000 grid"):
             certify_modularity_bound(grid_step=step, with_trace=True)
     # the cap counts points: at a cap of 10, ten points run and eleven do not
     monkeypatch.setattr(certify, "GRID_POINT_CAP", 10)
-    monkeypatch.setattr(certify, "max_certified_delta", lambda u, precision: 0.1)
+    monkeypatch.setattr(
+        certify, "_certified_js", lambda us, precision: np.full(len(us), 10_000)
+    )
     assert len(certify_modularity_bound(grid_step=0.05, with_trace=True).trace) == 10
     with pytest.raises(ValueError, match="GRID_POINT_CAP = 10 grid"):
         certify_modularity_bound(grid_step=0.5 / 11)
+
+
+def test_certify_default_bound_is_the_modularity_constant():
+    assert certify_modularity_bound().bound == MODULARITY_CONSTANT
+
+
+def test_certify_blocks_join_into_one_grid(monkeypatch):
+    # blocks of 7 points: the minimum is the first one across blocks, and
+    # the trace reads as one sequence of rows whatever the block size
+    whole = certify_modularity_bound(grid_step=1e-3, with_trace=True)
+    monkeypatch.setattr(certify, "_BLOCK", 7)
+    blocked = certify_modularity_bound(grid_step=1e-3, with_trace=True)
+    assert len(blocked.trace.blocks) == 72 and len(whole.trace.blocks) == 1
+    assert (blocked.bound, blocked.minimizer_u, blocked.minimizer_delta) == (
+        whole.bound, whole.minimizer_u, whole.minimizer_delta
+    )
+    assert list(blocked.trace) == list(whole.trace) == list(whole.trace[:])
+    for i in (0, 6, 7, 141, 499, -1, -500):
+        assert blocked.trace[i] == whole.trace[i]
+    assert blocked.trace[3:40:9] == whole.trace[3:40:9]
+    with pytest.raises(IndexError):
+        blocked.trace[500]
 
 
 # --------------------------------------------------- complement coverage
@@ -488,7 +513,7 @@ def _ref_complement_term_dominates(
     return lhs <= rhs + slack
 
 
-@pytest.mark.parametrize("grid_step", [1e-4, 1e-3])
+@pytest.mark.parametrize("grid_step", [1e-4, 1e-3, 2.5e-5])
 def test_certify_trace_matches_reference_formulas(grid_step):
     trace = certify_modularity_bound(grid_step=grid_step, with_trace=True).trace
     steps = round(0.5 / grid_step)
@@ -555,3 +580,82 @@ def test_complement_forms_match_reference_formulas():
             lhs = delta / (2.0 + delta) + u / 2.0
             rhs = delta * u / (2.0 * (1.0 - u) + delta * u) + (1.0 - u) / 2.0
             assert gaps[i, j] == rhs - lhs
+
+
+# ------------------------------------------ the blocked search against math.log
+
+
+def _root_x(u: float) -> float:
+    """Largest float x in (0, 1/4) where the scalar h = 2 condition holds,
+    by bisection over the bit patterns of positive doubles."""
+    lo, hi = np.float64(1e-300).view(np.int64), np.float64(0.25).view(np.int64)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if certify._rate_holds(2, u, float(np.int64(mid).view(np.float64))):
+            lo = mid
+        else:
+            hi = mid
+    return float(np.int64(lo).view(np.float64))
+
+
+def test_vector_rate_decisions_near_the_root_are_rechecked(monkeypatch):
+    calls = []
+    scalar = certify._rate_holds
+
+    def counting(h, u, x):
+        calls.append((u, x))
+        return scalar(h, u, x)
+
+    us, xs = [], []
+    for u in (0.5, 0.25, 0.0142, 1e-3, 1e-6, 1e-30):
+        x = _root_x(u)
+        for k in range(-6, 7):
+            us.append(u)
+            xs.append(float(np.float64(x) + k * np.spacing(x)))
+    us, xs = np.array(us), np.array(xs)
+    monkeypatch.setattr(certify, "_rate_holds", counting)
+    got = certify._rate_holds_h2(us, xs)
+    monkeypatch.undo()
+    assert len(calls) == len(us)  # each near-root decision was the scalar's
+    assert got.tolist() == [certify._rate_holds(2, u, x) for u, x in zip(us, xs)]
+    # far from the root nothing is rechecked
+    calls.clear()
+    monkeypatch.setattr(certify, "_rate_holds", counting)
+    certify._rate_holds_h2(us, xs / 2)
+    assert calls == []
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(
+    st.floats(min_value=0.0, max_value=0.5, exclude_min=True),
+    st.floats(min_value=1e-7, max_value=0.25),
+)
+@example(5e-324, 0.125)
+@example(1e-320, 1e-5)
+@example(0.5, 0.1)
+@example(2e-5, 0.1)
+def test_max_certified_delta_matches_the_scalar_search(u, precision):
+    # the refusals match too: where u*d underflows to 0 both meet
+    # math.log's domain error, and at u = 1/2 precision 0.1 certifies none
+    assert _outcome(max_certified_delta, u, precision) == _outcome(
+        _ref_max_certified_delta, u, precision
+    )
+
+
+def test_np_log_stays_within_the_recheck_budget():
+    # the recheck tolerance assumes np.log within _LOG_ULP_BUDGET ulp of
+    # math.log on the rate condition's inputs, all in (0, 1/2]
+    rng = np.random.default_rng(20)
+    top = int(np.float64(0.5).view(np.int64))
+    xs = rng.integers(1, top + 1, 10**6).view(np.float64)
+    want = np.array([math.log(x) for x in xs.tolist()])
+    ulps = np.abs(np.log(xs) - want) / np.spacing(np.abs(want))
+    assert ulps.max() <= certify._LOG_ULP_BUDGET
+    # a flip needs a gap within (4 b + 4) unit roundoffs; the tolerance is wider
+    assert (4 * certify._LOG_ULP_BUDGET + 4) * 2.0**-53 < certify._RECHECK_RTOL

@@ -229,10 +229,10 @@ def test_certify_refuses_a_precision_below_two_to_the_minus_55(capsys):
 
 
 def test_certify_refuses_a_grid_over_the_point_cap(monkeypatch, capsys):
-    def no_delta(u, precision):
-        raise AssertionError("max_certified_delta was called")
+    def no_js(us, precision):
+        raise AssertionError("_certified_js was called")
 
-    monkeypatch.setattr(cert, "max_certified_delta", no_delta)
+    monkeypatch.setattr(cert, "_certified_js", no_js)
     assert run_main("certify", "--grid-step", "1e-300") == 2
     captured = capsys.readouterr()
     assert captured.out == ""

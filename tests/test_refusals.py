@@ -147,8 +147,9 @@ def _templates(tree) -> list[str]:
         # cuts._check_u prints the Fraction; certify's is the float rule
         ("need 0 < u <= 1/2, got {…}", ["certify.py"]),
         ("need h >= 2, got {…}", None),
+        ("need 0 < eta < 1, got {…}", None),
     ],
-    ids=["h-n", "vertex", "certify-u", "certify-h"],
+    ids=["h-n", "vertex", "certify-u", "certify-h", "certify-eta"],
 )
 def test_each_shared_refusal_is_written_once(template, modules):
     trees = _trees()
@@ -179,3 +180,14 @@ def test_the_tilde_loop_rule_and_the_expansion_constant_are_written_once():
                 constants.append(name)
     assert tilde_keywords == ["models.py"]
     assert constants == ["certify.py"]
+
+
+def test_the_modularity_constant_is_written_once():
+    found = [
+        name
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == 0.92383
+    ]
+    assert found == ["certify.py"]
+    assert experiment._summarize([], [])["certified_bound"] == 0.92383
