@@ -37,7 +37,7 @@ from pamod.cuts import (
     EXACT_SUBSET_LIMIT, SearchMethod, expansion_profile, sampled_expansion
 )
 from pamod.models import (
-    Model, _check_model, _check_seed, _json_int, derive_seed, generate
+    Model, _check_model, _check_seed, _json_int, _shown, derive_seed, generate
 )
 from pamod.modularity import (
     EXACT_PARTITION_LIMIT,
@@ -105,7 +105,7 @@ class ExperimentConfig:
         for name in (*counts, "exact_expansion_limit", "exact_modularity_limit"):
             _json_int(getattr(self, name), name)
         object.__setattr__(
-            self, "tasks", tuple(dict.fromkeys(str(t) for t in self.tasks))
+            self, "tasks", tuple(dict.fromkeys(_shown(t, str) for t in self.tasks))
         )
         if not self.h_list or min(self.h_list) < 1:
             raise ValueError("h_list must be nonempty with h >= 1")

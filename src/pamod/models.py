@@ -27,9 +27,14 @@ r at step tau resolves as
 
 The tilde list is the standard one without its first entry and without
 the self-loop slot, so its 0-based draw j is the standard draw r = j + 2.
-The draws do not depend on the history; all of them are taken first, and
-the copies are then resolved by pointer jumping.  Memory is the int64
-output array plus temporaries of at most ``SAMPLER_CHUNK`` elements.
+The draws do not depend on the history, so runs fill one step-major
+(length, trials) int64 array, row tau-1 holding step tau of every run,
+in the order the generator draws them.  A copy at step tau reads an
+earlier row of its own run, so once a step's draws are in, one gather
+resolves all its copies.  A block of several steps (``generate``'s one
+run) follows pointers within the block until none is left.  Memory is
+the output array plus a few temporaries of max(trials, ``SAMPLER_CHUNK``)
+elements.
 
 A log keeps its targets as one read-only int64 array, ``target_array``,
 and a graph its (u, v, t) edges as one read-only (m, 3) int64 array,
@@ -38,7 +43,7 @@ read as tuples of Python ints, rebuilt on every read.  ``save_graph``
 and ``pamod gen`` write the same text, ``graph_to_text``, which formats
 the edges from one flat list of ints; ``load_graph`` parses with the
 garbage collector paused.  Per 10^5 edges (h=4, n=25000, 2-core Xeon) a
-save takes about 50 ms and peaks at 15 MB, a load about 120 ms and 23 MB.
+save takes about 50 ms and peaks at 15 MB, a load about 100 ms and 22 MB.
 
 ``exact_small_t_distribution`` comes from ``_enumerate_logs``, which
 lists every log of a given length level by level, each with an integer
@@ -65,9 +70,10 @@ MAX_SEED = 2**64
 # ``exact_small_t_distribution``, which admits t_max 9 (standard), 10 (tilde).
 _ENUMERATION_CAP = 500_000
 
-# Largest temporary array, in elements, that the target sampler allocates
-# next to its output.
-SAMPLER_CHUNK = 1 << 16
+# Elements per target-sampler block: a block is max(1, SAMPLER_CHUNK //
+# trials) whole steps, so the sampler's temporaries next to its output are
+# a few arrays of max(trials, SAMPLER_CHUNK) elements.
+SAMPLER_CHUNK = 1 << 12
 
 
 class Model(str, Enum):
@@ -77,9 +83,15 @@ class Model(str, Enum):
     TILDE = "tilde"
 
 
+def _shown(value, form=repr) -> str:
+    """``value`` as an error message shows it: ``form(value)``, but a list
+    or dict by its type name, since their repr grows with their nesting."""
+    return type(value).__name__ if isinstance(value, (list, dict)) else form(value)
+
+
 def _check_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+        raise ValueError(f"seed must be an integer, got {_shown(seed)}")
     if not 0 <= seed < MAX_SEED:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return int(seed)
@@ -316,40 +328,48 @@ def _sample_runs(
 ) -> np.ndarray:
     """``trials`` independent runs of the process as a (trials, length) array.
 
-    The draws are taken step-major (step 2 of every run, then step 3, ...)
-    with array-bounded ``rng.integers`` calls, which give the same stream
-    as one scalar-bounded call per step and run.
+    The runs fill one step-major (length, trials) array, row tau-1 holding
+    step tau of every run, in the order the stream is drawn; the result is
+    its transpose, a Fortran-ordered view.  A block is max(1,
+    ``SAMPLER_CHUNK`` // trials) whole steps, whose draws land in its rows
+    with no transpose: one step draws with scalar bounds, numpy's fill
+    path, several with array bounds; both give the stream of one
+    scalar-bounded call per step and run.  Temporaries are a few arrays of
+    the block's size.
     """
-    out = np.empty((trials, length), dtype=np.int64)
-    # column 0 is e_1's target 1, which is also the resolved form of r = 1
-    out[:, 0] = 1
-    steps = max(1, SAMPLER_CHUNK // trials)
-    rows = min(trials, SAMPLER_CHUNK)
-    for tau0 in range(2, length + 1, steps):
-        taus = np.arange(tau0, min(tau0 + steps, length + 1))[:, None]
-        cols = slice(tau0 - 1, tau0 - 1 + len(taus))
-        for i0 in range(0, trials, rows):
-            size = (len(taus), min(rows, trials - i0))
-            if model is Model.STANDARD:
-                r = rng.integers(1, 2 * taus, size=size)
-            else:  # tilde draw j is the standard draw r = j + 2
-                r = rng.integers(0, 2 * taus - 3, size=size) + 2
-            out[i0 : i0 + size[1], cols] = r.T
-    # An even r becomes a pointer to the entry of arrival r/2 in the same
-    # run, stored as -(flat index) - 1.  Pointers only go back in the flat
-    # order, so each block is resolved before the next one needs it.
+    out = np.empty((length, trials), dtype=np.int64)
+    # row 0 is e_1's target 1, which is also the resolved form of r = 1
+    out[0] = 1
     flat = out.reshape(-1)
-    for a in range(0, flat.size, SAMPLER_CHUNK):
-        block = flat[a : a + SAMPLER_CHUNK]
-        pos = np.arange(a, a + block.size)
-        half = block >> 1
-        block[:] = np.where(block & 1, half + 1, pos % length - pos - half)
-        while True:
-            jump = np.flatnonzero(block < 0)
-            if not jump.size:
-                break
-            block[jump] = flat[-block[jump] - 1]
-    return out
+    lag = np.arange(trials) - trials
+    steps = max(1, SAMPLER_CHUNK // trials)
+    for tau0 in range(2, length + 1, steps):
+        rows = out[tau0 - 1 : tau0 - 1 + steps]
+        k = len(rows)
+        taus = tau0 if k == 1 else np.arange(tau0, tau0 + k)[:, None]
+        if model is Model.STANDARD:
+            r = rng.integers(1, 2 * taus, size=rows.shape)
+            np.add(r, 1, out=rows)
+        else:  # tilde draw j is the standard draw r = j + 2, of j's parity
+            r = rng.integers(0, 2 * taus - 3, size=rows.shape)
+            np.add(r, 3, out=rows)
+        rows >>= 1  # odd r: its target (r + 1)/2; even r: the arrival r/2 it copies
+        # A copy reads flat index (r/2 - 1)*trials + run, in an earlier row
+        # of its run; until resolved it holds ~index, which is negative.  In
+        # a one-step block every index lands on a resolved row, so the first
+        # gather resolves them all; in a longer block an index may land on
+        # a copy not yet resolved, whose index is then followed.
+        src = rows * trials
+        src += lag
+        block = rows.reshape(-1)
+        jump = np.flatnonzero((r & 1) == 0)
+        src = src.reshape(-1)[jump]
+        block[jump] = ~src
+        while jump.size:
+            block[jump] = got = flat[src]
+            keep = got < 0
+            jump, src = jump[keep], ~got[keep]
+    return out.T
 
 
 def generate(model: Model, h: int, n: int, seed: int) -> tuple[ArrivalLog, MultiGraph]:
@@ -380,8 +400,10 @@ def sample_target_matrix(
     those for step 3, and so on; the stream equals one scalar-bounded
     ``rng.integers`` call per step and trial in that order.  It differs
     from per-trial ``generate`` calls; reproducibility is per (model,
-    length, trials, seed).  Memory is the int64 output plus temporaries of
-    at most ``SAMPLER_CHUNK`` elements.
+    length, trials, seed).  The result is a Fortran-ordered view of the
+    step-major (length, trials) array the runs fill.  Memory is the int64
+    output plus a few temporaries of max(trials, ``SAMPLER_CHUNK``)
+    elements.
     """
     model = _check_model(model)
     seed = _check_seed(seed)
@@ -534,7 +556,7 @@ def _parse_json(text: str):
 
 def _json_int(value, name: str) -> int:
     if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     return value
 
 
@@ -542,11 +564,12 @@ def graph_from_json(payload: dict) -> MultiGraph:
     """Validate a graph payload and build its ``MultiGraph``.
 
     Only ints are accepted: a bool, float or string anywhere is refused,
-    and so is an edge entry beyond int64.  The edges become one (m, 3)
-    int64 array, which every check reads and the graph keeps.
+    and so is an edge entry beyond int64.  Once every row is known to be a
+    triple, the edges stream into one (m, 3) int64 array, which every
+    check reads and the graph keeps.
     """
     try:
-        model = Model(payload["model"])
+        model = _check_model(payload["model"])
         h = _json_int(payload["h"], "h")
         n = _json_int(payload["n"], "n")
         seed = payload["seed"]
@@ -555,8 +578,10 @@ def graph_from_json(payload: dict) -> MultiGraph:
         if kinds:
             names = ", ".join(sorted(k.__name__ for k in kinds))
             raise ValueError(f"edge entries must be integers, found {names}")
-        # edges that are not [u, v, t] triples fail the reshape
-        cols = np.array(edges, dtype=np.int64).reshape(len(edges), 3)
+        if not set(map(len, edges)) <= {3}:
+            raise ValueError("edges must be [u, v, t] triples")
+        flat = np.fromiter(chain.from_iterable(edges), np.int64, 3 * len(edges))
+        cols = flat.reshape(len(edges), 3)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed graph payload: {exc}") from None
     if h < 1:
@@ -598,8 +623,8 @@ def load_graph(path) -> MultiGraph:
 
     The file text is freed once parsed.  Peak memory is json's parse (a
     list and three ints per edge) plus the graph's 24 bytes per edge and
-    check temporaries: about 230 bytes per edge, 23 MB and 120 ms per
-    10^5 edges.
+    check temporaries: about 215 bytes per edge, 22 MB and 100 ms per
+    10^5 edges (2-core Xeon).
     """
     with open(path, "r", encoding="utf-8") as fh:
         payload = _parse_json(fh.read())

@@ -516,6 +516,75 @@ def test_a_non_string_model_is_refused_by_its_type(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown model 'bogus'\n"
 
 
+NESTED_FIELD_SCRIPT = """
+import contextlib, io, json, runpy, sys
+path, command, flag, base = sys.argv[1], sys.argv[2], sys.argv[3], json.loads(sys.argv[4])
+deep = "[" * 950 + "]" * 950
+for field in list(base):
+    text = json.dumps({**base, field: None}).replace("null", deep)
+    with open(path, "w") as fh:
+        fh.write(text)
+    sys.argv = ["pamod", command, flag, path]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            runpy.run_module("pamod", run_name="__main__")
+        except SystemExit as exc:
+            code = exc.code
+    print(json.dumps([field, code, err.getvalue()]))
+"""
+
+GRAPH_FIELDS = {"model": "standard", "h": 1, "n": 1, "seed": 0, "edges": [[1, 1, 1]]}
+SWEEP_FIELDS = {
+    **GOOD_CONFIG, "tasks": ["expansion"], "sample_trials": 2, "event_trials": 2,
+    "exact_expansion_limit": 16,
+}
+MALFORMED = "malformed graph payload: "
+NESTED_FIELD_ERRORS = {
+    "expand": {
+        "model": MALFORMED + "model must be a string, got list",
+        "h": MALFORMED + "h must be an integer, got list",
+        "n": MALFORMED + "n must be an integer, got list",
+        "seed": "seed must be an integer, got list",
+        "edges": MALFORMED + "edge entries must be integers, found list",
+    },
+    "sweep": {
+        "model": "model must be a string, got list",
+        "h_list": "h_list entry must be an integer, got list",
+        "n_list": "n_list entry must be an integer, got list",
+        "trials": "trials must be an integer, got list",
+        "root_seed": "seed must be an integer, got list",
+        "tasks": f"unknown tasks ['list']; valid tasks are {experiment.TASKS}",
+        "sample_trials": "sample_trials must be an integer, got list",
+        "event_trials": "event_trials must be an integer, got list",
+        "exact_expansion_limit": "exact_expansion_limit must be an integer, got list",
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command, flag, base",
+    [("expand", "--graph", GRAPH_FIELDS), ("sweep", "--config", SWEEP_FIELDS)],
+    ids=["expand", "sweep"],
+)
+def test_a_field_nested_950_deep_gives_a_short_error_line(tmp_path, command, flag, base):
+    # Each field in turn is a list nested 950 deep, inside the parser's
+    # limit at the CLI's stack depth.  Messages that repr'd such a value
+    # made lines of about 1,900 characters; a list is now named by its type.
+    out = subprocess.run(
+        [sys.executable, "-c", NESTED_FIELD_SCRIPT, str(tmp_path / "in.json"),
+         command, flag, json.dumps(base)],
+        capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr[-500:]
+    results = [json.loads(line) for line in out.stdout.splitlines()]
+    assert [field for field, _code, _err in results] == list(base)
+    for field, code, err in results:
+        assert code == 2, field
+        assert len(err) < 200, (field, err[:200])
+        assert err == f"error: {NESTED_FIELD_ERRORS[command][field]}\n"
+
+
 # ------------------------------------------------------- console script
 
 
