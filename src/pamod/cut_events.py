@@ -33,6 +33,7 @@ from pamod.models import (
     _check_seed,
     _check_vertices,
     _enumerate_logs,  # unused here; perfbench/test_perfbench.py imports it from here
+    _json_int,
     sample_target_matrix,
     vertex_of,
 )
@@ -179,7 +180,7 @@ def estimate_cut_event(
     reduction over the matrix, with (trials, h*n) bool temporaries.
     """
     model = _check_model(model)
-    if trials < 1:
+    if _json_int(trials, "trials") < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     seed = _check_seed(seed)
     hn = spec.h * spec.n

@@ -83,10 +83,18 @@ class Model(str, Enum):
     TILDE = "tilde"
 
 
+# the most characters of one value an error message shows
+SHOWN_CHARS = 60
+
+
 def _shown(value, form=repr) -> str:
     """``value`` as an error message shows it: ``form(value)``, but a list
-    or dict by its type name, since their repr grows with their nesting."""
-    return type(value).__name__ if isinstance(value, (list, dict)) else form(value)
+    or dict by its type name, since their repr grows with their nesting,
+    and a text over ``SHOWN_CHARS`` cut there and marked ``...``."""
+    if isinstance(value, (list, dict)):
+        return type(value).__name__
+    text = form(value)
+    return text if len(text) <= SHOWN_CHARS else f"{text[:SHOWN_CHARS]}..."
 
 
 def _check_seed(seed: int) -> int:
@@ -105,7 +113,7 @@ def _check_model(model: Model) -> Model:
         try:
             return Model(model)
         except ValueError:
-            raise ValueError(f"unknown model {model!r}") from None
+            raise ValueError(f"unknown model {_shown(model)}") from None
     return model
 
 
@@ -407,6 +415,7 @@ def sample_target_matrix(
     """
     model = _check_model(model)
     seed = _check_seed(seed)
+    _json_int(trials, "trials")
     if length < 1 or trials < 1:
         raise ValueError("need length >= 1 and trials >= 1")
     return _sample_runs(model, length, trials, np.random.default_rng(seed))

@@ -480,6 +480,18 @@ GOOD_CONFIG = {
 }
 
 
+@pytest.mark.parametrize("field", ["model", "tasks"])
+def test_a_100000_character_model_or_task_gives_a_short_error_line(tmp_path, capsys, field):
+    # The whole value was echoed: a line of about 100,000 characters.
+    long = "x" * 100_000
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**GOOD_CONFIG, field: long if field == "model" else [long]}))
+    assert run_main("sweep", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown ") and err.count("\n") == 1
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize(
     "payload",
     [

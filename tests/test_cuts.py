@@ -422,26 +422,248 @@ def _reference_sampled_expansion(graph, u, trials, seed):
     )
 
 
+# The full scan over every add, remove and swap that sampled_expansion ran
+# before each move was read off a gain-ordered list; kept verbatim as the
+# oracle for the move order (first strict minimum in scan order).
+def _full_scan_flip(adj, in_s: list[bool], gain: list[int], w: int) -> None:
+    """Move w to the other side and update the flip gains it changes."""
+    in_s[w] = not in_s[w]
+    gain[w] = -gain[w]
+    for nb, m in adj[w]:
+        gain[nb] += 2 * m if in_s[nb] == in_s[w] else -2 * m
+
+
+def _full_scan_sampled_expansion(
+    graph: MultiGraph, u, trials: int, seed: int
+) -> ExpansionResult:
+    """Randomized upper estimate of alpha_u.
+
+    Each trial draws a random admissible subset and runs greedy local
+    descent (vertex adds, removes, swaps) until the ratio stops
+    improving.  Every candidate is an admissible subset, so the returned
+    value is always >= the true alpha_u.
+
+    The descent keeps integer flip gains, gain[w] = the boundary change
+    if w switches sides (Fiduccia-Mattheyses style), and compares ratios
+    by cross-multiplication.  A move scans n adds/removes and |S|(n-|S|)
+    swaps in O(1) each, then updates the gains of the moved vertices'
+    neighbours.  The first best candidate in scan order wins.
+    """
+    uf = _check_u(u)
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    seed = _check_seed(seed)
+    n = graph.n
+    k_max = math.floor(uf * n)
+    if k_max < 1:
+        return ExpansionResult(
+            u=uf, alpha=math.inf, witness=None, method=SearchMethod.SAMPLED
+        )
+    rng = np.random.default_rng(seed)
+    adj = graph.adjacency
+    mult = [dict(nbrs) for nbrs in adj]
+    best_ratio: Fraction | None = None
+    best_subset: tuple[int, ...] | None = None
+    for _ in range(trials):
+        size = int(rng.integers(1, k_max + 1))
+        members = (rng.choice(n, size=size, replace=False) + 1).tolist()
+        in_s = [False] * (n + 1)
+        for v in members:
+            in_s[v] = True
+        gain = [
+            sum(m if in_s[nb] == in_s[w] else -m for nb, m in adj[w])
+            for w in range(n + 1)
+        ]
+        boundary = sum(m for w in members for nb, m in adj[w] if not in_s[nb])
+        while True:
+            move: tuple[int, ...] = ()  # the vertices to flip
+            mb, ms = boundary, size  # best ratio so far, mb/ms
+            for w in range(1, n + 1):
+                s = size - 1 if in_s[w] else size + 1
+                if 1 <= s <= k_max and (boundary + gain[w]) * ms < mb * s:
+                    mb, ms = boundary + gain[w], s
+                    move = (w,)
+            # swaps keep the size: w leaves, w2 enters
+            inside = [w for w in range(1, n + 1) if in_s[w]]
+            outside = [w for w in range(1, n + 1) if not in_s[w]]
+            for w in inside:
+                base = boundary + gain[w]
+                mw = mult[w]
+                for w2 in outside:
+                    b = base + gain[w2] + 2 * mw.get(w2, 0)
+                    if b * ms < mb * size:
+                        mb, ms = b, size
+                        move = (w, w2)
+            if not move:
+                break
+            boundary, size = mb, ms
+            for w in move:
+                _full_scan_flip(adj, in_s, gain, w)
+        subset = tuple(v for v in range(1, n + 1) if in_s[v])
+        ratio = Fraction(boundary, size)
+        if (
+            best_ratio is None
+            or ratio < best_ratio
+            or (ratio == best_ratio and subset < best_subset)
+        ):
+            best_ratio = ratio
+            best_subset = subset
+    assert best_subset is not None and best_ratio is not None
+    return ExpansionResult(
+        u=uf,
+        alpha=best_ratio,
+        witness=frozenset(best_subset),
+        method=SearchMethod.SAMPLED,
+    )
+
+
 ORACLE_US = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 10))
+
+
+def _assert_matches_oracles(graph, u, trials, seed, oracles):
+    got = sampled_expansion(graph, u, trials=trials, seed=seed)
+    for oracle in oracles:
+        assert got == oracle(graph, u, trials, seed)
+
+
+BOTH_ORACLES = (_reference_sampled_expansion, _full_scan_sampled_expansion)
 
 
 @pytest.mark.parametrize("model", list(Model))
 @pytest.mark.parametrize("h", [1, 2, 3])
 def test_sampled_matches_reference_on_generated_graphs(model, h):
-    for n in (1, 2, 3, 5, 8, 13, 20, 32):
-        for seed in range(6):
+    for n in (1, 2, 3, 5, 8, 13, 20, 32, 47, 64):
+        # the Fraction reference takes about 0.1 s a graph at n = 64
+        for seed in range(6 if n <= 32 else 2):
             _, g = generate(model, h, n, 1000 * h + 10 * n + seed)
             for u in ORACLE_US:
-                got = sampled_expansion(g, u, trials=4, seed=seed + 7)
-                assert got == _reference_sampled_expansion(g, u, 4, seed + 7)
+                _assert_matches_oracles(g, u, 4, seed + 7, BOTH_ORACLES)
 
 
 def test_sampled_matches_reference_on_multigraphs(multigraphs):
     graphs = [MULTI, MULTI_W1, K4, *multigraphs]
     for i, g in enumerate(graphs):
         for u in ORACLE_US:
-            got = sampled_expansion(g, u, trials=5, seed=i)
-            assert got == _reference_sampled_expansion(g, u, 5, i)
+            _assert_matches_oracles(g, u, 5, i, BOTH_ORACLES)
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_sampled_matches_the_full_scan_at_n200(model):
+    for h, seed in ((2, 0), (3, 1)):
+        _, g = generate(model, h, 200, 7000 + seed)
+        for u in (Fraction(1, 2), Fraction(1, 10)):
+            _assert_matches_oracles(g, u, 4, seed, (_full_scan_sampled_expansion,))
+
+
+def _descent_state(graph, subset):
+    """(adj, mult, in_s, gain, boundary) as sampled_expansion keeps them."""
+    adj = graph.adjacency
+    in_s = [v in subset for v in range(graph.n + 1)]
+    gain = [
+        sum(m if in_s[nb] == in_s[w] else -m for nb, m in adj[w])
+        for w in range(graph.n + 1)
+    ]
+    boundary = _boundary_of(graph, in_s)
+    return adj, [dict(nbrs) for nbrs in adj], in_s, gain, boundary
+
+
+def _full_scan_move(adj, mult, in_s, gain, boundary, size, k_max):
+    """One move of the full scan above: (boundary, size, vertices to flip)."""
+    n = len(in_s) - 1
+    move = ()
+    mb, ms = boundary, size
+    for w in range(1, n + 1):
+        s = size - 1 if in_s[w] else size + 1
+        if 1 <= s <= k_max and (boundary + gain[w]) * ms < mb * s:
+            mb, ms = boundary + gain[w], s
+            move = (w,)
+    outside = [w for w in range(1, n + 1) if not in_s[w]]
+    for w in (w for w in range(1, n + 1) if in_s[w]):
+        for w2 in outside:
+            b = boundary + gain[w] + gain[w2] + 2 * mult[w].get(w2, 0)
+            if b * ms < mb * size:
+                mb, ms = b, size
+                move = (w, w2)
+    return mb, ms, move
+
+
+# From S = {w} with k_max = 1 only swaps are admissible, and the swap of w
+# for x leaves boundary deg(x): the best partner is the vertex of least
+# degree, the lower one on a tie.
+NEIGHBOUR_TIE = MultiGraph.from_pairs(5, [(1, 5), (2, 3), (3, 5), (4, 5), (3, 4)])
+ALL_NEIGHBOURS = MultiGraph.from_pairs(4, [(1, 4), (2, 4), (3, 4), (1, 2), (2, 3)])
+TWO_EDGES = MultiGraph.from_pairs(6, [(1, 2), (5, 6)])
+
+
+@pytest.mark.parametrize(
+    "graph,subset,k_max,want",
+    [
+        # w = 5's outside neighbour 1 (gain -1, +2 once 5 leaves) ties the
+        # best non-neighbour 2 (gain 1), ahead of 4 in the gain order
+        (NEIGHBOUR_TIE, {5}, 1, (1, 1, (5, 1))),
+        # the same tie from w = 3, whose neighbour is 2 and non-neighbour 1
+        (NEIGHBOUR_TIE, {3}, 1, (1, 1, (3, 1))),
+        # every outside vertex is a neighbour of w = 4: no non-neighbour
+        # partner, and the list's head (1, gain 0) is worth 2, not 0
+        (ALL_NEIGHBOURS, {4}, 1, (2, 1, (4, 1))),
+        # adding 1 and removing 2 both reach ratio 0 (so does swapping 3
+        # for 1, later in scan order): the lower vertex, the add, wins
+        (TWO_EDGES, {2, 3}, 3, (0, 3, (1,))),
+        # adding 2 and removing 1 tie at 0: the remove of 1 wins
+        (TWO_EDGES, {1, 3}, 3, (0, 1, (1,))),
+        # the same ties on the far edge: remove 5 before adding 6
+        (TWO_EDGES, {3, 5}, 3, (0, 1, (5,))),
+        (TWO_EDGES, {3, 6}, 3, (0, 3, (5,))),
+    ],
+    ids=["nbr-first", "nonnbr-first", "all-nbrs", "add-first", "remove-first",
+         "remove-5", "add-5"],
+)
+def test_best_move_breaks_ties_as_the_full_scan(graph, subset, k_max, want):
+    adj, mult, in_s, gain, boundary = _descent_state(graph, subset)
+    args = (adj, mult, in_s, gain, boundary, len(subset), k_max)
+    assert _full_scan_move(*args) == want
+    assert cuts._best_move(*args) == want
+
+
+def test_best_move_matches_the_full_scan_on_every_state():
+    # every admissible subset of small graphs, every k_max it admits
+    graphs = [NEIGHBOUR_TIE, ALL_NEIGHBOURS, TWO_EDGES, K4, MULTI, MULTI_W1]
+    graphs += [generate(model, h, 8, h)[1] for model in Model for h in (1, 2, 3)]
+    for g in graphs:
+        for size in range(1, g.n // 2 + 1):
+            for subset in itertools.combinations(range(1, g.n + 1), size):
+                adj, mult, in_s, gain, boundary = _descent_state(g, set(subset))
+                for k_max in range(size, g.n // 2 + 1):
+                    args = (adj, mult, in_s, gain, boundary, size, k_max)
+                    assert cuts._best_move(*args) == _full_scan_move(*args)
+
+
+# standard h=2, n=500, graph seed 2026, u=1/2, 8 trials from seed 18, as the
+# full scan found them in 4.6 s (the gain-ordered moves take under 0.1 s)
+PINNED_N500_WITNESS = (
+    6, 11, 15, 16, 17, 18, 21, 23, 24, 26, 35, 36, 37, 38, 39, 42, 43, 47, 50, 51, 52,
+    55, 57, 58, 59, 67, 70, 74, 76, 77, 83, 85, 91, 92, 93, 94, 98, 99, 100, 101, 102,
+    107, 109, 114, 115, 116, 117, 119, 123, 127, 128, 130, 132, 133, 134, 136, 138,
+    140, 143, 144, 148, 149, 150, 152, 158, 159, 161, 167, 172, 173, 174, 175, 178,
+    180, 183, 185, 186, 200, 201, 204, 206, 208, 210, 211, 212, 214, 218, 219, 220,
+    222, 224, 227, 235, 236, 237, 238, 239, 245, 250, 251, 252, 253, 256, 261, 262,
+    263, 264, 265, 268, 270, 272, 273, 276, 277, 279, 281, 286, 288, 290, 294, 295,
+    297, 298, 301, 302, 303, 306, 307, 308, 309, 311, 313, 315, 318, 319, 322, 324,
+    326, 330, 331, 333, 334, 337, 338, 340, 341, 342, 343, 345, 346, 347, 351, 357,
+    359, 361, 362, 363, 365, 366, 369, 372, 376, 378, 379, 381, 384, 388, 389, 390,
+    392, 394, 395, 396, 406, 407, 408, 409, 415, 417, 419, 420, 425, 426, 427, 428,
+    431, 434, 436, 437, 439, 440, 442, 443, 444, 445, 447, 448, 449, 454, 455, 457,
+    458, 462, 463, 464, 468, 470, 471, 472, 474, 478, 481, 482, 483, 485, 486, 487,
+    492, 493, 495, 496, 497, 498, 499, 500,
+)
+
+
+def test_sampled_expansion_pinned_at_n500():
+    _, g = generate(Model.STANDARD, 2, 500, 2026)
+    res = sampled_expansion(g, Fraction(1, 2), trials=8, seed=18)
+    assert res.alpha == Fraction(22, 25)
+    assert res.witness == frozenset(PINNED_N500_WITNESS)
+    assert len(PINNED_N500_WITNESS) == 225
 
 
 def test_as_fraction_forms():

@@ -18,6 +18,8 @@ EDGELESS = MultiGraph(n=3, edges=())
 ISOLATED_3 = MultiGraph.from_pairs(3, [(1, 2)])
 SWEEP = dict(model="standard", h_list=(2,), n_list=(4,), trials=1, root_seed=1)
 GRAPH = {"model": "standard", "h": 0, "n": 3, "seed": 0, "edges": []}
+SPEC = cut_events.CutEventSpec(1, 2, {1}, ())
+LONG = "x" * 100_000
 
 HN = "need h >= 1 and n >= 1, got h={}, n={}"
 U = "need 0 < u <= 1/2, got {}"
@@ -94,6 +96,24 @@ REFUSALS = [
      "tasks must be nonempty"),
     (experiment.ExperimentConfig.from_dict, ({**SWEEP, "model": "bogus"},),
      "unknown model 'bogus'"),
+    # appended below the rows above, whose ids carry their index:
+    # trials must be an int, as a sweep config's counts must
+    (models.sample_target_matrix, (STD, 5, True, 1), "trials must be an integer, got True"),
+    (models.sample_target_matrix, (TIL, 0, 2.5, 1), "trials must be an integer, got 2.5"),
+    (cut_events.estimate_cut_event, (STD, SPEC, 0, 1), "need trials >= 1, got 0"),
+    (cut_events.estimate_cut_event, (STD, SPEC, True, 1), "trials must be an integer, got True"),
+    (cut_events.estimate_cut_event, (TIL, SPEC, "3", 1), "trials must be an integer, got '3'"),
+    (cuts.sampled_expansion, (K3, "1/2", True, 0), "trials must be an integer, got True"),
+    (cuts.sampled_expansion, (K3, "1/2", 2.5, 0), "trials must be an integer, got 2.5"),
+    (cuts.sampled_expansion, (K3, "1/2", "3", 0), "trials must be an integer, got '3'"),
+    # a long value is cut to its first 60 characters
+    (models.generate, (LONG, 1, 1, 1), f"unknown model '{LONG[:59]}..."),
+    (models.graph_from_json, ({**GRAPH, "model": LONG},),
+     f"malformed graph payload: unknown model '{LONG[:59]}..."),
+    (experiment.ExperimentConfig.from_dict, ({**SWEEP, "model": LONG},),
+     f"unknown model '{LONG[:59]}..."),
+    (experiment.ExperimentConfig.from_dict, ({**SWEEP, "tasks": ["bounds", LONG]},),
+     f"unknown tasks ['{LONG[:60]}...']; valid tasks are {experiment.TASKS}"),
 ]
 
 
