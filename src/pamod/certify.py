@@ -58,6 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from pamod.models import _check_count
+
 COMPLEMENT_SLACK = 1e-12
 GRID_POINT_CAP = 10**6
 # eta with expansion >= eta*h certified: (2e/eta)^(4 eta) < 2 at h = 2
@@ -105,8 +107,7 @@ class TailParams:
                 f"need 0 < alpha_hat < (h-1)/2 = {(self.h - 1) / 2}, "
                 f"got {self.alpha_hat}"
             )
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got {self.n}")
+        _check_count(self.n, "n")
         _check_u(self.u)
 
 

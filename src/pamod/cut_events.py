@@ -28,6 +28,7 @@ import numpy as np
 from pamod.cuts import _members
 from pamod.models import (
     Model,
+    _check_count,
     _check_hn,
     _check_model,
     _check_seed,
@@ -180,8 +181,7 @@ def estimate_cut_event(
     reduction over the matrix, with (trials, h*n) bool temporaries.
     """
     model = _check_model(model)
-    if _json_int(trials, "trials") < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+    _check_count(_json_int(trials, "trials"), "trials")
     seed = _check_seed(seed)
     hn = spec.h * spec.n
     mat = sample_target_matrix(model, hn, trials, seed)

@@ -25,7 +25,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from pamod.models import MultiGraph, _check_seed, _check_vertices, _json_int
+from pamod.models import (
+    MultiGraph, _check_count, _check_seed, _check_vertices, _json_int
+)
 
 # Largest n for the exhaustive search: an int32 boundary and a uint8 size
 # table over all 2^n masks, 5 bytes per mask (6 in exact expansion's witness
@@ -159,10 +161,14 @@ def _pair_weights(graph: MultiGraph, scale: int) -> list[list[tuple[int, int]]]:
     ]
 
 
+def _outside_gains(graph: MultiGraph) -> list[int]:
+    """Non-loop degrees, index 0 unused: the flip gains while S is empty."""
+    return [sum(mult for _nb, mult in nbrs) for nbrs in graph.adjacency]
+
+
 def _boundary_table(graph: MultiGraph) -> np.ndarray:
     """bnd[mask] = e(S, S-complement); it stays below vol(G), so int32 holds it."""
-    adj = graph.adjacency
-    own = [sum(mult for _nb, mult in adj[v]) for v in range(1, graph.n + 1)]
+    own = _outside_gains(graph)[1:]
     return _subset_sums(graph.n, own, _pair_weights(graph, -2), np.int32)
 
 
@@ -235,15 +241,25 @@ def expansion_profile(
     return _size_profile(graph)[3]
 
 
-def _flip(adj, in_s: list[bool], gain: list[int], w: int) -> None:
+def _flip(mult, in_s: list[bool], gain: list[int], w: int) -> None:
     """Move w to the other side and update the flip gains it changes."""
     in_s[w] = not in_s[w]
     gain[w] = -gain[w]
-    for nb, m in adj[w]:
+    for nb, m in mult[w].items():
         gain[nb] += 2 * m if in_s[nb] == in_s[w] else -2 * m
 
 
-def _best_move(adj, mult, in_s, gain, boundary: int, size: int, k_max: int):
+def _enter(mult, outside_gains: list[int], members):
+    """(in_s, gain, boundary) for S = members, built by flips from S empty,
+    each member's gain added to the boundary before it enters."""
+    in_s, gain, boundary = [False] * len(outside_gains), outside_gains.copy(), 0
+    for v in members:
+        boundary += gain[v]
+        _flip(mult, in_s, gain, v)
+    return in_s, gain, boundary
+
+
+def _best_move(mult, in_s, gain, boundary: int, size: int, k_max: int):
     """The descent's next move from S: (boundary, size, vertices to flip),
     or the current (boundary, size, ()) when nothing lowers the ratio.
 
@@ -278,7 +294,7 @@ def _best_move(adj, mult, in_s, gain, boundary: int, size: int, k_max: int):
         if swap and gain[w] + floor >= least:
             continue
         mw = mult[w]
-        partners = [(gain[x] + 2 * m, x) for x, m in adj[w] if not in_s[x]]
+        partners = [(gain[x] + 2 * m, x) for x, m in mw.items() if not in_s[x]]
         if head := next((x for x in order if x not in mw), 0):
             partners.append((gain[head], head))
         val, w2 = min(partners)  # an outside vertex is one kind or the other
@@ -301,18 +317,19 @@ def sampled_expansion(
 
     The descent keeps integer flip gains, gain[w] = the boundary change
     if w switches sides (Fiduccia-Mattheyses style), and compares ratios
-    by cross-multiplication.  A move (:func:`_best_move`) sorts the
+    by cross-multiplication; :func:`_flip` alone changes a gain.  A trial
+    starts from S empty, each gain a non-loop degree, and flips the drawn
+    members in (:func:`_enter`).  A move (:func:`_best_move`) sorts the
     outside vertices by gain and reads each inside vertex's best swap
     partner off that list and its own neighbours, in O(n log n +
     sum of deg w over S) rather than the O(|S|(n-|S|)) of a scan over
-    every swap; it then updates the gains of the moved vertices'
-    neighbours.  The first best candidate in scan order wins, adds and
-    removes by vertex, then swaps row-major.  Standard h=2, n=500 takes
-    about 0.1 s for 8 trials.
+    every swap.  The first best candidate in scan order wins, adds and
+    removes by vertex, then swaps row-major; the least (ratio, subset)
+    over the trials is returned.  Standard h=2, n=500 takes about 0.1 s
+    for 8 trials.
     """
     uf = _check_u(u)
-    if _json_int(trials, "trials") < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
+    _check_count(_json_int(trials, "trials"), "trials")
     seed = _check_seed(seed)
     n = graph.n
     k_max = math.floor(uf * n)
@@ -321,42 +338,23 @@ def sampled_expansion(
             u=uf, alpha=math.inf, witness=None, method=SearchMethod.SAMPLED
         )
     rng = np.random.default_rng(seed)
-    adj = graph.adjacency
-    mult = [dict(nbrs) for nbrs in adj]
-    best_ratio: Fraction | None = None
-    best_subset: tuple[int, ...] | None = None
+    mult = [dict(nbrs) for nbrs in graph.adjacency]
+    outside_gains = _outside_gains(graph)
+    best = None  # (ratio, subset): the lexicographically least wins a tie
     for _ in range(trials):
         size = int(rng.integers(1, k_max + 1))
         members = (rng.choice(n, size=size, replace=False) + 1).tolist()
-        in_s = [False] * (n + 1)
-        for v in members:
-            in_s[v] = True
-        gain = [
-            sum(m if in_s[nb] == in_s[w] else -m for nb, m in adj[w])
-            for w in range(n + 1)
-        ]
-        boundary = sum(m for w in members for nb, m in adj[w] if not in_s[nb])
+        in_s, gain, boundary = _enter(mult, outside_gains, members)
         while True:
-            boundary, size, move = _best_move(
-                adj, mult, in_s, gain, boundary, size, k_max
-            )
+            boundary, size, move = _best_move(mult, in_s, gain, boundary, size, k_max)
             if not move:
                 break
             for w in move:
-                _flip(adj, in_s, gain, w)
-        subset = tuple(v for v in range(1, n + 1) if in_s[v])
-        ratio = Fraction(boundary, size)
-        if (
-            best_ratio is None
-            or ratio < best_ratio
-            or (ratio == best_ratio and subset < best_subset)
-        ):
-            best_ratio = ratio
-            best_subset = subset
-    assert best_subset is not None and best_ratio is not None
+                _flip(mult, in_s, gain, w)
+        trial = (Fraction(boundary, size), tuple(v for v in range(1, n + 1) if in_s[v]))
+        if best is None or trial < best:
+            best = trial
+    alpha, witness = best
     return ExpansionResult(
-        u=uf,
-        alpha=best_ratio,
-        witness=frozenset(best_subset),
-        method=SearchMethod.SAMPLED,
+        u=uf, alpha=alpha, witness=frozenset(witness), method=SearchMethod.SAMPLED
     )

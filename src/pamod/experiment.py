@@ -37,7 +37,8 @@ from pamod.cuts import (
     EXACT_SUBSET_LIMIT, SearchMethod, expansion_profile, sampled_expansion
 )
 from pamod.models import (
-    Model, _check_model, _check_seed, _json_int, _shown, derive_seed, generate
+    Model, _check_count, _check_model, _check_seed, _json_int, _shown, derive_seed,
+    generate,
 )
 from pamod.modularity import (
     EXACT_PARTITION_LIMIT,
@@ -112,12 +113,11 @@ class ExperimentConfig:
         if not self.n_list or min(self.n_list) < 1:
             raise ValueError("n_list must be nonempty with n >= 1")
         for name in counts:
-            if getattr(self, name) < 1:
-                raise ValueError(f"need {name} >= 1, got {getattr(self, name)}")
+            _check_count(getattr(self, name), name)
         _check_seed(self.root_seed)
-        bad = [t for t in self.tasks if t not in TASKS]
-        if bad:
-            raise ValueError(f"unknown tasks {bad}; valid tasks are {TASKS}")
+        if bad := [t for t in self.tasks if t not in TASKS]:
+            more = f" and {len(bad) - 3} more" if len(bad) > 3 else ""
+            raise ValueError(f"unknown tasks {bad[:3]}{more}; valid tasks are {TASKS}")
         if not self.tasks:
             raise ValueError("tasks must be nonempty")
         if (limit := self.exact_expansion_limit) > EXACT_SUBSET_LIMIT:
@@ -180,7 +180,7 @@ def _compute_row(config: ExperimentConfig, h: int, n: int, seed: int) -> dict:
             profile = expansion_profile(graph)
             alpha = profile[n // 2] if n >= 2 else math.inf
             method = SearchMethod.EXHAUSTIVE
-        else:
+        elif "expansion" in config.tasks:  # the bounds read only the exact profile
             res = sampled_expansion(
                 graph,
                 Fraction(1, 2),

@@ -622,20 +622,35 @@ def test_best_move_breaks_ties_as_the_full_scan(graph, subset, k_max, want):
     adj, mult, in_s, gain, boundary = _descent_state(graph, subset)
     args = (adj, mult, in_s, gain, boundary, len(subset), k_max)
     assert _full_scan_move(*args) == want
-    assert cuts._best_move(*args) == want
+    assert cuts._best_move(*args[1:]) == want
+
+
+def _small_graphs():
+    graphs = [NEIGHBOUR_TIE, ALL_NEIGHBOURS, TWO_EDGES, K4, MULTI, MULTI_W1]
+    return graphs + [generate(model, h, 8, h)[1] for model in Model for h in (1, 2, 3)]
 
 
 def test_best_move_matches_the_full_scan_on_every_state():
     # every admissible subset of small graphs, every k_max it admits
-    graphs = [NEIGHBOUR_TIE, ALL_NEIGHBOURS, TWO_EDGES, K4, MULTI, MULTI_W1]
-    graphs += [generate(model, h, 8, h)[1] for model in Model for h in (1, 2, 3)]
-    for g in graphs:
+    for g in _small_graphs():
         for size in range(1, g.n // 2 + 1):
             for subset in itertools.combinations(range(1, g.n + 1), size):
                 adj, mult, in_s, gain, boundary = _descent_state(g, set(subset))
                 for k_max in range(size, g.n // 2 + 1):
                     args = (adj, mult, in_s, gain, boundary, size, k_max)
-                    assert cuts._best_move(*args) == _full_scan_move(*args)
+                    assert cuts._best_move(*args[1:]) == _full_scan_move(*args)
+
+
+def test_flips_from_the_empty_set_build_the_from_scratch_state():
+    # every subset, its members entering in either order
+    for g in _small_graphs():
+        outside_gains = cuts._outside_gains(g)
+        for size in range(g.n + 1):
+            for subset in itertools.combinations(range(1, g.n + 1), size):
+                _adj, mult, in_s, gain, boundary = _descent_state(g, set(subset))
+                for members in (subset, subset[::-1]):
+                    got = cuts._enter(mult, outside_gains, members)
+                    assert got == (in_s, gain, boundary)
 
 
 # standard h=2, n=500, graph seed 2026, u=1/2, 8 trials from seed 18, as the

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from pamod import experiment
 from pamod.experiment import (
     ROW_COLUMNS,
     TASKS,
@@ -208,6 +209,20 @@ def test_sampled_paths_kick_in_above_limits():
     # no exact bound comparison is possible, so no violation flags
     assert rows[0]["q_above_profile"] is None
     assert rows[0]["q_above_global"] is None
+
+
+def test_bounds_alone_above_the_limit_run_no_sampled_search(monkeypatch):
+    # the bounds read only the exact profile, so a sampled alpha would be unused
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("sampled_expansion was called")
+
+    monkeypatch.setattr(experiment, "sampled_expansion", refuse)
+    cfg = ExperimentConfig(
+        model="standard", h_list=[2], n_list=[20], trials=1, root_seed=7,
+        tasks=("bounds",),
+    )
+    (row,) = run_experiment(cfg).rows
+    assert (row["alpha"], row["profile_bound"], row["global_bound"]) == (None,) * 3
 
 
 def test_exact_scan_cells_at_tiny_sizes():

@@ -129,6 +129,15 @@ def test_each_refusal_keeps_its_type_and_message(call, args, message):
     assert str(info.value) == message
 
 
+def test_many_unknown_task_names_give_a_short_line():
+    names = [f"{i:055d}" for i in range(2000)]
+    with pytest.raises(ValueError) as info:
+        experiment.ExperimentConfig.from_dict({**SWEEP, "tasks": names})
+    message = str(info.value)
+    assert len(message) < 400
+    assert message.startswith(f"unknown tasks {names[:3]} and 1997 more; ")
+
+
 def test_the_edge_cases_next_to_the_refusals_keep_their_results():
     # an edgeless graph scores zero by convention
     score = modularity.modularity_score(EDGELESS, [{1, 2, 3}])
@@ -168,8 +177,9 @@ def _templates(tree) -> list[str]:
         ("need 0 < u <= 1/2, got {…}", ["certify.py"]),
         ("need h >= 2, got {…}", None),
         ("need 0 < eta < 1, got {…}", None),
+        ("need {…} >= 1, got {…}", None),
     ],
-    ids=["h-n", "vertex", "certify-u", "certify-h", "certify-eta"],
+    ids=["h-n", "vertex", "certify-u", "certify-h", "certify-eta", "count"],
 )
 def test_each_shared_refusal_is_written_once(template, modules):
     trees = _trees()
