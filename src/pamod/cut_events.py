@@ -10,10 +10,13 @@ Events are identified by arrival index: edge e_t is "in the boundary"
 when its merged endpoints straddle S.  e_1 is always a loop at vertex 1,
 so any A containing arrival 1 has probability zero.
 
-Both exact checks run the lemma's chain rule, ``_chain``: S fixes the
-side of every mini-vertex and the earlier crossings fix both side
-volumes, so P(A) is a product of h*n integers over the process's common
-denominator.  Each check has one size cap and refuses before any work.
+Both exact checks run the lemma's chain rule, one arrival at a time by
+``_chain_step``: S fixes the side of every mini-vertex and the earlier
+crossings fix both side volumes, so P(A) is a product of h*n integers
+over the process's common denominator.  ``exact_cut_event`` steps along
+the one path that A fixes; ``scan_cut_events`` steps down the tree of
+vertex prefixes, and each complementary pair of subsets shares one run.
+Each check has one size cap and refuses before any work.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ from pamod.models import (
 # Longest h*n of ``exact_cut_event``; its big-integer work grows like
 # (h*n)^2, 0.4 s at the cap (2-core Xeon).
 CHAIN_LENGTH_CAP = 20_000
-# Most units (2^n - 2) * (h*n)^3 of ``scan_cut_events`` work, at about
-# 6 * 10^-8 s each (2-core Xeon).
-SCAN_WORK_CAP = 10**8
+# Most units (2^(n-1) - 1) * (h*n)^3 of ``scan_cut_events`` work, (h*n)^3
+# per complementary pair of subsets, at 2-3.5 * 10^-8 s each (2-core Xeon).
+SCAN_WORK_CAP = 2 * 10**8
 
 
 @dataclass(frozen=True)
@@ -118,56 +121,66 @@ def spec_bound(spec: CutEventSpec) -> Fraction:
     return cut_event_bound(spec.h, spec.n, len(spec.subset), len(spec.arrivals))
 
 
-def _chain(model: Model, h: int, n: int, subset, arrivals=None):
-    """The sets A of |A| < h|S| (or the one set ``arrivals``) by the chain
-    rule over arrivals 2..h*n.
+def _chain_step(states: dict, own: bool, vol: int, loops: bool, cap: int, branches) -> dict:
+    """One arrival of the chain rule: ``states`` after arrival tau - 1 to
+    the states after tau.
 
-    Arrival tau's side is [ceil(tau/h) in S].  With vol the volume of both
-    sides before step tau, e_tau crosses with weight vol_other or stays
-    with weight vol_own + [standard], out of D_tau = vol + [standard] =
-    2 tau - 1 (standard) or 2 tau - 3 (tilde).  A crossing adds 1 to each
-    side and a stay 2 to its own; e_1 puts 2 (standard) or 1 (tilde) on
-    the side of vertex 1.  Returns (states, denom): states maps (|A|,
-    vol_S) after arrival h*n to (the largest numerator P(A) * denom of an
-    A that ends there, the number of A of positive mass that do).
+    ``states`` maps (|A|, vol_S) to (the largest numerator of an A that
+    ends there, the number of A of positive mass that do); ``own`` is
+    [ceil(tau/h) in S] and ``vol`` = 2 tau - 3 + [standard] the volume of
+    both sides before tau.  Each branch ``cross`` of ``branches`` has
+    e_tau cross with weight vol_other or stay with weight vol_own +
+    [standard], out of D_tau = vol + [standard]; a crossing adds 1 to
+    each side and a stay 2 to its own.  States of |A| >= ``cap`` and
+    branches of zero weight are dropped.
     """
-    loops, cap = model is Model.STANDARD, h * len(subset)
-    vol = 1 + loops
-    states = {(0, vol if 1 in subset else 0): (1, 1)}
+    after: dict = {}
+    for (a, vol_s), (num, count) in states.items():
+        vol_own = vol_s if own else vol - vol_s
+        for cross in branches:
+            weight = vol - vol_own if cross else vol_own + loops
+            if weight and a + cross < cap:
+                key = (a + cross, vol_s + (1 if cross else 2 * own))
+                num_w = num * weight
+                if key in after:  # no .get: this loop is the scan's cost
+                    best, seen = after[key]
+                    after[key] = (num_w if num_w > best else best, seen + count)
+                else:
+                    after[key] = (num_w, count)
+    return after
+
+
+def _chain_start(loops: bool, inside: bool) -> dict:
+    """The state after e_1, which puts 2 (standard) or 1 (tilde) on the
+    side of vertex 1."""
+    return {(0, 1 + loops if inside else 0): (1, 1)}
+
+
+def _chain_denominator(loops: bool, hn: int) -> int:
+    """The product of D_tau = 2 tau - 3 + 2 [standard] over arrivals 2..h*n."""
     denom = 1
-    for tau in range(2, h * n + 1):
-        own = vertex_of(tau, h) in subset
-        branches = (False, True) if arrivals is None else (tau in arrivals,)
-        after: dict = {}
-        for (a, vol_s), (num, count) in states.items():
-            vol_own = vol_s if own else vol - vol_s
-            for cross in branches:
-                weight = vol - vol_own if cross else vol_own + loops
-                if weight and a + cross < cap:
-                    key = (a + cross, vol_s + (1 if cross else 2 * own))
-                    num_w = num * weight
-                    if key in after:  # no .get: this loop is the scan's cost
-                        best, seen = after[key]
-                        after[key] = (num_w if num_w > best else best, seen + count)
-                    else:
-                        after[key] = (num_w, count)
-        states = after
-        denom *= vol + loops
-        vol += 2
-    return states, denom
+    for tau in range(2, hn + 1):
+        denom *= 2 * tau - 3 + 2 * loops
+    return denom
 
 
 def exact_cut_event(model: Model, spec: CutEventSpec) -> Fraction:
-    """P(boundary edge set of S equals A), exactly: the chain rule along
+    """P(boundary edge set of S equals A), exactly: ``_chain_step`` along
     the one path that A fixes, refused for h*n over ``CHAIN_LENGTH_CAP``."""
     model = _check_model(model)
-    hn = spec.h * spec.n
+    h, hn, subset = spec.h, spec.h * spec.n, spec.subset
     if hn > CHAIN_LENGTH_CAP:
         raise ValueError(f"h*n = {hn} is over the chain length cap {CHAIN_LENGTH_CAP}")
     if 1 in spec.arrivals:
         return Fraction(0)
-    states, denom = _chain(model, spec.h, spec.n, spec.subset, spec.arrivals)
-    return Fraction(sum(num for num, _count in states.values()), denom)
+    loops, cap = model is Model.STANDARD, h * len(subset)
+    states = _chain_start(loops, 1 in subset)
+    for tau in range(2, hn + 1):
+        own = vertex_of(tau, h) in subset
+        branches = (tau in spec.arrivals,)
+        states = _chain_step(states, own, 2 * tau - 3 + loops, loops, cap, branches)
+    total = sum(num for num, _count in states.values())
+    return Fraction(total, _chain_denominator(loops, hn))
 
 
 def estimate_cut_event(
@@ -197,44 +210,88 @@ def estimate_cut_event(
     )
 
 
+def _prefix_walk(loops: bool, h: int, n: int, v: int, mask: int, states: dict):
+    """Yield (mask, chain states after arrival h*n) for every proper S
+    that holds vertex 1 and agrees with ``mask`` on vertices 1..v-1.
+
+    Vertex v's arrivals run once for the subsets that share the prefix.
+    States are dropped at |A| >= h * max(|S|, n - |S|) over every
+    completion, since each final state serves both S and its complement.
+    """
+    if v > n:
+        yield mask, states
+        return
+    k = mask.bit_count()
+    for inside in (True,) if v == 1 else (False, True):
+        if (s := k + inside) == n:
+            continue
+        cap = h * max(s + n - v, n - s)
+        after = states
+        for tau in range(max(2, h * v - h + 1), h * v + 1):
+            after = _chain_step(after, inside, 2 * tau - 3 + loops, loops, cap, (False, True))
+        yield from _prefix_walk(loops, h, n, v + 1, mask | inside << (v - 1), after)
+
+
 def scan_cut_events(model: Model, h: int, n: int) -> CutEventScan:
     """Verify the bound for every proper nonempty S and every admissible A.
 
-    Runs ``_chain`` once per subset, in ascending mask order.  The largest
-    numerator per |A| is compared exactly with ``cut_event_bound``; sets
-    of zero mass hold trivially, and ``pairs_checked`` counts the others.
-    Only an (S, |A|) cell over its bound lists its sets, by
-    ``exact_cut_event``, in ascending arrival-mask order.  Refused over
-    ``SCAN_WORK_CAP``; (h, n) = (2, 10) takes about 0.4 s and standard
-    (2, 12) 3.3 s, under 30 MiB peak RSS (2-core Xeon).
+    The boundary edge set of S is that of its complement, so one chain
+    serves both, and ``_prefix_walk`` runs it down the tree of vertex
+    prefixes with vertex 1 in S.  Each final state map is reduced at once:
+    the sets of positive mass with |A| < h|S| and with |A| < h(n - |S|)
+    are counted in ``pairs_checked``, and the largest numerator per |A|
+    is compared with ``cut_event_bound`` for each side by integer
+    cross-multiplication; sets of zero mass hold trivially.  A tie on the
+    largest ratio goes to the lower mask, so ``max_ratio_at`` is the first
+    maximum in mask order.  Only an (S, |A|) cell over its bound lists its
+    sets, by ``exact_cut_event``; the lists follow ascending subset mask,
+    then ascending arrival mask.  Refused over ``SCAN_WORK_CAP``; (h, n)
+    = (2, 10) takes 0.1-0.2 s, standard (2, 12) 0.6-1.0 s and (2, 14)
+    4.6 s, and the walk holds one state map per vertex: standard (2, 12)
+    stays under 30 MiB peak RSS, which importing numpy alone nearly
+    reaches (2-core Xeon).
     """
     model = _check_model(model)
     _check_hn(h, n)
-    hn = h * n
-    if (work := ((1 << n) - 2) * hn**3) > SCAN_WORK_CAP:
+    hn, full = h * n, (1 << n) - 1
+    if (work := ((1 << (n - 1)) - 1) * hn**3) > SCAN_WORK_CAP:
         raise ValueError(f"{work} work units, over the scan work cap {SCAN_WORK_CAP}")
-    sizes = [(k, a) for k in range(1, n) for a in range(h * k)]
-    bounds = {ka: cut_event_bound(h, n, *ka) for ka in sizes}
-    pairs_checked, violations = 0, []
-    top, top_at, denom = Fraction(0), None, 1  # largest P / bound is top / denom
-    for mask in range(1, (1 << n) - 1):
-        subset = frozenset(_members(mask))
-        states, denom = _chain(model, h, n, subset)
-        largest: dict[int, int] = {}
+    loops = model is Model.STANDARD
+    denom = _chain_denominator(loops, hn)
+    bounds = {(k, a): cut_event_bound(h, n, k, a) for k in range(1, n) for a in range(h * k)}
+    # a numerator over ``over_at[k, a]`` is over bound * denom
+    over_at = {ka: denom * b.numerator // b.denominator for ka, b in bounds.items()}
+    pairs_checked, top, top_at, over = 0, (0, 1), None, {}  # top: P / bound as p / q
+    for mask, states in _prefix_walk(loops, h, n, 1, 0, _chain_start(loops, True)):
+        k = mask.bit_count()
+        largest = [0] * (h * max(k, n - k))
         for (a, _vol_s), (num, count) in states.items():
-            pairs_checked += count
-            largest[a] = max(largest.get(a, 0), num)
-        over = []
-        for a in sorted(largest):
+            pairs_checked += count * ((a < h * k) + (a < h * (n - k)))
+            if num > largest[a]:
+                largest[a] = num
+        for side, size in ((mask, k), (full ^ mask, n - k)):
+            for a, num in enumerate(largest[: h * size]):
+                if not num:
+                    continue
+                bound = bounds[size, a]
+                p, q = num * bound.denominator, bound.numerator
+                # a tie goes to the lower mask: the first maximum in mask order
+                if (gain := p * top[1] - top[0] * q) > 0 or gain == 0 and side < top_at[0]:
+                    top, top_at = (p, q), (side, a)
+                if num > over_at[size, a]:
+                    over.setdefault(side, []).append(a)
+    violations = []
+    for mask in sorted(over):
+        subset, found = frozenset(_members(mask)), []
+        for a in over[mask]:
+            sets = combinations(range(2, hn + 1), a)
+            cell = (CutEventSpec(h, n, subset, arrivals) for arrivals in sets)
             bound = bounds[len(subset), a]
-            if (ratio := largest[a] / bound) > top:
-                top, top_at = ratio, (subset, a)
-            if ratio > denom:
-                sets = combinations(range(2, hn + 1), a)
-                cell = (CutEventSpec(h, n, subset, arrivals) for arrivals in sets)
-                over += [c.arrivals for c in cell if exact_cut_event(model, c) > bound]
-        over.sort(key=lambda arrivals: sum(1 << t for t in arrivals))
-        violations += [(subset, arrivals) for arrivals in over]
+            found += [c.arrivals for c in cell if exact_cut_event(model, c) > bound]
+        found.sort(key=lambda arrivals: sum(1 << t for t in arrivals))
+        violations += [(subset, arrivals) for arrivals in found]
+    if top_at is not None:
+        top_at = (frozenset(_members(top_at[0])), top_at[1])
     return CutEventScan(
-        model, h, n, pairs_checked, tuple(violations), top / denom, top_at
+        model, h, n, pairs_checked, tuple(violations), Fraction(top[0], top[1] * denom), top_at
     )

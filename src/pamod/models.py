@@ -123,6 +123,8 @@ def _check_count(value: int, name: str) -> None:
 
 
 def _check_hn(h: int, n: int) -> None:
+    _json_int(h, "h")
+    _json_int(n, "n")
     if h < 1 or n < 1:
         raise ValueError(f"need h >= 1 and n >= 1, got h={h}, n={n}")
 

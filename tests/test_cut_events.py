@@ -2,9 +2,10 @@
 
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, prod
 from types import SimpleNamespace
 
@@ -22,11 +23,12 @@ from pamod import (
     spec_bound,
 )
 from pamod import cut_events, models
-from pamod.cut_events import CHAIN_LENGTH_CAP, SCAN_WORK_CAP
+from pamod.cut_events import CHAIN_LENGTH_CAP, SCAN_WORK_CAP, CutEventScan
 from pamod.cuts import _gray_flip_order, _members
 from pamod.experiment import derive_seed
 from pamod.models import (
     _ENUMERATION_CAP,
+    _check_hn,
     _check_model,
     _enumerate_logs,
     sample_target_matrix,
@@ -137,7 +139,7 @@ def test_exact_respects_limit(monkeypatch):
     for n in (6, CHAIN_LENGTH_CAP // 2):
         spec, p = _last_vertex_event(n)
         assert exact_cut_event(Model.STANDARD, spec) == p <= spec_bound(spec)
-    monkeypatch.setattr(cut_events, "_chain", _no_chain)
+    monkeypatch.setattr(cut_events, "_chain_step", _no_chain)
     spec = CutEventSpec(h=1, n=CHAIN_LENGTH_CAP + 1, subset={1}, arrivals=set())
     with pytest.raises(ValueError, match=f"over the chain length cap {CHAIN_LENGTH_CAP}"):
         exact_cut_event(Model.TILDE, spec)
@@ -300,32 +302,31 @@ def test_scan_pairs_checked_counts_qualifying_pairs():
 def test_scan_respects_limit(monkeypatch):
     # no per-call limit: the sizes the log enumerator refused (standard
     # h*n = 10, tilde 11) now run, and the work cap refuses
-    # (2^n - 2) * (h*n)^3 over SCAN_WORK_CAP before the first subset
+    # (2^(n-1) - 1) * (h*n)^3 over SCAN_WORK_CAP before the first step;
+    # it admits (2, 14), twice the cells of (2, 13), which the per-subset
+    # scan refused, and refuses (2, 15)
     assert scan_cut_events(Model.STANDARD, 3, 3).violations == ()
     assert scan_cut_events(Model.TILDE, 2, 5).violations == ()
     assert scan_cut_events(Model.STANDARD, 2, 5).violations == ()
     assert scan_cut_events(Model.TILDE, 1, 11).violations == ()
-    assert (2**12 - 2) * 24**3 <= SCAN_WORK_CAP < (2**13 - 2) * 26**3
-    monkeypatch.setattr(cut_events, "_chain", _no_chain)
+    assert (2**13 - 1) * 28**3 <= SCAN_WORK_CAP < (2**14 - 1) * 30**3
+    monkeypatch.setattr(cut_events, "_chain_step", _no_chain)
     with pytest.raises(ValueError, match=f"over the scan work cap {SCAN_WORK_CAP}"):
-        scan_cut_events(Model.STANDARD, 2, 13)
+        scan_cut_events(Model.STANDARD, 2, 15)
 
 
-def test_scan_matches_exact_on_one_cell():
-    # cross-check the vectorized scan against the DFS on every (S, A)
-    # pair at h = 2, n = 2
-    from itertools import combinations
-
-    for subset in [{1}, {2}]:
-        for r in range(0, 2):
-            for arr in combinations(range(1, 5), r):
-                if len(arr) >= 2:
-                    continue
-                spec = CutEventSpec(
-                    h=2, n=2, subset=frozenset(subset), arrivals=frozenset(arr)
-                )
-                p = exact_cut_event(Model.STANDARD, spec)
-                assert p <= spec_bound(spec)
+def test_a_subset_and_its_complement_share_each_cut_event():
+    # the scan's premise: E(S, S-compl) is E(S-compl, S), so one chain
+    # serves both sides of every A that both sides admit
+    for model, h, n in product(Model, range(1, 4), range(2, 5)):
+        for mask in range(1, (1 << n) - 1):
+            subset = frozenset(_members(mask))
+            rest = frozenset(range(1, n + 1)) - subset
+            for a in range(h * min(len(subset), len(rest))):
+                for arrivals in combinations(range(1, h * n + 1), a):
+                    one = CutEventSpec(h=h, n=n, subset=subset, arrivals=arrivals)
+                    other = CutEventSpec(h=h, n=n, subset=rest, arrivals=arrivals)
+                    assert exact_cut_event(model, one) == exact_cut_event(model, other)
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -683,3 +684,163 @@ def test_scan_lists_the_enumerators_violations_of_a_cubed_bound(model, h, n, mon
     )
     got = scan_cut_events(model, h, n).violations
     assert got and got == _reference_scan_cut_events(model, h, n).violations
+
+
+# ------------------------------------------------------ per-subset oracle
+#
+# The per-subset chain scan that the prefix walk replaced, kept verbatim
+# but for the _reference_ names, without its work cap, and with
+# ``cut_events.cut_event_bound`` read through the module so that the
+# monkeypatched bounds reach it.  It runs all h*n arrivals once per subset.
+
+
+def _reference_chain(model: Model, h: int, n: int, subset, arrivals=None):
+    """The sets A of |A| < h|S| (or the one set ``arrivals``) by the chain
+    rule over arrivals 2..h*n.
+
+    Arrival tau's side is [ceil(tau/h) in S].  With vol the volume of both
+    sides before step tau, e_tau crosses with weight vol_other or stays
+    with weight vol_own + [standard], out of D_tau = vol + [standard] =
+    2 tau - 1 (standard) or 2 tau - 3 (tilde).  A crossing adds 1 to each
+    side and a stay 2 to its own; e_1 puts 2 (standard) or 1 (tilde) on
+    the side of vertex 1.  Returns (states, denom): states maps (|A|,
+    vol_S) after arrival h*n to (the largest numerator P(A) * denom of an
+    A that ends there, the number of A of positive mass that do).
+    """
+    loops, cap = model is Model.STANDARD, h * len(subset)
+    vol = 1 + loops
+    states = {(0, vol if 1 in subset else 0): (1, 1)}
+    denom = 1
+    for tau in range(2, h * n + 1):
+        own = vertex_of(tau, h) in subset
+        branches = (False, True) if arrivals is None else (tau in arrivals,)
+        after: dict = {}
+        for (a, vol_s), (num, count) in states.items():
+            vol_own = vol_s if own else vol - vol_s
+            for cross in branches:
+                weight = vol - vol_own if cross else vol_own + loops
+                if weight and a + cross < cap:
+                    key = (a + cross, vol_s + (1 if cross else 2 * own))
+                    num_w = num * weight
+                    if key in after:  # no .get: this loop is the scan's cost
+                        best, seen = after[key]
+                        after[key] = (num_w if num_w > best else best, seen + count)
+                    else:
+                        after[key] = (num_w, count)
+        states = after
+        denom *= vol + loops
+        vol += 2
+    return states, denom
+
+
+def _reference_chain_event(model: Model, spec: CutEventSpec) -> Fraction:
+    """P(boundary edge set of S equals A), exactly: the chain rule along
+    the one path that A fixes, refused for h*n over ``CHAIN_LENGTH_CAP``."""
+    model = _check_model(model)
+    hn = spec.h * spec.n
+    if hn > CHAIN_LENGTH_CAP:
+        raise ValueError(f"h*n = {hn} is over the chain length cap {CHAIN_LENGTH_CAP}")
+    if 1 in spec.arrivals:
+        return Fraction(0)
+    states, denom = _reference_chain(model, spec.h, spec.n, spec.subset, spec.arrivals)
+    return Fraction(sum(num for num, _count in states.values()), denom)
+
+
+def _reference_chain_scan(model: Model, h: int, n: int) -> CutEventScan:
+    """Verify the bound for every proper nonempty S and every admissible A.
+
+    Runs ``_chain`` once per subset, in ascending mask order.  The largest
+    numerator per |A| is compared exactly with ``cut_event_bound``; sets
+    of zero mass hold trivially, and ``pairs_checked`` counts the others.
+    Only an (S, |A|) cell over its bound lists its sets, by
+    ``exact_cut_event``, in ascending arrival-mask order.
+    """
+    model = _check_model(model)
+    _check_hn(h, n)
+    hn = h * n
+    sizes = [(k, a) for k in range(1, n) for a in range(h * k)]
+    bounds = {ka: cut_events.cut_event_bound(h, n, *ka) for ka in sizes}
+    pairs_checked, violations = 0, []
+    top, top_at, denom = Fraction(0), None, 1  # largest P / bound is top / denom
+    for mask in range(1, (1 << n) - 1):
+        subset = frozenset(_members(mask))
+        states, denom = _reference_chain(model, h, n, subset)
+        largest: dict[int, int] = {}
+        for (a, _vol_s), (num, count) in states.items():
+            pairs_checked += count
+            largest[a] = max(largest.get(a, 0), num)
+        over = []
+        for a in sorted(largest):
+            bound = bounds[len(subset), a]
+            if (ratio := largest[a] / bound) > top:
+                top, top_at = ratio, (subset, a)
+            if ratio > denom:
+                sets = combinations(range(2, hn + 1), a)
+                cell = (CutEventSpec(h, n, subset, arrivals) for arrivals in sets)
+                over += [c.arrivals for c in cell if _reference_chain_event(model, c) > bound]
+        over.sort(key=lambda arrivals: sum(1 << t for t in arrivals))
+        violations += [(subset, arrivals) for arrivals in over]
+    return CutEventScan(
+        model, h, n, pairs_checked, tuple(violations), top / denom, top_at
+    )
+
+
+# every cell of h 1-3 with no more per-subset work than (2, 10)
+ORACLE_CELLS = [
+    (h, n)
+    for h in (1, 2, 3)
+    for n in range(1, 13)
+    if ((1 << n) - 2) * (h * n) ** 3 <= ((1 << 10) - 2) * 20**3
+]
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("h, n", ORACLE_CELLS)
+def test_scan_equals_the_per_subset_chain_scan(model, h, n):
+    # pairs_checked, violations in order, max_ratio and max_ratio_at
+    assert scan_cut_events(model, h, n) == _reference_chain_scan(model, h, n)
+
+
+def _cubed_bound(monkeypatch):
+    monkeypatch.setattr(cut_events, "math", SimpleNamespace(comb=lambda a, b: comb(a, b) ** 3))
+
+
+def _tiny_bound(monkeypatch):
+    monkeypatch.setattr(cut_events, "cut_event_bound", lambda *_: Fraction(1, 10**30))
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("h, n", [(1, 5), (1, 6), (2, 3), (2, 4), (3, 2), (3, 3)])
+@pytest.mark.parametrize("patch", [_cubed_bound, _tiny_bound])
+def test_scan_equals_the_per_subset_chain_scan_over_a_false_bound(model, h, n, patch, monkeypatch):
+    # a bound that real events violate, so the lists and the margin over 1 count
+    patch(monkeypatch)
+    scan = scan_cut_events(model, h, n)
+    assert scan.violations and scan == _reference_chain_scan(model, h, n)
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_exact_equals_the_per_subset_chain_on_random_specs(model):
+    rng = random.Random(20)
+    for _ in range(200):
+        h = rng.randint(1, 4)
+        n = rng.randint(1, 30 // h)
+        subset = rng.sample(range(1, n + 1), rng.randint(1, n))
+        arrivals = rng.sample(range(1, h * n + 1), rng.randrange(h * len(subset)))
+        spec = CutEventSpec(h=h, n=n, subset=subset, arrivals=arrivals)
+        assert exact_cut_event(model, spec) == _reference_chain_event(model, spec)
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_scan_memory_stays_flat(model):
+    # the walk holds one state map per vertex and reduces each final map
+    # at once: (2, 9) peaks at 40-80 KiB of Python allocations, where the
+    # 256 final maps held whole take megabytes
+    scan_cut_events(model, 2, 3)  # warm the imports and caches
+    tracemalloc.start()
+    try:
+        scan_cut_events(model, 2, 9)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024

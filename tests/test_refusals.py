@@ -114,6 +114,15 @@ REFUSALS = [
      f"unknown model '{LONG[:59]}..."),
     (experiment.ExperimentConfig.from_dict, ({**SWEEP, "tasks": ["bounds", LONG]},),
      f"unknown tasks ['{LONG[:60]}...']; valid tasks are {experiment.TASKS}"),
+    # h and n must be ints, as a graph file's must: generate used to save
+    # "h": true, which load_graph refuses, and 2.0 or "3" failed deep inside
+    (models.generate, (STD, True, 3, 1), "h must be an integer, got True"),
+    (models.generate, (TIL, 2, 3.0, 1), "n must be an integer, got 3.0"),
+    (models.ArrivalLog, (STD, "2", 1, (1, 1)), "h must be an integer, got '2'"),
+    (cut_events.scan_cut_events, (STD, True, 3), "h must be an integer, got True"),
+    (cut_events.scan_cut_events, (TIL, 2.0, 3), "h must be an integer, got 2.0"),
+    (cut_events.CutEventSpec, (2, "3", {1}, ()), "n must be an integer, got '3'"),
+    (cut_events.cut_event_bound, (2, False, 1, 0), "n must be an integer, got False"),
 ]
 
 
