@@ -5,14 +5,19 @@ u-bounded expansion alpha_u is the minimum ratio over nonempty S with
 |S| <= floor(u*n).  When floor(u*n) < 1 no subset qualifies and alpha_u
 is +infinity by convention.
 
-The exhaustive search builds one numpy table over all 2^n vertex masks,
-boundary[mask] = e(S, S-complement), by doubling: the masks that contain
-vertex i are the masks below it plus i's degree, minus twice i's edges
-into each lower neighbour.  The same kernel, ``_subset_sums``, also gives
-subset sizes and the inner-edge and volume tables behind exact
-modularity.  The profile is the running minimum of best[k]/k, best[k] the
-least boundary of size k, and exact expansion reads it at floor(u*n).
-All ratios are exact; ties go to the lexicographically least vertex set.
+The exhaustive search builds one numpy table, boundary[mask] =
+e(S, S-complement), by doubling: the masks that contain vertex i are the
+masks below it plus i's degree, minus twice i's edges into each lower
+neighbour.  A set and its complement share their boundary, so the table
+covers only the 2^(n-1) masks that leave out vertex n, and a mask of size
+j there stands for a set of size j and one of size n - j.  The same
+kernel, ``_subset_sums``, also gives popcounts and the inner-edge and
+volume tables behind exact modularity.  best[k], the least boundary of
+size k, comes from block minima over the table (``_least_by_size``); the
+profile is the running minimum of best[k]/k, and exact expansion reads
+it at floor(u*n).  All ratios are exact; ties go to the
+lexicographically least vertex set.  At n = 20 the profile takes about
+1.6 ms and exact expansion 1.9 ms (2-core Xeon).
 """
 
 from __future__ import annotations
@@ -21,18 +26,23 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 
 from pamod.models import (
-    MultiGraph, _check_count, _check_seed, _check_vertices, _json_int
+    MultiGraph, _check_count, _check_seed, _check_vertices, _json_int, _shown
 )
 
-# Largest n for the exhaustive search: an int32 boundary and a uint8 size
-# table over all 2^n masks, 5 bytes per mask (6 in exact expansion's witness
-# search), 80-96 MiB at n = 24, where a call peaks at 116-132 MiB RSS.
+# Largest n for the exhaustive search: an int32 boundary over the 2^(n-1)
+# masks without vertex n, 2 bytes per mask of all 2^n (a call peaks at
+# about 2.5 under tracemalloc), 32 MiB at n = 24, where a call peaks at
+# 75-83 MiB RSS in a fresh process.
 EXACT_SUBSET_LIMIT = 24
+
+# Low mask bits folded at once by the per-size minima: a 2^12-column block.
+FOLD_BITS = 12
 
 
 class SearchMethod(str, Enum):
@@ -77,10 +87,20 @@ def as_fraction(u) -> Fraction:
     raise ValueError(f"cannot interpret {u!r} as a rational")
 
 
+def _fraction_text(uf: Fraction) -> str:
+    """str(uf), or its power of ten when a part has more digits than
+    Python converts to text (sys.get_int_max_str_digits())."""
+    try:
+        return str(uf)
+    except ValueError:
+        exp = math.log10(abs(uf.numerator)) - math.log10(uf.denominator)
+        return f"about {'-' if uf < 0 else ''}10^{round(exp)}"
+
+
 def _check_u(u) -> Fraction:
     uf = as_fraction(u)
     if not 0 < uf <= Fraction(1, 2):
-        raise ValueError(f"need 0 < u <= 1/2, got {uf}")
+        raise ValueError(f"need 0 < u <= 1/2, got {_shown(uf, _fraction_text)}")
     return uf
 
 
@@ -167,9 +187,12 @@ def _outside_gains(graph: MultiGraph) -> list[int]:
 
 
 def _boundary_table(graph: MultiGraph) -> np.ndarray:
-    """bnd[mask] = e(S, S-complement); it stays below vol(G), so int32 holds it."""
-    own = _outside_gains(graph)[1:]
-    return _subset_sums(graph.n, own, _pair_weights(graph, -2), np.int32)
+    """bnd[mask] = e(S, S-complement) over the 2^(n-1) masks that leave out
+    vertex n, the lower half of the full table: the upper half is
+    bnd[full ^ mask], since a set and its complement share their boundary.
+    Vertex n's edges always cross.  Below vol(G), so int32 holds it."""
+    own = _outside_gains(graph)[1:-1]
+    return _subset_sums(graph.n - 1, own, _pair_weights(graph, -2)[:-1], np.int32)
 
 
 def _check_subset_limit(n: int, requested: int) -> None:
@@ -180,16 +203,61 @@ def _check_subset_limit(n: int, requested: int) -> None:
         )
 
 
+@lru_cache(maxsize=None)
+def _popcount_order(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(pop, order, starts) over the 2^b masks of b <= FOLD_BITS bits: each
+    mask's popcount, the masks stably sorted by it, and where popcount
+    0..b begins in that order."""
+    pop = _subset_sums(b, [1] * b, None, np.uint8)
+    order = np.argsort(pop, kind="stable")
+    starts = np.searchsorted(pop[order], np.arange(b + 1))
+    for a in (pop, order, starts):
+        a.setflags(write=False)
+    return pop, order, starts
+
+
+def _popcounts(masks: np.ndarray, bits: int) -> np.ndarray:
+    """Popcount of each mask below 2^bits, from the low and high tables."""
+    lo = min(bits, FOLD_BITS)
+    low, high = _popcount_order(lo)[0], _popcount_order(bits - lo)[0]
+    return low[masks & ((1 << lo) - 1)] + high[masks >> lo]
+
+
+def _least_by_size(table: np.ndarray, bits: int) -> np.ndarray:
+    """least[j] = min of table[mask] over the masks of j set bits, j = 0..bits.
+
+    Block minima, no per-mask scatter: viewed as (2^hi, 2^lo) with
+    lo = min(bits, FOLD_BITS), the rows of high popcount p reduce to one
+    row, whose columns fold by low popcount q in one reduceat over the
+    cached order; size j is the least over p + q = j.
+    """
+    lo = min(bits, FOLD_BITS)
+    hi = bits - lo
+    _pop, cols, col_starts = _popcount_order(lo)
+    _pop, rows, row_starts = _popcount_order(hi)
+    block = table.reshape(1 << hi, 1 << lo)
+    least = np.full(bits + 1, np.iinfo(table.dtype).max, table.dtype)
+    for p, (a, b) in enumerate(zip(row_starts, [*row_starts[1:], 1 << hi])):
+        by_low = np.minimum.reduceat(block[rows[a:b]].min(axis=0)[cols], col_starts)
+        window = least[p : p + lo + 1]  # sizes p + q, q = 0..lo
+        np.minimum(window, by_low, out=window)
+    return least
+
+
 def _size_profile(graph: MultiGraph):
-    """Boundary and size tables, best[k] = least boundary of size k (one
-    np.minimum.at, no 2^n temporary), and profile k -> min_{j<=k} best[j]/j."""
+    """The half boundary table, best[k] = least boundary of size k, and
+    the profile k -> min_{j<=k} best[j]/j.
+
+    A half-table mask of size j stands for itself and for its complement
+    of size n - j, so best[k] = min(least[k], least[n-k]).
+    """
+    n = graph.n
     bnd = _boundary_table(graph)
-    pop = _subset_sums(graph.n, [1] * graph.n, None, np.uint8)
-    best = np.full(graph.n + 1, np.iinfo(np.int32).max, dtype=np.int32)
-    np.minimum.at(best, pop, bnd)
-    ks = range(1, graph.n // 2 + 1)
-    running = accumulate((Fraction(int(best[k]), k) for k in ks), min)
-    return bnd, pop, best, dict(zip(ks, running))
+    least = [*_least_by_size(bnd, n - 1).tolist(), 0]  # size n: the full set
+    best = [min(pair) for pair in zip(least, reversed(least))]
+    ks = range(1, n // 2 + 1)
+    running = accumulate((Fraction(best[k], k) for k in ks), min)
+    return bnd, best, dict(zip(ks, running))
 
 
 def _members(mask: int) -> tuple[int, ...]:
@@ -204,8 +272,10 @@ def exact_expansion(
     The profile's value at floor(u*n), and the least witness among the
     size-k masks with best[k]/k equal to it.  Refuses n above ``limit``,
     or above ``EXACT_SUBSET_LIMIT`` whatever ``limit`` says, before any
-    table (use :func:`sampled_expansion`).  Peak 6 bytes per mask; 7 ms
-    at n = 20, 0.2 s and 132 MiB RSS at n = 24 (2-core Xeon, fresh process).
+    table (use :func:`sampled_expansion`).  The witnesses of size k are
+    the half-table hits of size k and the complements of those of size
+    n - k.  Peak about 2.5 bytes per mask; 1.9 ms at n = 20, 0.04 s and
+    83 MiB RSS at n = 24 (2-core Xeon, fresh process).
     """
     uf = _check_u(u)
     _check_subset_limit(graph.n, limit)
@@ -214,13 +284,16 @@ def exact_expansion(
         return ExpansionResult(
             u=uf, alpha=math.inf, witness=None, method=SearchMethod.EXHAUSTIVE
         )
-    bnd, pop, best, profile = _size_profile(graph)
+    n = graph.n
+    bnd, best, profile = _size_profile(graph)
     alpha = profile[k_max]
     masks: list[int] = []
     for k in range(1, k_max + 1):
-        if Fraction(int(best[k]), k) == alpha:
+        if Fraction(best[k], k) == alpha:
             hits = np.flatnonzero(bnd == best[k])
-            masks += hits[pop[hits] == k].tolist()
+            size = _popcounts(hits, n - 1)
+            masks += hits[size == k].tolist()
+            masks += (((1 << n) - 1) ^ hits[size == n - k]).tolist()
     return ExpansionResult(
         u=uf,
         alpha=alpha,
@@ -234,11 +307,12 @@ def expansion_profile(
 ) -> dict[int, Fraction]:
     """Map k -> alpha_{k/n} for k = 1..floor(n/2), non-increasing in k.
 
-    Refuses as ``exact_expansion`` does.  Peak 5 bytes per mask; 7 ms at
-    n = 20, 0.14 s and 116 MiB RSS at n = 24 (2-core Xeon, fresh process).
+    Refuses as ``exact_expansion`` does.  Peak about 2.5 bytes per mask;
+    1.6 ms at n = 20, 0.03 s and 75 MiB RSS at n = 24 (2-core Xeon, fresh
+    process).
     """
     _check_subset_limit(graph.n, limit)
-    return _size_profile(graph)[3]
+    return _size_profile(graph)[2]
 
 
 def _flip(mult, in_s: list[bool], gain: list[int], w: int) -> None:

@@ -127,14 +127,17 @@ def _table_graphs():
 
 @pytest.mark.parametrize("graph", list(_table_graphs()))
 def test_subset_tables_match_edge_boundary_on_every_mask(graph):
+    # the boundary table holds the masks without vertex n; a mask with it
+    # reads its complement's entry, bnd[full ^ mask]
     n = graph.n
+    full = (1 << n) - 1
+    bnd = _boundary_table(graph)
+    assert bnd.dtype == np.int32 and bnd.shape == (1 << (n - 1),)
     tables = {
-        "e_boundary": _boundary_table(graph),
         "e_inner": _inner_table(graph),
         "vol": _subset_sums(n, graph.degrees[1:], None, np.int64),
         "size": _subset_sums(n, [1] * n, None, np.uint8),
     }
-    assert tables["e_boundary"].dtype == np.int32
     for mask in range(1 << n):
         rep = edge_boundary(graph, {v for v in range(1, n + 1) if (mask >> (v - 1)) & 1})
         want = {
@@ -143,7 +146,83 @@ def test_subset_tables_match_edge_boundary_on_every_mask(graph):
             "vol": rep.vol,
             "size": len(rep.subset),
         }
-        assert {name: int(t[mask]) for name, t in tables.items()} == want
+        got = {name: int(t[mask]) for name, t in tables.items()}
+        got["e_boundary"] = int(bnd[mask if mask >> (n - 1) == 0 else full ^ mask])
+        assert got == want
+
+
+# ------------------------------------- the full-table oracle, np.minimum.at
+
+
+def _full_boundary_table(graph):
+    """e(S, S-complement) over all 2^n masks, the table the half table halves."""
+    own = cuts._outside_gains(graph)[1:]
+    return _subset_sums(graph.n, own, cuts._pair_weights(graph, -2), np.int32)
+
+
+def _oracle_size_profile(graph):
+    """Boundary and size tables, best[k] = least boundary of size k (one
+    np.minimum.at, no 2^n temporary), and profile k -> min_{j<=k} best[j]/j."""
+    bnd = _full_boundary_table(graph)
+    pop = _subset_sums(graph.n, [1] * graph.n, None, np.uint8)
+    best = np.full(graph.n + 1, np.iinfo(np.int32).max, dtype=np.int32)
+    np.minimum.at(best, pop, bnd)
+    ks = range(1, graph.n // 2 + 1)
+    running = itertools.accumulate((Fraction(int(best[k]), k) for k in ks), min)
+    return bnd, pop, best, dict(zip(ks, running))
+
+
+def _oracle_expansion(graph, u):
+    """(alpha, witness) as the full tables give them."""
+    k_max = math.floor(u * graph.n)
+    if k_max < 1:
+        return math.inf, None
+    bnd, pop, best, profile = _oracle_size_profile(graph)
+    alpha = profile[k_max]
+    masks = []
+    for k in range(1, k_max + 1):
+        if Fraction(int(best[k]), k) == alpha:
+            hits = np.flatnonzero(bnd == best[k])
+            masks += hits[pop[hits] == k].tolist()
+    return alpha, frozenset(min(map(cuts._members, masks)))
+
+
+ORACLE_US = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(1, 7)]
+# vertices 1 and 5 (= n) have no edges at all
+ISOLATED_ENDS = MultiGraph.from_pairs(5, [(2, 3), (3, 4), (2, 4), (3, 3)])
+# {1, 4} and {2, 3} each have boundary 1; the half table holds {2, 3},
+# and the least witness {1, 4} is its complement
+COMPLEMENT_TIE = MultiGraph.from_pairs(4, [(1, 4), (1, 4), (2, 3), (2, 3), (1, 2)])
+
+
+def _assert_matches_oracle(graph):
+    assert expansion_profile(graph) == _oracle_size_profile(graph)[3]
+    for u in ORACLE_US:
+        res = exact_expansion(graph, u)
+        assert (res.alpha, res.witness) == _oracle_expansion(graph, u), u
+
+
+@pytest.mark.parametrize("n", range(1, 19))
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("model", list(Model))
+def test_half_table_matches_the_full_table_oracle(model, h, n):
+    for seed in range(3):
+        _assert_matches_oracle(generate(model, h, n, 1000 * h + 10 * n + seed)[1])
+
+
+@pytest.mark.parametrize(
+    "graph", [MULTI, MULTI_W1, ISOLATED_ENDS, COMPLEMENT_TIE],
+    ids=["multi", "multi_w1", "isolated_ends", "complement_tie"],
+)
+def test_half_table_matches_the_oracle_on_hand_built_graphs(graph):
+    _assert_matches_oracle(graph)
+
+
+def test_a_complement_of_half_size_wins_the_witness_tie():
+    res = exact_expansion(COMPLEMENT_TIE, Fraction(1, 2))
+    assert res.alpha == Fraction(1, 2)
+    assert res.witness == frozenset({1, 4})
+    assert edge_boundary(COMPLEMENT_TIE, {2, 3}).e_boundary == 1
 
 
 # ------------------------------------------------------- exact expansion
@@ -232,8 +311,8 @@ def test_expansion_refuses_n25_even_when_no_subset_qualifies(monkeypatch):
 
 @pytest.mark.parametrize("model", list(Model))
 def test_subset_table_peaks_per_mask(model):
-    # the profile holds an int32 boundary and a uint8 size table, 5 bytes
-    # per mask; exact expansion's witness search adds one boolean table
+    # a loose cap: the tables take about 2.5 bytes per mask (see the
+    # half-table test below)
     n = 22
     _, g = generate(model, 2, n, 1)
     calls = {
@@ -248,6 +327,27 @@ def test_subset_table_peaks_per_mask(model):
         finally:
             tracemalloc.stop()
         assert peak <= cap * 2**n, (name, peak / 2**n)
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_half_boundary_table_peaks_under_three_bytes_per_mask(model):
+    # an int32 boundary over the 2^(n-1) masks without vertex n is 2 bytes
+    # per mask of 2^n; the per-size minima and the witness search's boolean
+    # table add about half a byte
+    n = 22
+    _, g = generate(model, 2, n, 1)
+    calls = {
+        "exact_expansion": lambda: exact_expansion(g, Fraction(1, 2)),
+        "expansion_profile": lambda: expansion_profile(g),
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * 2**n, (name, peak / 2**n)
 
 
 @given(graph_params, st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]))

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from pamod import certify, cut_events, cuts, experiment, models, modularity
+from pamod import certify, cli, cut_events, cuts, experiment, models, modularity
 from pamod.models import Model, MultiGraph
 
 SRC = pathlib.Path(models.__file__).parent
@@ -123,6 +123,11 @@ REFUSALS = [
     (cut_events.scan_cut_events, (TIL, 2.0, 3), "h must be an integer, got 2.0"),
     (cut_events.CutEventSpec, (2, "3", {1}, ()), "n must be an integer, got '3'"),
     (cut_events.cut_event_bound, (2, False, 1, 0), "n must be an integer, got False"),
+    # a huge u is cut as any long value; past Python's int-to-text digit
+    # limit it shows as a power of ten
+    (cuts.exact_expansion, (K3, "1e400"), U.format(f"1{'0' * 59}...")),
+    (cuts.exact_expansion, (K3, "1e5000"), U.format("about 10^5000")),
+    (cuts.sampled_expansion, (K3, "-1e5000", 4, 0), U.format("about -10^5000")),
 ]
 
 
@@ -136,6 +141,19 @@ def test_each_refusal_keeps_its_type_and_message(call, args, message):
         call(*args)
     assert type(info.value) is ValueError
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("u", ["1e400", "1e5000"])
+def test_a_huge_u_gives_one_short_usage_line(tmp_path, capsys, u):
+    # the line used to hold all 401 digits of 1e400, and 1e5000 gave
+    # Python's "Exceeds the limit (4300 digits)" message instead of the rule
+    path = tmp_path / "g.json"
+    models.save_graph(models.generate(STD, 2, 6, 1)[1], path)
+    assert cli.main(["expand", "--graph", str(path), "--u", u]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    line, = captured.err.splitlines()
+    assert line.startswith("error: need 0 < u <= 1/2, got ") and len(line) <= 100
 
 
 def test_many_unknown_task_names_give_a_short_line():
