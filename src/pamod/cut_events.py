@@ -14,9 +14,11 @@ Both exact checks run the lemma's chain rule, one arrival at a time by
 ``_chain_step``: S fixes the side of every mini-vertex and the earlier
 crossings fix both side volumes, so P(A) is a product of h*n integers
 over the process's common denominator.  ``exact_cut_event`` steps along
-the one path that A fixes; ``scan_cut_events`` steps down the tree of
-vertex prefixes, and each complementary pair of subsets shares one run.
-Each check has one size cap and refuses before any work.
+the one path that A fixes.  ``scan_cut_events`` walks vertices 1..n once:
+the bound depends on S only through |S| and the chain's future only on
+its state, so the prefixes with equally many vertices in S share one
+merged state map, and the work is polynomial, not 2^n.  Each check has
+one size cap and refuses before any work.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from pamod.models import (
     Model,
     _check_count,
     _check_hn,
+    _check_int,
     _check_model,
     _check_seed,
     _check_vertices,
@@ -45,9 +48,11 @@ from pamod.models import (
 # Longest h*n of ``exact_cut_event``; its big-integer work grows like
 # (h*n)^2, 0.4 s at the cap (2-core Xeon).
 CHAIN_LENGTH_CAP = 20_000
-# Most units (2^(n-1) - 1) * (h*n)^3 of ``scan_cut_events`` work, (h*n)^3
-# per complementary pair of subsets, at 2-3.5 * 10^-8 s each (2-core Xeon).
-SCAN_WORK_CAP = 2 * 10**8
+# Most units n * (h*n)^3 of ``scan_cut_events`` work: n vertices, each
+# stepping up to n merged maps of (h*n)^2 states through h arrivals, at
+# 0.9-2.4 * 10^-7 s per unit, so (2, 40) takes 2-3 s and the cap 4-6 s
+# (2-core Xeon).
+SCAN_WORK_CAP = 25 * 10**6
 
 
 @dataclass(frozen=True)
@@ -73,7 +78,7 @@ class CutEventSpec:
         _check_vertices(self.subset, self.n)
         hn = self.h * self.n
         for t in self.arrivals:
-            if not 1 <= t <= hn:
+            if not 1 <= _check_int(t, "arrival") <= hn:
                 raise ValueError(f"arrival {t} out of range 1..{hn}")
         if len(self.arrivals) >= self.h * len(self.subset):
             raise ValueError(
@@ -110,9 +115,9 @@ def cut_event_bound(h: int, n: int, k: int, a: int) -> Fraction:
     """C(hk, a) / C(hn - a, hk - a), exactly; over 1 (vacuous, but valid)
     for large a."""
     _check_hn(h, n)
-    if not 1 <= k <= n:
+    if not 1 <= _json_int(k, "k") <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}")
-    if not 0 <= a < h * k:
+    if not 0 <= _json_int(a, "a") < h * k:
         raise ValueError(f"need 0 <= a < h*k = {h * k}, got a={a}")
     return Fraction(math.comb(h * k, a), math.comb(h * n - a, h * k - a))
 
@@ -121,21 +126,25 @@ def spec_bound(spec: CutEventSpec) -> Fraction:
     return cut_event_bound(spec.h, spec.n, len(spec.subset), len(spec.arrivals))
 
 
-def _chain_step(states: dict, own: bool, vol: int, loops: bool, cap: int, branches) -> dict:
+def _chain_step(
+    states: dict, own: bool, vol: int, loops: bool, cap: int, branches, after=None
+) -> dict:
     """One arrival of the chain rule: ``states`` after arrival tau - 1 to
-    the states after tau.
+    the states after tau, merged into ``after`` (a new map by default).
 
     ``states`` maps (|A|, vol_S) to (the largest numerator of an A that
-    ends there, the number of A of positive mass that do); ``own`` is
+    ends there, the number of A of positive mass that do, the least
+    subset mask among those that reach that numerator); ``own`` is
     [ceil(tau/h) in S] and ``vol`` = 2 tau - 3 + [standard] the volume of
     both sides before tau.  Each branch ``cross`` of ``branches`` has
     e_tau cross with weight vol_other or stay with weight vol_own +
     [standard], out of D_tau = vol + [standard]; a crossing adds 1 to
-    each side and a stay 2 to its own.  States of |A| >= ``cap`` and
-    branches of zero weight are dropped.
+    each side and a stay 2 to its own.  Two paths into one state keep the
+    larger numerator, add their counts and keep the lesser mask on a tie.
+    States of |A| >= ``cap`` and branches of zero weight are dropped.
     """
-    after: dict = {}
-    for (a, vol_s), (num, count) in states.items():
+    after = {} if after is None else after
+    for (a, vol_s), (num, count, mask) in states.items():
         vol_own = vol_s if own else vol - vol_s
         for cross in branches:
             weight = vol - vol_own if cross else vol_own + loops
@@ -143,17 +152,19 @@ def _chain_step(states: dict, own: bool, vol: int, loops: bool, cap: int, branch
                 key = (a + cross, vol_s + (1 if cross else 2 * own))
                 num_w = num * weight
                 if key in after:  # no .get: this loop is the scan's cost
-                    best, seen = after[key]
-                    after[key] = (num_w if num_w > best else best, seen + count)
+                    best, seen, least = after[key]
+                    if num_w > best or num_w == best and mask < least:
+                        best, least = num_w, mask
+                    after[key] = (best, seen + count, least)
                 else:
-                    after[key] = (num_w, count)
+                    after[key] = (num_w, count, mask)
     return after
 
 
 def _chain_start(loops: bool, inside: bool) -> dict:
     """The state after e_1, which puts 2 (standard) or 1 (tilde) on the
-    side of vertex 1."""
-    return {(0, 1 + loops if inside else 0): (1, 1)}
+    side of vertex 1; its mask holds vertex 1 when it is ``inside``."""
+    return {(0, 1 + loops if inside else 0): (1, 1, int(inside))}
 
 
 def _chain_denominator(loops: bool, hn: int) -> int:
@@ -179,7 +190,7 @@ def exact_cut_event(model: Model, spec: CutEventSpec) -> Fraction:
         own = vertex_of(tau, h) in subset
         branches = (tau in spec.arrivals,)
         states = _chain_step(states, own, 2 * tau - 3 + loops, loops, cap, branches)
-    total = sum(num for num, _count in states.values())
+    total = sum(num for num, _count, _mask in states.values())
     return Fraction(total, _chain_denominator(loops, hn))
 
 
@@ -210,88 +221,71 @@ def estimate_cut_event(
     )
 
 
-def _prefix_walk(loops: bool, h: int, n: int, v: int, mask: int, states: dict):
-    """Yield (mask, chain states after arrival h*n) for every proper S
-    that holds vertex 1 and agrees with ``mask`` on vertices 1..v-1.
-
-    Vertex v's arrivals run once for the subsets that share the prefix.
-    States are dropped at |A| >= h * max(|S|, n - |S|) over every
-    completion, since each final state serves both S and its complement.
-    """
-    if v > n:
-        yield mask, states
-        return
-    k = mask.bit_count()
-    for inside in (True,) if v == 1 else (False, True):
-        if (s := k + inside) == n:
-            continue
-        cap = h * max(s + n - v, n - s)
-        after = states
-        for tau in range(max(2, h * v - h + 1), h * v + 1):
-            after = _chain_step(after, inside, 2 * tau - 3 + loops, loops, cap, (False, True))
-        yield from _prefix_walk(loops, h, n, v + 1, mask | inside << (v - 1), after)
-
-
 def scan_cut_events(model: Model, h: int, n: int) -> CutEventScan:
     """Verify the bound for every proper nonempty S and every admissible A.
 
-    The boundary edge set of S is that of its complement, so one chain
-    serves both, and ``_prefix_walk`` runs it down the tree of vertex
-    prefixes with vertex 1 in S.  Each final state map is reduced at once:
-    the sets of positive mass with |A| < h|S| and with |A| < h(n - |S|)
-    are counted in ``pairs_checked``, and the largest numerator per |A|
-    is compared with ``cut_event_bound`` for each side by integer
-    cross-multiplication; sets of zero mass hold trivially.  A tie on the
-    largest ratio goes to the lower mask, so ``max_ratio_at`` is the first
-    maximum in mask order.  Only an (S, |A|) cell over its bound lists its
-    sets, by ``exact_cut_event``; the lists follow ascending subset mask,
-    then ascending arrival mask.  Refused over ``SCAN_WORK_CAP``; (h, n)
-    = (2, 10) takes 0.1-0.2 s, standard (2, 12) 0.6-1.0 s and (2, 14)
-    4.6 s, and the walk holds one state map per vertex: standard (2, 12)
-    stays under 30 MiB peak RSS, which importing numpy alone nearly
-    reaches (2-core Xeon).
+    The bound depends on S only through k = |S|, and the chain's future
+    only through its state, so one forward walk over vertices 1..n serves
+    every S: the prefixes 1..v with s vertices in S share one state map,
+    which each vertex extends on both sides by ``_chain_step``.  Vertex 1
+    is walked on both sides too, so the map of s = k after vertex n serves
+    exactly the k-sets.  Its states give ``pairs_checked`` (their counts)
+    and the largest numerator per (k, |A|), which is compared with
+    ``cut_event_bound`` by integer cross-multiplication; sets of zero mass
+    hold trivially.  Two prefixes that reach one state have the same
+    completions, so the least mask kept per state is the least full mask:
+    ``max_ratio_at`` is the first maximum in mask order, then |A| order.
+    Only a (k, |A|) cell over its bound lists its sets, by
+    ``exact_cut_event``; the lists follow ascending subset mask, then
+    ascending arrival mask.  Refused over ``SCAN_WORK_CAP``; standard (2,
+    12) takes about 0.01 s, (2, 20) 0.1-0.2 s, and standard and tilde
+    (2, 40) 2-3 s at 43 and 55 MiB peak RSS (2-core Xeon).
     """
     model = _check_model(model)
     _check_hn(h, n)
-    hn, full = h * n, (1 << n) - 1
-    if (work := ((1 << (n - 1)) - 1) * hn**3) > SCAN_WORK_CAP:
+    hn = h * n
+    if (work := n * hn**3) > SCAN_WORK_CAP:
         raise ValueError(f"{work} work units, over the scan work cap {SCAN_WORK_CAP}")
-    loops = model is Model.STANDARD
-    denom = _chain_denominator(loops, hn)
-    bounds = {(k, a): cut_event_bound(h, n, k, a) for k in range(1, n) for a in range(h * k)}
-    # a numerator over ``over_at[k, a]`` is over bound * denom
-    over_at = {ka: denom * b.numerator // b.denominator for ka, b in bounds.items()}
-    pairs_checked, top, top_at, over = 0, (0, 1), None, {}  # top: P / bound as p / q
-    for mask, states in _prefix_walk(loops, h, n, 1, 0, _chain_start(loops, True)):
-        k = mask.bit_count()
-        largest = [0] * (h * max(k, n - k))
-        for (a, _vol_s), (num, count) in states.items():
-            pairs_checked += count * ((a < h * k) + (a < h * (n - k)))
-            if num > largest[a]:
-                largest[a] = num
-        for side, size in ((mask, k), (full ^ mask, n - k)):
-            for a, num in enumerate(largest[: h * size]):
-                if not num:
+    loops, both = model is Model.STANDARD, (False, True)
+    layers: list[dict] = [{}]  # layers[s]: the merged states of the prefixes with s in S
+    for v in range(1, n + 1):
+        after: list[dict] = [{} for _ in range(min(v, n - 1) + 1)]
+        bit = 1 << (v - 1)
+        for s, states in enumerate(layers):
+            for inside in both:
+                if (k := s + inside) == n:
                     continue
-                bound = bounds[size, a]
-                p, q = num * bound.denominator, bound.numerator
-                # a tie goes to the lower mask: the first maximum in mask order
-                if (gain := p * top[1] - top[0] * q) > 0 or gain == 0 and side < top_at[0]:
-                    top, top_at = (p, q), (side, a)
-                if num > over_at[size, a]:
-                    over.setdefault(side, []).append(a)
-    violations = []
-    for mask in sorted(over):
-        subset, found = frozenset(_members(mask)), []
-        for a in over[mask]:
-            sets = combinations(range(2, hn + 1), a)
-            cell = (CutEventSpec(h, n, subset, arrivals) for arrivals in sets)
-            bound = bounds[len(subset), a]
-            found += [c.arrivals for c in cell if exact_cut_event(model, c) > bound]
-        found.sort(key=lambda arrivals: sum(1 << t for t in arrivals))
-        violations += [(subset, arrivals) for arrivals in found]
-    if top_at is not None:
-        top_at = (frozenset(_members(top_at[0])), top_at[1])
-    return CutEventScan(
-        model, h, n, pairs_checked, tuple(violations), Fraction(top[0], top[1] * denom), top_at
-    )
+                if v == 1:
+                    run = _chain_start(loops, inside)
+                elif inside:
+                    run = {
+                        key: (num, count, mask | bit) for key, (num, count, mask) in states.items()
+                    }
+                else:
+                    run = states
+                # a state of |A| >= h times the largest reachable |S| checks nothing
+                cap = h * (k + n - v)
+                for tau in range(max(2, h * v - h + 1), h * v + 1):
+                    into = after[k] if tau == h * v else None  # merge on v's last arrival
+                    run = _chain_step(run, inside, 2 * tau - 3 + loops, loops, cap, both, into)
+                after[k] = run  # h = 1 takes no step at vertex 1
+        layers = after
+    denom = _chain_denominator(loops, hn)
+    # top: (P * denom / bound, -mask, -|A|); the largest is the first maximum
+    pairs_checked, top, found = 0, (Fraction(0), 0, 0), []
+    for k, states in enumerate(layers[1:], start=1):
+        largest: dict[int, tuple[int, int]] = {}
+        for (a, _vol_s), (num, count, mask) in states.items():
+            pairs_checked += count
+            largest[a] = max(largest.get(a, (0, 0)), (num, -mask))
+        for a, (num, neg_mask) in largest.items():
+            bound = cut_event_bound(h, n, k, a)
+            top = max(top, (Fraction(num * bound.denominator, bound.numerator), neg_mask, -a))
+            if num * bound.denominator > denom * bound.numerator:
+                sets = product(combinations(range(1, n + 1), k), combinations(range(2, hn + 1), a))
+                cell = (CutEventSpec(h, n, subset, arrivals) for subset, arrivals in sets)
+                found += [spec for spec in cell if exact_cut_event(model, spec) > bound]
+    found.sort(key=lambda c: (sum(1 << v for v in c.subset), sum(1 << t for t in c.arrivals)))
+    violations = tuple((spec.subset, spec.arrivals) for spec in found)
+    top_at = (frozenset(_members(-top[1])), -top[2]) if top[0] else None
+    return CutEventScan(model, h, n, pairs_checked, violations, top[0] / denom, top_at)

@@ -23,6 +23,7 @@ lexicographically least vertex set.  At n = 20 the profile takes about
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -84,6 +85,8 @@ def as_fraction(u) -> Fraction:
             return Fraction(u)
         except ZeroDivisionError:  # "1/0", "0/0"
             pass
+        except ValueError:  # Fraction's own message quotes all of u
+            raise ValueError(f"Invalid literal for Fraction: {_shown(u)}") from None
     raise ValueError(f"cannot interpret {u!r} as a rational")
 
 
@@ -98,9 +101,14 @@ def _fraction_text(uf: Fraction) -> str:
 
 
 def _check_u(u) -> Fraction:
+    """``u`` as a Fraction in (0, 1/2] that converts to text, since every
+    result shows it; refused otherwise."""
     uf = as_fraction(u)
+    text = _shown(uf, _fraction_text)
     if not 0 < uf <= Fraction(1, 2):
-        raise ValueError(f"need 0 < u <= 1/2, got {_shown(uf, _fraction_text)}")
+        raise ValueError(f"need 0 < u <= 1/2, got {text}")
+    if text.startswith("about"):
+        raise ValueError(f"need u of at most {sys.get_int_max_str_digits()} digits, got {text}")
     return uf
 
 

@@ -97,9 +97,15 @@ def _shown(value, form=repr) -> str:
     return text if len(text) <= SHOWN_CHARS else f"{text[:SHOWN_CHARS]}..."
 
 
+def _check_int(value, name: str, kinds=(int, np.integer)):
+    """``value``, refused unless it is one of ``kinds``; a bool never is."""
+    if not isinstance(value, kinds) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
+    return value
+
+
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {_shown(seed)}")
+    _check_int(seed, "seed")
     if not 0 <= seed < MAX_SEED:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return int(seed)
@@ -130,9 +136,10 @@ def _check_hn(h: int, n: int) -> None:
 
 
 def _check_vertices(vertices, n: int) -> frozenset[int]:
-    """``vertices`` as a frozenset, refused if one lies outside 1..n."""
+    """``vertices`` as a frozenset, refused if one is not an integer or
+    lies outside 1..n."""
     for v in (vs := frozenset(vertices)):
-        if not 1 <= v <= n:
+        if not 1 <= _check_int(v, "vertex") <= n:
             raise ValueError(f"vertex {v} out of range 1..{n}")
     return vs
 
@@ -421,6 +428,7 @@ def sample_target_matrix(
     """
     model = _check_model(model)
     seed = _check_seed(seed)
+    _json_int(length, "length")
     _json_int(trials, "trials")
     if length < 1 or trials < 1:
         raise ValueError("need length >= 1 and trials >= 1")
@@ -569,9 +577,7 @@ def _parse_json(text: str):
 
 
 def _json_int(value, name: str) -> int:
-    if type(value) is not int:
-        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
-    return value
+    return _check_int(value, name, int)
 
 
 def graph_from_json(payload: dict) -> MultiGraph:

@@ -301,23 +301,25 @@ def test_scan_pairs_checked_counts_qualifying_pairs():
 
 def test_scan_respects_limit(monkeypatch):
     # no per-call limit: the sizes the log enumerator refused (standard
-    # h*n = 10, tilde 11) now run, and the work cap refuses
-    # (2^(n-1) - 1) * (h*n)^3 over SCAN_WORK_CAP before the first step;
-    # it admits (2, 14), twice the cells of (2, 13), which the per-subset
-    # scan refused, and refuses (2, 15)
+    # h*n = 10, tilde 11) run, and the work cap refuses n * (h*n)^3 over
+    # SCAN_WORK_CAP before the first step; it admits (2, 40) and (2, 42),
+    # which the prefix-tree scan's 2^(n-1) units refused from (2, 15),
+    # and refuses (2, 43)
     assert scan_cut_events(Model.STANDARD, 3, 3).violations == ()
     assert scan_cut_events(Model.TILDE, 2, 5).violations == ()
     assert scan_cut_events(Model.STANDARD, 2, 5).violations == ()
     assert scan_cut_events(Model.TILDE, 1, 11).violations == ()
-    assert (2**13 - 1) * 28**3 <= SCAN_WORK_CAP < (2**14 - 1) * 30**3
+    assert 42 * 84**3 <= SCAN_WORK_CAP < 43 * 86**3
     monkeypatch.setattr(cut_events, "_chain_step", _no_chain)
     with pytest.raises(ValueError, match=f"over the scan work cap {SCAN_WORK_CAP}"):
-        scan_cut_events(Model.STANDARD, 2, 15)
+        scan_cut_events(Model.STANDARD, 2, 43)
+    with pytest.raises(ValueError, match=f"{44 * 88**3} work units"):
+        scan_cut_events(Model.TILDE, 2, 44)
 
 
 def test_a_subset_and_its_complement_share_each_cut_event():
-    # the scan's premise: E(S, S-compl) is E(S-compl, S), so one chain
-    # serves both sides of every A that both sides admit
+    # the prefix-tree oracle's premise: E(S, S-compl) is E(S-compl, S),
+    # so one chain serves both sides of every A that both sides admit
     for model, h, n in product(Model, range(1, 4), range(2, 5)):
         for mask in range(1, (1 << n) - 1):
             subset = frozenset(_members(mask))
@@ -833,9 +835,9 @@ def test_exact_equals_the_per_subset_chain_on_random_specs(model):
 
 @pytest.mark.parametrize("model", list(Model))
 def test_scan_memory_stays_flat(model):
-    # the walk holds one state map per vertex and reduces each final map
-    # at once: (2, 9) peaks at 40-80 KiB of Python allocations, where the
-    # 256 final maps held whole take megabytes
+    # the walk holds the merged state maps of two vertices, at most n + 1
+    # each: (2, 9) peaks at 90-125 KiB of Python allocations, where the
+    # 256 per-subset final maps held whole take megabytes
     scan_cut_events(model, 2, 3)  # warm the imports and caches
     tracemalloc.start()
     try:
@@ -844,3 +846,182 @@ def test_scan_memory_stays_flat(model):
     finally:
         tracemalloc.stop()
     assert peak < 256 * 1024
+
+
+# ------------------------------------------------------ prefix-tree oracle
+#
+# The prefix-tree scan that the merged-state walk replaced, kept verbatim
+# but for the _reference_ names and three wrapped lines, without its work
+# cap, with its own two-value step and start, and with
+# ``cut_events.cut_event_bound`` read through the module so that the
+# monkeypatched bounds reach it.  It walks one branch per subset holding
+# vertex 1; each final map serves S and its complement.
+
+
+def _reference_prefix_step(
+    states: dict, own: bool, vol: int, loops: bool, cap: int, branches
+) -> dict:
+    """One arrival of the chain rule: ``states`` after arrival tau - 1 to
+    the states after tau.
+
+    ``states`` maps (|A|, vol_S) to (the largest numerator of an A that
+    ends there, the number of A of positive mass that do); ``own`` is
+    [ceil(tau/h) in S] and ``vol`` = 2 tau - 3 + [standard] the volume of
+    both sides before tau.  Each branch ``cross`` of ``branches`` has
+    e_tau cross with weight vol_other or stay with weight vol_own +
+    [standard], out of D_tau = vol + [standard]; a crossing adds 1 to
+    each side and a stay 2 to its own.  States of |A| >= ``cap`` and
+    branches of zero weight are dropped.
+    """
+    after: dict = {}
+    for (a, vol_s), (num, count) in states.items():
+        vol_own = vol_s if own else vol - vol_s
+        for cross in branches:
+            weight = vol - vol_own if cross else vol_own + loops
+            if weight and a + cross < cap:
+                key = (a + cross, vol_s + (1 if cross else 2 * own))
+                num_w = num * weight
+                if key in after:  # no .get: this loop is the scan's cost
+                    best, seen = after[key]
+                    after[key] = (num_w if num_w > best else best, seen + count)
+                else:
+                    after[key] = (num_w, count)
+    return after
+
+
+def _reference_prefix_start(loops: bool, inside: bool) -> dict:
+    """The state after e_1, which puts 2 (standard) or 1 (tilde) on the
+    side of vertex 1."""
+    return {(0, 1 + loops if inside else 0): (1, 1)}
+
+
+def _reference_prefix_walk(loops: bool, h: int, n: int, v: int, mask: int, states: dict):
+    """Yield (mask, chain states after arrival h*n) for every proper S
+    that holds vertex 1 and agrees with ``mask`` on vertices 1..v-1.
+
+    Vertex v's arrivals run once for the subsets that share the prefix.
+    States are dropped at |A| >= h * max(|S|, n - |S|) over every
+    completion, since each final state serves both S and its complement.
+    """
+    if v > n:
+        yield mask, states
+        return
+    k = mask.bit_count()
+    for inside in (True,) if v == 1 else (False, True):
+        if (s := k + inside) == n:
+            continue
+        cap = h * max(s + n - v, n - s)
+        after = states
+        for tau in range(max(2, h * v - h + 1), h * v + 1):
+            vol = 2 * tau - 3 + loops
+            after = _reference_prefix_step(after, inside, vol, loops, cap, (False, True))
+        yield from _reference_prefix_walk(loops, h, n, v + 1, mask | inside << (v - 1), after)
+
+
+def _reference_prefix_scan(model: Model, h: int, n: int) -> CutEventScan:
+    """Verify the bound for every proper nonempty S and every admissible A.
+
+    The boundary edge set of S is that of its complement, so one chain
+    serves both, and ``_prefix_walk`` runs it down the tree of vertex
+    prefixes with vertex 1 in S.  Each final state map is reduced at once:
+    the sets of positive mass with |A| < h|S| and with |A| < h(n - |S|)
+    are counted in ``pairs_checked``, and the largest numerator per |A|
+    is compared with ``cut_event_bound`` for each side by integer
+    cross-multiplication; sets of zero mass hold trivially.  A tie on the
+    largest ratio goes to the lower mask, so ``max_ratio_at`` is the first
+    maximum in mask order.  Only an (S, |A|) cell over its bound lists its
+    sets, by ``exact_cut_event``; the lists follow ascending subset mask,
+    then ascending arrival mask.
+    """
+    model = _check_model(model)
+    _check_hn(h, n)
+    hn, full = h * n, (1 << n) - 1
+    loops = model is Model.STANDARD
+    denom = cut_events._chain_denominator(loops, hn)
+    sizes = [(k, a) for k in range(1, n) for a in range(h * k)]
+    bounds = {ka: cut_events.cut_event_bound(h, n, *ka) for ka in sizes}
+    # a numerator over ``over_at[k, a]`` is over bound * denom
+    over_at = {ka: denom * b.numerator // b.denominator for ka, b in bounds.items()}
+    pairs_checked, top, top_at, over = 0, (0, 1), None, {}  # top: P / bound as p / q
+    start = _reference_prefix_start(loops, True)
+    for mask, states in _reference_prefix_walk(loops, h, n, 1, 0, start):
+        k = mask.bit_count()
+        largest = [0] * (h * max(k, n - k))
+        for (a, _vol_s), (num, count) in states.items():
+            pairs_checked += count * ((a < h * k) + (a < h * (n - k)))
+            if num > largest[a]:
+                largest[a] = num
+        for side, size in ((mask, k), (full ^ mask, n - k)):
+            for a, num in enumerate(largest[: h * size]):
+                if not num:
+                    continue
+                bound = bounds[size, a]
+                p, q = num * bound.denominator, bound.numerator
+                # a tie goes to the lower mask: the first maximum in mask order
+                if (gain := p * top[1] - top[0] * q) > 0 or gain == 0 and side < top_at[0]:
+                    top, top_at = (p, q), (side, a)
+                if num > over_at[size, a]:
+                    over.setdefault(side, []).append(a)
+    violations = []
+    for mask in sorted(over):
+        subset, found = frozenset(_members(mask)), []
+        for a in over[mask]:
+            sets = combinations(range(2, hn + 1), a)
+            cell = (CutEventSpec(h, n, subset, arrivals) for arrivals in sets)
+            bound = bounds[len(subset), a]
+            found += [c.arrivals for c in cell if exact_cut_event(model, c) > bound]
+        found.sort(key=lambda arrivals: sum(1 << t for t in arrivals))
+        violations += [(subset, arrivals) for arrivals in found]
+    if top_at is not None:
+        top_at = (frozenset(_members(top_at[0])), top_at[1])
+    return CutEventScan(
+        model, h, n, pairs_checked, tuple(violations), Fraction(top[0], top[1] * denom), top_at
+    )
+
+
+# every cell of h 1-4 with no more prefix-tree work, (2^(n-1) - 1) * (h*n)^3,
+# than (2, 12)
+PREFIX_CELLS = [
+    (h, n)
+    for h in (1, 2, 3, 4)
+    for n in range(1, 16)
+    if ((1 << (n - 1)) - 1) * (h * n) ** 3 <= ((1 << 11) - 1) * 24**3
+]
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("h, n", PREFIX_CELLS)
+def test_scan_equals_the_prefix_tree_scan(model, h, n):
+    # pairs_checked, violations in order, max_ratio and max_ratio_at
+    assert scan_cut_events(model, h, n) == _reference_prefix_scan(model, h, n)
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("h, n", [(1, 5), (1, 6), (2, 3), (2, 4), (3, 2), (3, 3)])
+@pytest.mark.parametrize("patch", [_cubed_bound, _tiny_bound])
+def test_scan_equals_the_prefix_tree_scan_over_a_false_bound(model, h, n, patch, monkeypatch):
+    # a bound that real events violate, so the lists and the margin over 1 count
+    patch(monkeypatch)
+    scan = scan_cut_events(model, h, n)
+    assert scan.violations and scan == _reference_prefix_scan(model, h, n)
+
+
+@pytest.mark.parametrize(
+    "model, pairs, ratio",
+    [
+        (Model.STANDARD, 90308401920205701, Fraction(76, 79)),
+        (Model.TILDE, 42058581365360221, Fraction(76, 77)),
+    ],
+)
+def test_scan_runs_h2_n20_beyond_the_prefix_tree_cap(model, pairs, ratio):
+    # the prefix-tree scan refused (2, 15) and up; the margin is re-derived
+    # from exact_cut_event over every A of the reported size for the
+    # reported S, independently of the walk
+    scan = scan_cut_events(model, 2, 20)
+    assert scan.violations == ()
+    subset, a = scan.max_ratio_at
+    assert (subset, a) == (frozenset(range(1, 20)), 2)
+    cells = (CutEventSpec(2, 20, subset, arrivals) for arrivals in combinations(range(2, 41), a))
+    largest = max(exact_cut_event(model, spec) for spec in cells)
+    assert largest / cut_event_bound(2, 20, 19, 2) == scan.max_ratio
+    assert (scan.pairs_checked, scan.max_ratio) == (pairs, ratio)

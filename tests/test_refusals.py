@@ -128,6 +128,21 @@ REFUSALS = [
     (cuts.exact_expansion, (K3, "1e400"), U.format(f"1{'0' * 59}...")),
     (cuts.exact_expansion, (K3, "1e5000"), U.format("about 10^5000")),
     (cuts.sampled_expansion, (K3, "-1e5000", 4, 0), U.format("about -10^5000")),
+    # cut-event inputs must be ints: {2.5} as A was the law of A = {}
+    # presented against the |A| = 1 bound, and k or a raised TypeError
+    (cut_events.CutEventSpec, (2, 3, {1, 2}, {2.5}), "arrival must be an integer, got 2.5"),
+    (cut_events.CutEventSpec, (2, 3, {1, 2}, {True}), "arrival must be an integer, got True"),
+    (cut_events.CutEventSpec, (2, 3, {1.0}, ()), "vertex must be an integer, got 1.0"),
+    (cuts.edge_boundary, (K3, {"2"}), "vertex must be an integer, got '2'"),
+    (modularity.check_partition, (K3, [{1, 2}, {True}]), "vertex must be an integer, got True"),
+    (cut_events.cut_event_bound, (2, 3, 1.5, 0), "k must be an integer, got 1.5"),
+    (cut_events.cut_event_bound, (2, 3, 2, True), "a must be an integer, got True"),
+    (models.sample_target_matrix, (STD, 2.5, 3, 1), "length must be an integer, got 2.5"),
+    (models.sample_target_matrix, (TIL, True, 3, 1), "length must be an integer, got True"),
+    # a u too long to show: cut as any long value, or refused up front
+    # when no result could show it
+    (cuts.exact_expansion, (K3, LONG), f"Invalid literal for Fraction: '{LONG[:59]}..."),
+    (cuts.exact_expansion, (K3, "1e-5000"), "need u of at most 4300 digits, got about 10^-5000"),
 ]
 
 
@@ -143,17 +158,27 @@ def test_each_refusal_keeps_its_type_and_message(call, args, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("u", ["1e400", "1e5000"])
-def test_a_huge_u_gives_one_short_usage_line(tmp_path, capsys, u):
+@pytest.mark.parametrize(
+    "u, rule",
+    [
+        pytest.param("1e400", "need 0 < u <= 1/2, got ", id="1e400"),
+        pytest.param("1e5000", "need 0 < u <= 1/2, got ", id="1e5000"),
+        pytest.param("1e-5000", "need u of at most 4300 digits, got ", id="1e-5000"),
+        pytest.param(LONG, "Invalid literal for Fraction: 'xxx", id="x*100000"),
+    ],
+)
+def test_a_huge_u_gives_one_short_usage_line(tmp_path, capsys, u, rule):
     # the line used to hold all 401 digits of 1e400, and 1e5000 gave
-    # Python's "Exceeds the limit (4300 digits)" message instead of the rule
+    # Python's "Exceeds the limit (4300 digits)" message instead of the
+    # rule; 1e-5000 is in range but gave that message on output, and
+    # 100000 x's gave a 100040-character line
     path = tmp_path / "g.json"
     models.save_graph(models.generate(STD, 2, 6, 1)[1], path)
     assert cli.main(["expand", "--graph", str(path), "--u", u]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     line, = captured.err.splitlines()
-    assert line.startswith("error: need 0 < u <= 1/2, got ") and len(line) <= 100
+    assert line.startswith(f"error: {rule}") and len(line) <= 100
 
 
 def test_many_unknown_task_names_give_a_short_line():
