@@ -32,9 +32,10 @@ The one slack exception: ``complement_term_dominates`` allows
 lock-step, in numpy blocks of ``_BLOCK`` points, so the temporaries do
 not grow with the grid.  On a 2-core Xeon host the default grid takes
 about 4 ms (0.12 s for one scalar bisection per point), and the cap
-0.9 s; ``pamod certify`` at the cap peaks at 32 MiB RSS, and with
-``--trace`` at 55 MiB in about 3.5 s, the trace being three float64
-columns per block.
+0.9 s; ``pamod certify`` at the cap peaks at 32 MiB RSS.  The trace,
+built only on request, is one read-only float64 table of the grid's
+(u_s, delta_s, term_s) rows, 24 bytes per point; with ``--trace`` the
+cap peaks at 55 MiB in about 3.4 s.
 
 The blocked search evaluates the rate condition with ``np.log``, which
 may differ from ``math.log`` in the last bit.  Its decisions are still
@@ -53,8 +54,7 @@ max(lhs, rhs), which there is rhs to within a few units.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -125,36 +125,17 @@ class UnimodalityResult:
     trough: int  # position of the minimum of log f over 1..floor(n/2)
 
 
-@dataclass(frozen=True, eq=False)
-class GridTrace(Sequence):
-    """The certificate grid's (u_s, delta, term) rows as a sequence of
-    float triples, stored as three float64 columns per block of grid
-    points rather than one Python tuple per point."""
-
-    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-
-    def __len__(self) -> int:
-        return sum(len(us) for us, _, _ in self.blocks)
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return tuple(self[i] for i in range(len(self))[key])
-        block, row = divmod(range(len(self))[key], len(self.blocks[0][0]))
-        return tuple(float(col[row]) for col in self.blocks[block])
-
-    def __iter__(self):
-        for cols in self.blocks:  # one block's Python floats at a time
-            yield from zip(*(col.tolist() for col in cols))
-
-
 @dataclass(frozen=True)
 class BoundCertificate:
+    """``trace``: None, or the read-only float64 (steps, 3) table whose
+    row s - 1 is (u_s, delta_s, term_s); left out of ==, hash and repr."""
+
     bound: float  # rounded up at 5 decimals
     minimizer_u: float
     minimizer_delta: float
     grid_step: float
     delta_precision: float
-    trace: GridTrace | None
+    trace: np.ndarray | None = field(compare=False, repr=False)
 
 
 def log_tail_term(params: TailParams, k: int) -> float:
@@ -329,7 +310,8 @@ def certify_modularity_bound(
     (its first occurrence), rounded up at five decimals so it stays an
     upper bound.  The default grid reproduces ``MODULARITY_CONSTANT``
     0.92383 at u = 0.0142 with delta 0.14851.  Points are certified in
-    blocks of ``_BLOCK``.
+    blocks of ``_BLOCK``; ``with_trace`` fills the certificate's trace
+    table block by block.
     """
     if not 0 < grid_step <= 0.5:
         raise ValueError(f"need 0 < grid_step <= 1/2, got {grid_step}")
@@ -345,7 +327,7 @@ def certify_modularity_bound(
     best_term = math.inf
     best_u = 0.0
     best_delta = 0.0
-    blocks = []
+    trace = np.empty((steps, 3)) if with_trace else None
     for start in range(0, steps, _BLOCK):
         s = np.arange(start + 1, min(start + _BLOCK, steps) + 1)
         us = s * grid_step
@@ -356,8 +338,10 @@ def certify_modularity_bound(
             best_term = float(terms[i])
             best_u = float(us[i])
             best_delta = float(deltas[i])
-        if with_trace:
-            blocks.append((us, deltas, terms))
+        if trace is not None:
+            trace[start : start + len(s)] = np.column_stack((us, deltas, terms))
+    if trace is not None:
+        trace.flags.writeable = False
     bound = math.ceil((1.0 - best_term) * 1e5) / 1e5
     return BoundCertificate(
         bound=bound,
@@ -365,7 +349,7 @@ def certify_modularity_bound(
         minimizer_delta=round(best_delta, 10),
         grid_step=grid_step,
         delta_precision=precision,
-        trace=GridTrace(tuple(blocks)) if with_trace else None,
+        trace=trace,
     )
 
 

@@ -18,7 +18,8 @@ the one path that A fixes.  ``scan_cut_events`` walks vertices 1..n once:
 the bound depends on S only through |S| and the chain's future only on
 its state, so the prefixes with equally many vertices in S share one
 merged state map, and the work is polynomial, not 2^n.  Each check has
-one size cap and refuses before any work.
+one size cap and refuses before any work; the scan's listing of
+violations, run only where a bound fails, has a second.
 """
 
 from __future__ import annotations
@@ -27,12 +28,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb  # counts sets; the bound's math.comb is swapped to test a false bound
 
 import numpy as np
 
 from pamod.cuts import _members
 from pamod.models import (
     Model,
+    _chain_denominator,
     _check_count,
     _check_hn,
     _check_int,
@@ -53,6 +56,10 @@ CHAIN_LENGTH_CAP = 20_000
 # 0.9-2.4 * 10^-7 s per unit, so (2, 40) takes 2-3 s and the cap 4-6 s
 # (2-core Xeon).
 SCAN_WORK_CAP = 25 * 10**6
+# Most pair-steps of a scan's violation listing: h*n chain steps of
+# ``exact_cut_event`` per (S, A) pair of the cells over their bound, at
+# 1.5-3.6 * 10^-6 s each, so 3-7 s at the cap (2-core Xeon).
+LISTING_WORK_CAP = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -167,14 +174,6 @@ def _chain_start(loops: bool, inside: bool) -> dict:
     return {(0, 1 + loops if inside else 0): (1, 1, int(inside))}
 
 
-def _chain_denominator(loops: bool, hn: int) -> int:
-    """The product of D_tau = 2 tau - 3 + 2 [standard] over arrivals 2..h*n."""
-    denom = 1
-    for tau in range(2, hn + 1):
-        denom *= 2 * tau - 3 + 2 * loops
-    return denom
-
-
 def exact_cut_event(model: Model, spec: CutEventSpec) -> Fraction:
     """P(boundary edge set of S equals A), exactly: ``_chain_step`` along
     the one path that A fixes, refused for h*n over ``CHAIN_LENGTH_CAP``."""
@@ -237,9 +236,10 @@ def scan_cut_events(model: Model, h: int, n: int) -> CutEventScan:
     ``max_ratio_at`` is the first maximum in mask order, then |A| order.
     Only a (k, |A|) cell over its bound lists its sets, by
     ``exact_cut_event``; the lists follow ascending subset mask, then
-    ascending arrival mask.  Refused over ``SCAN_WORK_CAP``; standard (2,
-    12) takes about 0.01 s, (2, 20) 0.1-0.2 s, and standard and tilde
-    (2, 40) 2-3 s at 43 and 55 MiB peak RSS (2-core Xeon).
+    ascending arrival mask.  Refused over ``SCAN_WORK_CAP`` before any
+    step, and a listing over ``LISTING_WORK_CAP`` before it starts.
+    Standard (2, 12) takes about 0.01 s, (2, 20) 0.1-0.2 s, and standard
+    and tilde (2, 40) 2-3 s at 43 and 55 MiB peak RSS (2-core Xeon).
     """
     model = _check_model(model)
     _check_hn(h, n)
@@ -272,7 +272,7 @@ def scan_cut_events(model: Model, h: int, n: int) -> CutEventScan:
         layers = after
     denom = _chain_denominator(loops, hn)
     # top: (P * denom / bound, -mask, -|A|); the largest is the first maximum
-    pairs_checked, top, found = 0, (Fraction(0), 0, 0), []
+    pairs_checked, top, over = 0, (Fraction(0), 0, 0), []
     for k, states in enumerate(layers[1:], start=1):
         largest: dict[int, tuple[int, int]] = {}
         for (a, _vol_s), (num, count, mask) in states.items():
@@ -282,9 +282,18 @@ def scan_cut_events(model: Model, h: int, n: int) -> CutEventScan:
             bound = cut_event_bound(h, n, k, a)
             top = max(top, (Fraction(num * bound.denominator, bound.numerator), neg_mask, -a))
             if num * bound.denominator > denom * bound.numerator:
-                sets = product(combinations(range(1, n + 1), k), combinations(range(2, hn + 1), a))
-                cell = (CutEventSpec(h, n, subset, arrivals) for subset, arrivals in sets)
-                found += [spec for spec in cell if exact_cut_event(model, spec) > bound]
+                over.append((k, a, bound))
+    # an over cell's k-sets times its sets A in 2..h*n, each h*n steps
+    if (work := hn * sum(comb(n, k) * comb(hn - 1, a) for k, a, _ in over)) > LISTING_WORK_CAP:
+        raise ValueError(
+            f"listing the violations takes {work} pair-steps, over the listing work cap "
+            f"{LISTING_WORK_CAP}"
+        )
+    found = []
+    for k, a, bound in over:
+        sets = product(combinations(range(1, n + 1), k), combinations(range(2, hn + 1), a))
+        cell = (CutEventSpec(h, n, subset, arrivals) for subset, arrivals in sets)
+        found += [spec for spec in cell if exact_cut_event(model, spec) > bound]
     found.sort(key=lambda c: (sum(1 << v for v in c.subset), sum(1 << t for t in c.arrivals)))
     violations = tuple((spec.subset, spec.arrivals) for spec in found)
     top_at = (frozenset(_members(-top[1])), -top[2]) if top[0] else None

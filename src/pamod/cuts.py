@@ -70,8 +70,13 @@ class ExpansionResult:
     method: SearchMethod
 
 
+def _too_many_digits(shown: str) -> ValueError:
+    return ValueError(f"need u of at most {sys.get_int_max_str_digits()} digits, got {shown}")
+
+
 def as_fraction(u) -> Fraction:
-    """Exact conversion; floats convert via their binary value."""
+    """Exact conversion; floats convert via their binary value.  A
+    literal past Python's int digit limit is refused as a too-long u."""
     if isinstance(u, Fraction):
         return u
     if isinstance(u, int):
@@ -85,8 +90,10 @@ def as_fraction(u) -> Fraction:
             return Fraction(u)
         except ZeroDivisionError:  # "1/0", "0/0"
             pass
-        except ValueError:  # Fraction's own message quotes all of u
-            raise ValueError(f"Invalid literal for Fraction: {_shown(u)}") from None
+        except ValueError as exc:  # Fraction's own message quotes all of u
+            if str(exc).startswith("Invalid literal"):
+                raise ValueError(f"Invalid literal for Fraction: {_shown(u)}") from None
+            raise _too_many_digits(_shown(u)) from None  # past int's digit limit
     raise ValueError(f"cannot interpret {u!r} as a rational")
 
 
@@ -108,7 +115,7 @@ def _check_u(u) -> Fraction:
     if not 0 < uf <= Fraction(1, 2):
         raise ValueError(f"need 0 < u <= 1/2, got {text}")
     if text.startswith("about"):
-        raise ValueError(f"need u of at most {sys.get_int_max_str_digits()} digits, got {text}")
+        raise _too_many_digits(text)
     return uf
 
 

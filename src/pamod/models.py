@@ -75,6 +75,10 @@ _ENUMERATION_CAP = 500_000
 # a few arrays of max(trials, SAMPLER_CHUNK) elements.
 SAMPLER_CHUNK = 1 << 12
 
+# Most cells length * trials of ``sample_target_matrix``: 8 bytes each of
+# int64 output, about 11 with ``estimate_cut_event``'s bool temporaries.
+TARGET_CELL_CAP = 25 * 10**6
+
 
 class Model(str, Enum):
     """Tags for the two attachment processes (wire names are fixed)."""
@@ -424,7 +428,8 @@ def sample_target_matrix(
     length, trials, seed).  The result is a Fortran-ordered view of the
     step-major (length, trials) array the runs fill.  Memory is the int64
     output plus a few temporaries of max(trials, ``SAMPLER_CHUNK``)
-    elements.
+    elements; more than ``TARGET_CELL_CAP`` cells are refused before any
+    draw.
     """
     model = _check_model(model)
     seed = _check_seed(seed)
@@ -432,6 +437,8 @@ def sample_target_matrix(
     _json_int(trials, "trials")
     if length < 1 or trials < 1:
         raise ValueError("need length >= 1 and trials >= 1")
+    if (cells := length * trials) > TARGET_CELL_CAP:
+        raise ValueError(f"{cells} cells, over the target cell cap {TARGET_CELL_CAP}")
     return _sample_runs(model, length, trials, np.random.default_rng(seed))
 
 
@@ -447,6 +454,13 @@ def derive_seed(root_seed: int, index: int) -> int:
         raise ValueError(f"stream index must be >= 0, got {index}")
     ss = np.random.SeedSequence([root_seed, index])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+def _chain_denominator(loops: bool, length: int) -> int:
+    """The common denominator of a log of ``length`` steps: the product of
+    D_tau = 2 tau - 1 (standard, ``loops``) or 2 tau - 3 (tilde) over
+    arrivals 2..length."""
+    return math.prod(2 * tau - 3 + 2 * loops for tau in range(2, length + 1))
 
 
 def _enumerate_logs(model: Model, length: int):
@@ -467,7 +481,7 @@ def _enumerate_logs(model: Model, length: int):
     """
     model = _check_model(model)
     loops = model is Model.STANDARD
-    denom = math.prod(2 * tau - (1 if loops else 3) for tau in range(2, length + 1))
+    denom = _chain_denominator(loops, length)
     if denom >= 2**63:
         raise ValueError(
             f"{model.value} logs of length {length} have denominator {denom} "

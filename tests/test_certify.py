@@ -347,20 +347,45 @@ def test_certify_default_bound_is_the_modularity_constant():
 
 def test_certify_blocks_join_into_one_grid(monkeypatch):
     # blocks of 7 points: the minimum is the first one across blocks, and
-    # the trace reads as one sequence of rows whatever the block size
+    # the trace is one table of rows whatever the block size
     whole = certify_modularity_bound(grid_step=1e-3, with_trace=True)
     monkeypatch.setattr(certify, "_BLOCK", 7)
     blocked = certify_modularity_bound(grid_step=1e-3, with_trace=True)
-    assert len(blocked.trace.blocks) == 72 and len(whole.trace.blocks) == 1
     assert (blocked.bound, blocked.minimizer_u, blocked.minimizer_delta) == (
         whole.bound, whole.minimizer_u, whole.minimizer_delta
     )
-    assert list(blocked.trace) == list(whole.trace) == list(whole.trace[:])
+    assert blocked.trace.shape == whole.trace.shape == (500, 3)
+    assert np.array_equal(blocked.trace, whole.trace)
     for i in (0, 6, 7, 141, 499, -1, -500):
-        assert blocked.trace[i] == whole.trace[i]
-    assert blocked.trace[3:40:9] == whole.trace[3:40:9]
+        assert np.array_equal(blocked.trace[i], whole.trace[i])
+    assert np.array_equal(blocked.trace[3:40:9], whole.trace[3:40:9])
     with pytest.raises(IndexError):
         blocked.trace[500]
+
+
+def test_certify_trace_is_a_read_only_float64_table():
+    cert = certify_modularity_bound(grid_step=1e-3, with_trace=True)
+    assert cert.trace.dtype == np.float64 and cert.trace.shape == (500, 3)
+    assert not cert.trace.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        cert.trace[0, 0] = 1.0
+    # row s - 1 is (u_s, delta_s, term_s)
+    s = np.arange(1, 501)
+    assert np.array_equal(cert.trace[:, 0], s * 1e-3)
+    deltas = cert.trace[:, 1]
+    assert np.array_equal(cert.trace[:, 2], deltas / (2 + deltas) + (s - 1) * 1e-3 / 2)
+
+
+def test_certificates_of_one_grid_compare_and_hash_equal():
+    # the trace is left out of ==, hash and repr; a plain array field
+    # would make == raise and hash() fail
+    traced = certify_modularity_bound(grid_step=1e-3, with_trace=True)
+    again = certify_modularity_bound(grid_step=1e-3, with_trace=True)
+    bare = certify_modularity_bound(grid_step=1e-3)
+    assert traced == again == bare
+    assert hash(traced) == hash(again) == hash(bare)
+    assert repr(traced) == repr(bare) and "trace" not in repr(traced)
+    assert traced != certify_modularity_bound(grid_step=1e-4)
 
 
 # --------------------------------------------------- complement coverage

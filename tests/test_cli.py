@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: every subcommand plus the exit-code contract."""
 
 import csv
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -214,6 +215,23 @@ def test_certify_trace_matches_the_joined_lines(tmp_path):
     for u_s, delta, term in rows:
         lines.append(f"{u_s:.12g},{delta:.12g},{term:.12g}")
     assert trace.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "step, lines, digest",
+    [
+        ("1e-4", 5001, "93e5225e064abc9ea7dc37411a7ef4db5585e978f1900c46b20dee728ab3cbd0"),
+        ("1e-3", 501, "f778489d7e6cda7a23fc5e26bf7ce3a326f6880fc93cfaf1602d1fa2832a7447"),
+        ("2.5e-5", 20001, "b3f2a7d4ab4ba7b228f9857511ebed1cf4ea8b3b0668cb4ae5046fcfbfac1bb6"),
+    ],
+)
+def test_certify_trace_bytes_are_pinned(tmp_path, step, lines, digest):
+    # the CSV's bytes as the per-block column form of the trace wrote them
+    trace = tmp_path / "trace.csv"
+    assert run_main("certify", "--grid-step", step, "--trace", str(trace)) == 0
+    data = trace.read_bytes()
+    assert data.count(b"\n") == lines
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_certify_bad_grid():

@@ -23,7 +23,7 @@ from pamod import (
     spec_bound,
 )
 from pamod import cut_events, models
-from pamod.cut_events import CHAIN_LENGTH_CAP, SCAN_WORK_CAP, CutEventScan
+from pamod.cut_events import CHAIN_LENGTH_CAP, LISTING_WORK_CAP, SCAN_WORK_CAP, CutEventScan
 from pamod.cuts import _gray_flip_order, _members
 from pamod.experiment import derive_seed
 from pamod.models import (
@@ -819,6 +819,57 @@ def test_scan_equals_the_per_subset_chain_scan_over_a_false_bound(model, h, n, p
     patch(monkeypatch)
     scan = scan_cut_events(model, h, n)
     assert scan.violations and scan == _reference_chain_scan(model, h, n)
+
+
+def _listing_work(h, n, cells):
+    """Pair-steps of listing the (k, |A|) ``cells``: h*n steps per k-set
+    and set A in 2..h*n."""
+    hn = h * n
+    return hn * sum(comb(n, k) * comb(hn - 1, a) for k, a in cells)
+
+
+def _no_exact(model, spec):
+    raise AssertionError("exact_cut_event ran")
+
+
+def test_the_listing_cap_admits_every_listed_cell():
+    # under the tiny bound every cell is over: (2, 4) is the largest
+    # listing above, and (2, 7) used to spend 16 s on 175,903 violations
+    def every_cell(n):
+        return _listing_work(2, n, [(k, a) for k in range(1, n) for a in range(2 * k)])
+
+    assert every_cell(4) == 7168 <= LISTING_WORK_CAP < every_cell(7) == 7_225_344
+
+
+@pytest.mark.parametrize(
+    "model, h, n, patch",
+    [
+        (Model.STANDARD, 2, 8, _cubed_bound),
+        (Model.TILDE, 2, 8, _cubed_bound),
+        (Model.STANDARD, 2, 7, _tiny_bound),
+    ],
+)
+def test_a_listing_over_its_work_cap_is_refused_before_it_starts(model, h, n, patch, monkeypatch):
+    # cubed (2, 8) used to spend 10-13 s listing, at 32,768 scan units
+    patch(monkeypatch)
+    monkeypatch.setattr(cut_events, "exact_cut_event", _no_exact)
+    with pytest.raises(ValueError, match=f"pair-steps, over the listing work cap {LISTING_WORK_CAP}"):
+        scan_cut_events(model, h, n)
+
+
+@pytest.mark.parametrize("model", list(Model))
+@pytest.mark.parametrize("patch", [_cubed_bound, _tiny_bound])
+def test_the_listing_cap_counts_the_pairs_of_the_over_cells(model, patch, monkeypatch):
+    # at a cap of exactly the listing's work it runs; one less refuses it
+    patch(monkeypatch)
+    scan = scan_cut_events(model, 2, 4)
+    work = _listing_work(2, 4, {(len(s), len(a)) for s, a in scan.violations})
+    monkeypatch.setattr(cut_events, "LISTING_WORK_CAP", work)
+    assert scan_cut_events(model, 2, 4) == scan
+    monkeypatch.setattr(cut_events, "LISTING_WORK_CAP", work - 1)
+    monkeypatch.setattr(cut_events, "exact_cut_event", _no_exact)
+    with pytest.raises(ValueError, match=f"takes {work} pair-steps"):
+        scan_cut_events(model, 2, 4)
 
 
 @pytest.mark.parametrize("model", list(Model))

@@ -28,7 +28,7 @@ from pamod import (
     merge,
     save_graph,
 )
-from pamod import cuts, modularity
+from pamod import cuts, models, modularity
 from pamod.cli import main
 from pamod.cuts import (
     EXACT_SUBSET_LIMIT,
@@ -38,6 +38,7 @@ from pamod.cuts import (
 )
 from pamod.models import (
     SAMPLER_CHUNK,
+    TARGET_CELL_CAP,
     _enumerate_logs,
     _IntColumns,
     graph_from_json,
@@ -383,6 +384,30 @@ def test_target_matrix_temporaries_stay_a_few_blocks(model):
     finally:
         tracemalloc.stop()
     assert peak <= mat.nbytes + 8 * max(trials, C) * 8, (peak - mat.nbytes) / trials
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_target_matrix_refuses_over_its_cell_cap_before_any_draw(model, monkeypatch, capsys):
+    # a sweep's 20,000 event trials at h*n <= 64 stay far below the cap
+    assert 20_000 * 64 * 10 < TARGET_CELL_CAP
+    # at a cap of 12 cells, 3 steps of 4 trials run and 13 cells do not
+    monkeypatch.setattr(models, "TARGET_CELL_CAP", 12)
+    assert sample_target_matrix(model, 3, 4, 1).shape == (4, 3)
+
+    def no_runs(*args):
+        raise AssertionError("the sampler ran")
+
+    monkeypatch.setattr(models, "_sample_runs", no_runs)
+    for length, trials in ((13, 1), (1, 13), (5, 3)):
+        with pytest.raises(ValueError, match=f"^{length * trials} cells, over the target cell cap 12$"):
+            sample_target_matrix(model, length, trials, 1)
+    # pamod lemma2 at h*n = 2000 asked for about 1.5 TiB; now a usage error
+    monkeypatch.setattr(models, "TARGET_CELL_CAP", TARGET_CELL_CAP)
+    args = ["lemma2", "--model", model.value, "--h", "2", "--n", "1000"]
+    assert main(args + ["--spec", '{"S": [1], "A": []}', "--trials", "100000000"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: 200000000000 cells, over the target cell cap {TARGET_CELL_CAP}\n"
+    )
 
 
 @pytest.mark.parametrize("model", MODELS)

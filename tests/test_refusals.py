@@ -143,6 +143,12 @@ REFUSALS = [
     # when no result could show it
     (cuts.exact_expansion, (K3, LONG), f"Invalid literal for Fraction: '{LONG[:59]}..."),
     (cuts.exact_expansion, (K3, "1e-5000"), "need u of at most 4300 digits, got about 10^-5000"),
+    # a literal past Python's int digit limit was called an invalid literal
+    (cuts._check_u, ("0." + "1" * 5001,), f"need u of at most 4300 digits, got '0.{'1' * 57}..."),
+    (cuts._check_u, ("1" * 5001,), f"need u of at most 4300 digits, got '{'1' * 59}..."),
+    # 10^8 trials at h*n = 2000 would ask for about 1.5 TiB
+    (models.sample_target_matrix, (STD, 2000, 10**8, 1),
+     "200000000000 cells, over the target cell cap 25000000"),
 ]
 
 
