@@ -38,12 +38,12 @@ from pamod.models import (
     _chain_denominator,
     _check_count,
     _check_hn,
-    _check_int,
     _check_model,
     _check_seed,
     _check_vertices,
     _enumerate_logs,  # unused here; perfbench/test_perfbench.py imports it from here
     _json_int,
+    _shown,
     sample_target_matrix,
     vertex_of,
 )
@@ -83,10 +83,7 @@ class CutEventSpec:
         if not self.subset:
             raise ValueError("subset must be nonempty")
         _check_vertices(self.subset, self.n)
-        hn = self.h * self.n
-        for t in self.arrivals:
-            if not 1 <= _check_int(t, "arrival") <= hn:
-                raise ValueError(f"arrival {t} out of range 1..{hn}")
+        _check_vertices(self.arrivals, self.h * self.n, "arrival")
         if len(self.arrivals) >= self.h * len(self.subset):
             raise ValueError(
                 f"|A| = {len(self.arrivals)} must be < h|S| = "
@@ -123,9 +120,9 @@ def cut_event_bound(h: int, n: int, k: int, a: int) -> Fraction:
     for large a."""
     _check_hn(h, n)
     if not 1 <= _json_int(k, "k") <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}")
+        raise ValueError(f"need 1 <= k <= n, got k={_shown(k, str)}")
     if not 0 <= _json_int(a, "a") < h * k:
-        raise ValueError(f"need 0 <= a < h*k = {h * k}, got a={a}")
+        raise ValueError(f"need 0 <= a < h*k = {_shown(h * k, str)}, got a={_shown(a, str)}")
     return Fraction(math.comb(h * k, a), math.comb(h * n - a, h * k - a))
 
 
@@ -180,7 +177,8 @@ def exact_cut_event(model: Model, spec: CutEventSpec) -> Fraction:
     model = _check_model(model)
     h, hn, subset = spec.h, spec.h * spec.n, spec.subset
     if hn > CHAIN_LENGTH_CAP:
-        raise ValueError(f"h*n = {hn} is over the chain length cap {CHAIN_LENGTH_CAP}")
+        shown = _shown(hn, str)
+        raise ValueError(f"h*n = {shown} is over the chain length cap {CHAIN_LENGTH_CAP}")
     if 1 in spec.arrivals:
         return Fraction(0)
     loops, cap = model is Model.STANDARD, h * len(subset)
@@ -245,7 +243,7 @@ def scan_cut_events(model: Model, h: int, n: int) -> CutEventScan:
     _check_hn(h, n)
     hn = h * n
     if (work := n * hn**3) > SCAN_WORK_CAP:
-        raise ValueError(f"{work} work units, over the scan work cap {SCAN_WORK_CAP}")
+        raise ValueError(f"{_shown(work, str)} work units, over the scan work cap {SCAN_WORK_CAP}")
     loops, both = model is Model.STANDARD, (False, True)
     layers: list[dict] = [{}]  # layers[s]: the merged states of the prefixes with s in S
     for v in range(1, n + 1):
@@ -286,8 +284,8 @@ def scan_cut_events(model: Model, h: int, n: int) -> CutEventScan:
     # an over cell's k-sets times its sets A in 2..h*n, each h*n steps
     if (work := hn * sum(comb(n, k) * comb(hn - 1, a) for k, a, _ in over)) > LISTING_WORK_CAP:
         raise ValueError(
-            f"listing the violations takes {work} pair-steps, over the listing work cap "
-            f"{LISTING_WORK_CAP}"
+            f"listing the violations takes {_shown(work, str)} pair-steps, over the "
+            f"listing work cap {LISTING_WORK_CAP}"
         )
     found = []
     for k, a, bound in over:

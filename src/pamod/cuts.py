@@ -97,21 +97,11 @@ def as_fraction(u) -> Fraction:
     raise ValueError(f"cannot interpret {u!r} as a rational")
 
 
-def _fraction_text(uf: Fraction) -> str:
-    """str(uf), or its power of ten when a part has more digits than
-    Python converts to text (sys.get_int_max_str_digits())."""
-    try:
-        return str(uf)
-    except ValueError:
-        exp = math.log10(abs(uf.numerator)) - math.log10(uf.denominator)
-        return f"about {'-' if uf < 0 else ''}10^{round(exp)}"
-
-
 def _check_u(u) -> Fraction:
     """``u`` as a Fraction in (0, 1/2] that converts to text, since every
     result shows it; refused otherwise."""
     uf = as_fraction(u)
-    text = _shown(uf, _fraction_text)
+    text = _shown(uf, str)
     if not 0 < uf <= Fraction(1, 2):
         raise ValueError(f"need 0 < u <= 1/2, got {text}")
     if text.startswith("about"):
@@ -210,11 +200,12 @@ def _boundary_table(graph: MultiGraph) -> np.ndarray:
     return _subset_sums(graph.n - 1, own, _pair_weights(graph, -2)[:-1], np.int32)
 
 
-def _check_subset_limit(n: int, requested: int) -> None:
-    """Refuse n over the requested limit or EXACT_SUBSET_LIMIT, before any table."""
-    if n > (limit := min(requested, EXACT_SUBSET_LIMIT)):
+def _check_limit(n: int, requested: int, cap: int, kind: str, instead: str) -> None:
+    """Refuse n over the requested limit or ``cap``, before any table: a
+    limit can only lower the cap."""
+    if n > (limit := min(requested, cap)):
         raise ValueError(
-            f"n={n} exceeds the exhaustive limit {limit}; use sampled_expansion"
+            f"n={_shown(n, str)} exceeds the {kind} limit {_shown(limit, str)}; use {instead}"
         )
 
 
@@ -293,7 +284,7 @@ def exact_expansion(
     83 MiB RSS at n = 24 (2-core Xeon, fresh process).
     """
     uf = _check_u(u)
-    _check_subset_limit(graph.n, limit)
+    _check_limit(graph.n, limit, EXACT_SUBSET_LIMIT, "exhaustive", "sampled_expansion")
     k_max = math.floor(uf * graph.n)
     if k_max < 1:
         return ExpansionResult(
@@ -326,7 +317,7 @@ def expansion_profile(
     1.6 ms at n = 20, 0.03 s and 75 MiB RSS at n = 24 (2-core Xeon, fresh
     process).
     """
-    _check_subset_limit(graph.n, limit)
+    _check_limit(graph.n, limit, EXACT_SUBSET_LIMIT, "exhaustive", "sampled_expansion")
     return _size_profile(graph)[2]
 
 

@@ -122,10 +122,10 @@ class ExperimentConfig:
             raise ValueError("tasks must be nonempty")
         if (limit := self.exact_expansion_limit) > EXACT_SUBSET_LIMIT:
             cap = f"EXACT_SUBSET_LIMIT={EXACT_SUBSET_LIMIT}, the 2^n tables' memory cap"
-            raise ValueError(f"exact_expansion_limit={limit} exceeds {cap}")
+            raise ValueError(f"exact_expansion_limit={_shown(limit, str)} exceeds {cap}")
         if (limit := self.exact_modularity_limit) > EXACT_PARTITION_LIMIT:
             cap = f"{EXACT_PARTITION_LIMIT}, the 3^n partition DP's time cap"
-            raise ValueError(f"exact_modularity_limit={limit} exceeds {cap}")
+            raise ValueError(f"exact_modularity_limit={_shown(limit, str)} exceeds {cap}")
 
     def to_dict(self) -> dict:
         """Fields in declaration order; the model as its value, tuples as lists."""

@@ -34,7 +34,9 @@ earlier row of its own run, so once a step's draws are in, one gather
 resolves all its copies.  A block of several steps (``generate``'s one
 run) follows pointers within the block until none is left.  Memory is
 the output array plus a few temporaries of max(trials, ``SAMPLER_CHUNK``)
-elements.
+elements.  ``TARGET_CELL_CAP`` bounds length * trials, so ``generate``
+refuses h*n over 2.5*10^7: in a fresh process (2-core Xeon) h*n = 4*10^6
+takes 0.56 s and 196 MiB peak RSS, and the cap 2.6 s and 1037 MiB.
 
 A log keeps its targets as one read-only int64 array, ``target_array``,
 and a graph its (u, v, t) edges as one read-only (m, 3) int64 array,
@@ -75,8 +77,8 @@ _ENUMERATION_CAP = 500_000
 # a few arrays of max(trials, SAMPLER_CHUNK) elements.
 SAMPLER_CHUNK = 1 << 12
 
-# Most cells length * trials of ``sample_target_matrix``: 8 bytes each of
-# int64 output, about 11 with ``estimate_cut_event``'s bool temporaries.
+# Most cells length * trials of ``_sample_runs`` (h*n for ``generate``): 8 bytes
+# each of int64 output, about 11 with ``estimate_cut_event``'s bool temporaries.
 TARGET_CELL_CAP = 25 * 10**6
 
 
@@ -93,11 +95,18 @@ SHOWN_CHARS = 60
 
 def _shown(value, form=repr) -> str:
     """``value`` as an error message shows it: ``form(value)``, but a list
-    or dict by its type name, since their repr grows with their nesting,
-    and a text over ``SHOWN_CHARS`` cut there and marked ``...``."""
+    or dict by its type name, since their repr grows with their nesting, a
+    number past Python's int-to-text digit limit as ``about 10^N``, and a
+    text over ``SHOWN_CHARS`` cut there and marked ``...``.  Refusals show
+    a number by ``str``, so a numpy int shows bare."""
     if isinstance(value, (list, dict)):
         return type(value).__name__
-    text = form(value)
+    try:
+        text = form(value)
+    except ValueError:  # past the digit limit
+        num, den = value.as_integer_ratio()
+        exp = math.log10(abs(num)) - math.log10(den)
+        return f"about {'-' if num < 0 else ''}10^{round(exp)}"
     return text if len(text) <= SHOWN_CHARS else f"{text[:SHOWN_CHARS]}..."
 
 
@@ -111,7 +120,7 @@ def _check_int(value, name: str, kinds=(int, np.integer)):
 def _check_seed(seed: int) -> int:
     _check_int(seed, "seed")
     if not 0 <= seed < MAX_SEED:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {_shown(seed, str)}")
     return int(seed)
 
 
@@ -129,22 +138,22 @@ def _check_model(model: Model) -> Model:
 
 def _check_count(value: int, name: str) -> None:
     if value < 1:
-        raise ValueError(f"need {name} >= 1, got {value}")
+        raise ValueError(f"need {name} >= 1, got {_shown(value, str)}")
 
 
 def _check_hn(h: int, n: int) -> None:
     _json_int(h, "h")
     _json_int(n, "n")
     if h < 1 or n < 1:
-        raise ValueError(f"need h >= 1 and n >= 1, got h={h}, n={n}")
+        raise ValueError(f"need h >= 1 and n >= 1, got h={_shown(h, str)}, n={_shown(n, str)}")
 
 
-def _check_vertices(vertices, n: int) -> frozenset[int]:
+def _check_vertices(vertices, n: int, name: str = "vertex") -> frozenset[int]:
     """``vertices`` as a frozenset, refused if one is not an integer or
-    lies outside 1..n."""
+    lies outside 1..n; ``name`` says what they are (arrivals, say)."""
     for v in (vs := frozenset(vertices)):
-        if not 1 <= _check_int(v, "vertex") <= n:
-            raise ValueError(f"vertex {v} out of range 1..{n}")
+        if not 1 <= _check_int(v, name) <= n:
+            raise ValueError(f"{name} {_shown(v, str)} out of range 1..{_shown(n, str)}")
     return vs
 
 
@@ -237,7 +246,7 @@ class ArrivalLog(_ColumnRecord):
         _check_hn(self.h, self.n)
         s = self.target_array
         if len(s) != self.h * self.n:
-            raise ValueError(f"log length {len(s)} != h*n = {self.h * self.n}")
+            raise ValueError(f"log length {len(s)} != h*n = {_shown(self.h * self.n, str)}")
         if s[0] != 1:
             raise ValueError("edge e_1 is always the initial loop at mini-vertex 1")
         t = np.arange(1, len(s) + 1)
@@ -275,7 +284,7 @@ class MultiGraph(_ColumnRecord):
         if bad.size:
             i = bad[0]
             if outside[i]:
-                raise ValueError(f"edge ({u[i]},{v[i]}) out of range for n={self.n}")
+                raise ValueError(f"edge ({u[i]},{v[i]}) out of range for n={_shown(self.n, str)}")
             raise ValueError(f"edge ({u[i]},{v[i]},{t[i]}) must be stored with u <= v")
 
     @classmethod
@@ -362,6 +371,8 @@ def _sample_runs(
     scalar-bounded call per step and run.  Temporaries are a few arrays of
     the block's size.
     """
+    if (cells := length * trials) > TARGET_CELL_CAP:
+        raise ValueError(f"{_shown(cells, str)} cells, over the target cell cap {TARGET_CELL_CAP}")
     out = np.empty((length, trials), dtype=np.int64)
     # row 0 is e_1's target 1, which is also the resolved form of r = 1
     out[0] = 1
@@ -402,7 +413,8 @@ def generate(model: Model, h: int, n: int, seed: int) -> tuple[ArrivalLog, Multi
 
     Randomness comes from a PCG64 generator seeded with ``seed`` alone,
     so identical (model, h, n, seed) inputs reproduce the same log
-    bit-for-bit.
+    bit-for-bit.  h*n over ``TARGET_CELL_CAP`` is refused before any
+    allocation.
 
     Returns:
         The arrival log and its merged multigraph.
@@ -435,10 +447,8 @@ def sample_target_matrix(
     seed = _check_seed(seed)
     _json_int(length, "length")
     _json_int(trials, "trials")
-    if length < 1 or trials < 1:
-        raise ValueError("need length >= 1 and trials >= 1")
-    if (cells := length * trials) > TARGET_CELL_CAP:
-        raise ValueError(f"{cells} cells, over the target cell cap {TARGET_CELL_CAP}")
+    _check_count(length, "length")
+    _check_count(trials, "trials")
     return _sample_runs(model, length, trials, np.random.default_rng(seed))
 
 
@@ -451,7 +461,7 @@ def derive_seed(root_seed: int, index: int) -> int:
     """
     root_seed = _check_seed(root_seed)
     if index < 0:
-        raise ValueError(f"stream index must be >= 0, got {index}")
+        raise ValueError(f"stream index must be >= 0, got {_shown(index, str)}")
     ss = np.random.SeedSequence([root_seed, index])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -481,12 +491,14 @@ def _enumerate_logs(model: Model, length: int):
     """
     model = _check_model(model)
     loops = model is Model.STANDARD
-    denom = _chain_denominator(loops, length)
-    if denom >= 2**63:
-        raise ValueError(
-            f"{model.value} logs of length {length} have denominator {denom} "
-            ">= 2^63, beyond int64 numerators"
-        )
+    # the denominator only grows with the length: its first prefix past 2^63 decides
+    for tau in range(length + 1):
+        if (denom := _chain_denominator(loops, tau)) >= 2**63:
+            least = "" if tau == length else "at least "
+            raise ValueError(
+                f"{model.value} logs of length {_shown(length, str)} have denominator "
+                f"{least}{denom} >= 2^63, beyond int64 numerators"
+            )
     # level tau holds tau! (standard) or (tau-1)! (tilde) logs
     for tau in range(1, length + 1):
         if (size := math.factorial(tau - (not loops))) > _ENUMERATION_CAP:
@@ -618,11 +630,10 @@ def graph_from_json(payload: dict) -> MultiGraph:
         cols = flat.reshape(len(edges), 3)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed graph payload: {exc}") from None
-    if h < 1:
-        raise ValueError(f"need h >= 1, got h={h}")
+    _check_hn(h, n)
     seed = _check_seed(seed)
     if len(cols) != h * n:
-        raise ValueError(f"expected {h * n} edges, found {len(cols)}")
+        raise ValueError(f"expected {_shown(h * n, str)} edges, found {len(cols)}")
     lo, hi, t = cols.T
     if not np.array_equal(np.sort(t), np.arange(1, h * n + 1)):
         raise ValueError("edge arrival indices must be exactly 1..h*n")

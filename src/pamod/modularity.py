@@ -43,6 +43,7 @@ import numpy as np
 from pamod.certify import _small_set_term
 from pamod.cuts import (
     EXACT_SUBSET_LIMIT,
+    _check_limit,
     _members,
     _pair_weights,
     _part_tallies,
@@ -50,7 +51,7 @@ from pamod.cuts import (
     edge_boundary,
     expansion_profile,
 )
-from pamod.models import MultiGraph, _check_seed, _check_vertices
+from pamod.models import MultiGraph, _check_count, _check_seed, _check_vertices, _shown
 
 # Largest n the exact DP accepts; a ``limit`` argument may only lower it.
 # Time grows as 3^n: 0.13 s at n = 16, past 1 s per graph near n = 18.
@@ -83,7 +84,7 @@ def check_partition(graph: MultiGraph, parts) -> Partition:
             raise ValueError("empty part in partition")
         for v in _check_vertices(p, graph.n):
             if v in seen:
-                raise ValueError(f"vertex {v} appears in two parts")
+                raise ValueError(f"vertex {_shown(v, str)} appears in two parts")
             seen.add(v)
     if len(seen) != graph.n:
         raise ValueError("partition does not cover all vertices")
@@ -172,11 +173,7 @@ def exact_modularity(
     plus 3^8-entry temporaries: a 3 MiB peak (tracemalloc) at n = 16.
     """
     n = graph.n
-    if n > (limit := min(limit, EXACT_PARTITION_LIMIT)):
-        raise ValueError(
-            f"n={n} exceeds the exact partition limit {limit}; "
-            "use greedy_modularity"
-        )
+    _check_limit(n, limit, EXACT_PARTITION_LIMIT, "exact partition", "greedy_modularity")
     m = graph.m
     if m == 0:
         return Fraction(0), (frozenset(range(1, n + 1)),)
@@ -342,7 +339,7 @@ def _require_pa_shape(graph: MultiGraph) -> int:
     h = graph.h
     deg = graph.degrees
     if min(deg[1:]) < h:
-        raise ValueError(f"minimum degree {min(deg[1:])} below h={h}")
+        raise ValueError(f"minimum degree {min(deg[1:])} below h={_shown(h, str)}")
     if graph.volume > 2 * h * graph.n:
         raise ValueError("average degree exceeds 2h")
     return h
@@ -380,8 +377,7 @@ def bound_from_expansion_profile(
     """
     if n < 2:
         raise ValueError("profile bound needs n >= 2")
-    if h < 1:
-        raise ValueError("need h >= 1")
+    _check_count(h, "h")
     best: Fraction | None = None
     for k in range(1, n // 2 + 1):
         alpha = profile[k]

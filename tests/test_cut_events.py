@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -238,6 +239,20 @@ def test_enumerator_refuses_denominators_over_int64_before_enumerating(monkeypat
     # the chain rule has no int64 denominator: h*n = 18 is exact
     spec, p = _last_vertex_event(9)
     assert exact_cut_event(Model.STANDARD, spec) == p == Fraction(32, 1155)
+
+
+@pytest.mark.parametrize("model", [Model.STANDARD, Model.TILDE])
+def test_enumerator_decides_the_int64_rule_on_a_prefix(model):
+    # length 200000 used to build its whole denominator, 19.8 s, and then
+    # fail to print it; the first prefix past 2^63 decides
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as info:
+        exact_small_t_distribution(model, 200_000)
+    assert time.perf_counter() - start < 0.25
+    assert str(info.value) == (
+        f"{model.value} logs of length 200000 have denominator at least "
+        "221643095476699771875 >= 2^63, beyond int64 numerators"
+    )
 
 
 def test_enumerator_refuses_before_it_builds_a_level(monkeypatch):

@@ -394,10 +394,11 @@ def test_target_matrix_refuses_over_its_cell_cap_before_any_draw(model, monkeypa
     monkeypatch.setattr(models, "TARGET_CELL_CAP", 12)
     assert sample_target_matrix(model, 3, 4, 1).shape == (4, 3)
 
-    def no_runs(*args):
-        raise AssertionError("the sampler ran")
+    # the cap sits in the one sampler, ahead of its output array
+    def no_output(*args, **kwargs):
+        raise AssertionError("the sampler allocated its output")
 
-    monkeypatch.setattr(models, "_sample_runs", no_runs)
+    monkeypatch.setattr(models.np, "empty", no_output)
     for length, trials in ((13, 1), (1, 13), (5, 3)):
         with pytest.raises(ValueError, match=f"^{length * trials} cells, over the target cell cap 12$"):
             sample_target_matrix(model, length, trials, 1)
@@ -407,6 +408,27 @@ def test_target_matrix_refuses_over_its_cell_cap_before_any_draw(model, monkeypa
     assert main(args + ["--spec", '{"S": [1], "A": []}', "--trials", "100000000"]) == 2
     assert capsys.readouterr().err == (
         f"error: 200000000000 cells, over the target cell cap {TARGET_CELL_CAP}\n"
+    )
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_generate_refuses_over_the_cell_cap_before_allocating(model, monkeypatch, capsys):
+    # generate shares the sampler and its cap; pamod gen used to run into
+    # numpy's allocation errors instead of a usage error
+    monkeypatch.setattr(models, "TARGET_CELL_CAP", 12)
+    assert generate(model, 3, 4, 1)[0].target_array.shape == (12,)
+
+    def no_output(*args, **kwargs):
+        raise AssertionError("the sampler allocated its output")
+
+    monkeypatch.setattr(models.np, "empty", no_output)
+    with pytest.raises(ValueError, match="^13 cells, over the target cell cap 12$"):
+        generate(model, 13, 1, 1)
+    monkeypatch.setattr(models, "TARGET_CELL_CAP", TARGET_CELL_CAP)
+    args = ["gen", "--model", model.value, "--h", "5", "--n", "5000001", "--seed", "1"]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"error: 25000005 cells, over the target cell cap {TARGET_CELL_CAP}\n"
     )
 
 
@@ -855,6 +877,9 @@ def test_from_json_errors_match_reference(payload):
         # the one changed message: the loader names a model as
         # models._check_model does everywhere else
         want = (ValueError, f"malformed graph payload: unknown model {payload['model']!r}")
+    if want[1].startswith("need n >= 1"):
+        # and h and n are refused together, by models._check_hn
+        want = (ValueError, f"need h >= 1 and n >= 1, got h={payload['h']}, n={payload['n']}")
     assert got == want
 
 

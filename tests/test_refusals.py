@@ -2,6 +2,7 @@
 one place in ``src/pamod`` where each shared rule is written."""
 
 import ast
+import json
 import math
 import pathlib
 from fractions import Fraction
@@ -34,13 +35,13 @@ REFUSALS = [
     (models.generate, (STD, 2, 0, 1), HN.format(2, 0)),
     (models.generate, (TIL, 0, 0, 1), HN.format(0, 0)),
     (models.generate, ("bogus", 1, 1, 1), "unknown model 'bogus'"),
-    (models.sample_target_matrix, (STD, 0, 5, 1), "need length >= 1 and trials >= 1"),
-    (models.sample_target_matrix, (TIL, 5, 0, 1), "need length >= 1 and trials >= 1"),
+    (models.sample_target_matrix, (STD, 0, 5, 1), "need length >= 1, got 0"),
+    (models.sample_target_matrix, (TIL, 5, 0, 1), "need trials >= 1, got 0"),
     (models.derive_seed, (1, -1), "stream index must be >= 0, got -1"),
     (models.exact_small_t_distribution, (STD, 0), "need t_max >= 1, got 0"),
     (models._enumerate_logs, (STD, 15), CAP.format("standard", 15, 10, 3628800)),
     (models.exact_small_t_distribution, (TIL, 12), CAP.format("tilde", 12, 11, 3628800)),
-    (models.graph_from_json, (GRAPH,), "need h >= 1, got h=0"),
+    (models.graph_from_json, (GRAPH,), HN.format(0, 3)),
     # cut events
     (cut_events.CutEventSpec, (0, 2, {1}, ()), HN.format(0, 2)),
     (cut_events.CutEventSpec, (1, 2, set(), ()), "subset must be nonempty"),
@@ -74,7 +75,7 @@ REFUSALS = [
     (modularity.worst_part_bound, (EDGELESS, [{1, 2, 3}]), "graph has no edges"),
     (modularity.worst_part_bound, (ISOLATED_3, [{1, 2}, {3}]), "part has zero volume"),
     (modularity.bound_from_expansion_profile, ({}, 2, 1), "profile bound needs n >= 2"),
-    (modularity.bound_from_expansion_profile, ({1: Fraction(1)}, 0, 2), "need h >= 1"),
+    (modularity.bound_from_expansion_profile, ({1: Fraction(1)}, 0, 2), "need h >= 1, got 0"),
     # certify: h >= 2, the float u, precision and eta
     (certify.TailParams, (1, 0.1, 10, 0.5), H2.format(1)),
     (certify.TailParams, (2, 0.1, 10, 0.6), U.format(0.6)),
@@ -164,6 +165,90 @@ def test_each_refusal_keeps_its_type_and_message(call, args, message):
     assert str(info.value) == message
 
 
+BIG = 10**5000  # its text is past Python's 4300-digit limit
+ABOUT, MINUS = "about 10^5000", "about -10^5000"
+BIG_N = MultiGraph(n=BIG, edges=())
+
+# (callable, positional args, exact ValueError message): each guard and
+# cap shows a huge int as its power of ten and names its own rule
+HUGE_INTS = [
+    (models.generate, (STD, 1, 1, BIG), f"seed must be a 64-bit unsigned integer, got {ABOUT}"),
+    (models.generate, (STD, -BIG, 1, 1), HN.format(MINUS, 1)),
+    (models.exact_small_t_distribution, (STD, -BIG), f"need t_max >= 1, got {MINUS}"),
+    (cuts.edge_boundary, (K3, {BIG}), f"vertex {ABOUT} out of range 1..3"),
+    (models.derive_seed, (1, -BIG), f"stream index must be >= 0, got {MINUS}"),
+    (models.ArrivalLog, (STD, BIG, 1, (1,)), f"log length 1 != h*n = {ABOUT}"),
+    (models.MultiGraph, (BIG, [(0, 1, 1)]), f"edge (0,1) out of range for n={ABOUT}"),
+    (models.graph_from_json, ({**GRAPH, "h": BIG, "n": BIG},),
+     "expected about 10^10000 edges, found 0"),
+    (cut_events.cut_event_bound, (2, 3, BIG, 0), f"need 1 <= k <= n, got k={ABOUT}"),
+    (cut_events.cut_event_bound, (2, 3, 1, BIG), f"need 0 <= a < h*k = 2, got a={ABOUT}"),
+    (cut_events.cut_event_bound, (BIG, 3, 1, -1), f"need 0 <= a < h*k = {ABOUT}, got a=-1"),
+    (cut_events.CutEventSpec, (1, 2, {1}, {BIG}), f"arrival {ABOUT} out of range 1..2"),
+    (cut_events.CutEventSpec, (BIG, 2, {1}, {0}), f"arrival 0 out of range 1..{ABOUT}"),
+    (cut_events.exact_cut_event, (STD, cut_events.CutEventSpec(BIG, 1, {1}, ())),
+     f"h*n = {ABOUT} is over the chain length cap 20000"),
+    (models.sample_target_matrix, (STD, BIG, 1, 1),
+     f"{ABOUT} cells, over the target cell cap 25000000"),
+    (models.sample_target_matrix, (TIL, 2, BIG, 1),
+     f"{ABOUT} cells, over the target cell cap 25000000"),
+    (models.generate, (TIL, BIG, 1, 1), f"{ABOUT} cells, over the target cell cap 25000000"),
+    (cut_events.scan_cut_events, (STD, BIG, 1),
+     "about 10^15000 work units, over the scan work cap 25000000"),
+    (cuts.exact_expansion, (K3, "1/2", -BIG),
+     f"n=3 exceeds the exhaustive limit {MINUS}; use sampled_expansion"),
+    (cuts.expansion_profile, (BIG_N,),
+     f"n={ABOUT} exceeds the exhaustive limit 24; use sampled_expansion"),
+    (modularity.exact_modularity, (K3, -BIG),
+     f"n=3 exceeds the exact partition limit {MINUS}; use greedy_modularity"),
+    (modularity.exact_modularity, (BIG_N,),
+     f"n={ABOUT} exceeds the exact partition limit 16; use greedy_modularity"),
+    (models._enumerate_logs, (STD, BIG), f"standard logs of length {ABOUT} have denominator "
+     "at least 221643095476699771875 >= 2^63, beyond int64 numerators"),
+    (experiment.ExperimentConfig.from_dict, ({**SWEEP, "exact_expansion_limit": BIG},),
+     f"exact_expansion_limit={ABOUT} exceeds EXACT_SUBSET_LIMIT=24, the 2^n tables' memory cap"),
+    (experiment.ExperimentConfig.from_dict, ({**SWEEP, "exact_modularity_limit": BIG},),
+     f"exact_modularity_limit={ABOUT} exceeds 16, the 3^n partition DP's time cap"),
+    (experiment.ExperimentConfig.from_dict, ({**SWEEP, "trials": -BIG},),
+     f"need trials >= 1, got {MINUS}"),
+    (modularity.check_partition, (BIG_N, [{BIG}, {BIG, 1}]), f"vertex {ABOUT} appears in two parts"),
+    (modularity.profile_modularity_bound, (MultiGraph(n=3, edges=K3.edge_array, h=BIG),),
+     f"minimum degree 2 below h={ABOUT}"),
+    (modularity.bound_from_expansion_profile, ({1: Fraction(1)}, -BIG, 2),
+     f"need h >= 1, got {MINUS}"),
+    (certify.large_h_modularity_bound, (-BIG,), f"need h >= 2, got {MINUS}"),
+    (certify.log_tail_term, (certify.TailParams(2, 0.1, BIG, 0.5), 0),
+     f"need 1 <= k <= n/2, got k=0, n={ABOUT}"),
+]
+
+
+@pytest.mark.parametrize(
+    "call,args,message",
+    HUGE_INTS,
+    ids=[f"{i:02d}-{call.__qualname__}" for i, (call, _a, _m) in enumerate(HUGE_INTS)],
+)
+def test_a_huge_int_is_refused_by_its_own_rule(call, args, message):
+    # each used to raise Python's "Exceeds the limit (4300 digits) for
+    # integer string conversion" while formatting its own message
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
+
+def test_huge_ints_from_the_command_line_give_the_rules_line(tmp_path, capsys):
+    # a graph file with 3000-digit h and n, and a 4000-digit trial count
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({**GRAPH, "h": 10**2999, "n": 10**2999}))
+    assert cli.main(["expand", "--graph", str(path)]) == 2
+    assert capsys.readouterr().err == "error: expected about 10^5998 edges, found 0\n"
+    args = ["lemma2", "--model", "standard", "--h", "2", "--n", "3"]
+    assert cli.main([*args, "--spec", '{"S": [1], "A": []}', "--trials", str(10**3999)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: 6{'0' * 59}... cells, over the target cell cap 25000000\n"
+
+
 @pytest.mark.parametrize(
     "u, rule",
     [
@@ -230,14 +315,17 @@ def _templates(tree) -> list[str]:
     "template,modules",
     [
         ("need h >= 1 and n >= 1, got h={…}, n={…}", None),
-        ("vertex {…} out of range 1..{…}", None),
+        # vertices and arrivals, by models._check_vertices
+        ("{…} {…} out of range 1..{…}", None),
         # cuts._check_u prints the Fraction; certify's is the float rule
         ("need 0 < u <= 1/2, got {…}", ["certify.py"]),
         ("need h >= 2, got {…}", None),
         ("need 0 < eta < 1, got {…}", None),
         ("need {…} >= 1, got {…}", None),
+        # exhaustive expansion and exact modularity: a limit only lowers the cap
+        ("n={…} exceeds the {…} limit {…}; use {…}", None),
     ],
-    ids=["h-n", "vertex", "certify-u", "certify-h", "certify-eta", "count"],
+    ids=["h-n", "vertex", "certify-u", "certify-h", "certify-eta", "count", "limit"],
 )
 def test_each_shared_refusal_is_written_once(template, modules):
     trees = _trees()
@@ -249,6 +337,14 @@ def test_each_shared_refusal_is_written_once(template, modules):
         if text == template
     ]
     assert len(found) == 1, found
+
+
+def test_no_hand_written_copy_of_the_range_or_limit_rule_is_left():
+    texts = [text for tree in _trees().values() for text in _templates(tree)]
+    assert [t for t in texts if "out of range 1.." in t] == ["{…} {…} out of range 1..{…}"]
+    assert [t for t in texts if " limit {…}; use " in t] == [
+        "n={…} exceeds the {…} limit {…}; use {…}"
+    ]
 
 
 def test_the_tilde_loop_rule_and_the_expansion_constant_are_written_once():
