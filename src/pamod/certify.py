@@ -62,6 +62,9 @@ from pamod.models import _check_count, _shown
 
 COMPLEMENT_SLACK = 1e-12
 GRID_POINT_CAP = 10**6
+# most tail terms one union_bound_sum or verify_unimodality call takes;
+# each holds 40 bytes of float64 temporaries at the peak, so about 80 MB
+TAIL_TERM_CAP = 2 * 10**6
 # eta with expansion >= eta*h certified: (2e/eta)^(4 eta) < 2 at h = 2
 EXPANSION_CONSTANT = 0.03418
 # q* <= this for h = 2: certify_modularity_bound() at its default grid
@@ -75,16 +78,33 @@ _RECHECK_RTOL = 2.0**-46  # 128 unit roundoffs; a flip needs at most 20
 def _check_h(h: int) -> None:
     if h < 2:
         raise ValueError(f"need h >= 2, got {_shown(h, str)}")
+    _as_float(h, "h")
+
+
+def _as_float(value: int, name: str) -> float:
+    """An int that float64 arithmetic takes, as a float; refused past
+    float64's range rather than raising OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name}={_shown(value, str)} is past float64 range") from None
+
+
+def _check_terms(count: int) -> None:
+    if count > TAIL_TERM_CAP:
+        raise ValueError(
+            f"{_shown(count, str)} tail terms, over the tail term cap {TAIL_TERM_CAP}"
+        )
 
 
 def _check_u(u: float) -> None:
     if not 0 < u <= 0.5:
-        raise ValueError(f"need 0 < u <= 1/2, got {u}")
+        raise ValueError(f"need 0 < u <= 1/2, got {_shown(u, str)}")
 
 
 def _check_eta(eta: float) -> None:
     if not 0 < eta < 1:
-        raise ValueError(f"need 0 < eta < 1, got {eta}")
+        raise ValueError(f"need 0 < eta < 1, got {_shown(eta, str)}")
 
 
 @dataclass(frozen=True)
@@ -105,7 +125,7 @@ class TailParams:
         if not 0 < self.alpha_hat < (self.h - 1) / 2:
             raise ValueError(
                 f"need 0 < alpha_hat < (h-1)/2 = {(self.h - 1) / 2}, "
-                f"got {self.alpha_hat}"
+                f"got {_shown(self.alpha_hat, str)}"
             )
         _check_count(self.n, "n")
         _check_u(self.u)
@@ -154,7 +174,7 @@ def log_tail_terms(params: TailParams, ks: np.ndarray) -> np.ndarray:
     return (
         np.log(a * ks)
         + 2.0 * a * ks * (1.0 + math.log(h / a))
-        + (h - 1.0 - 2.0 * a) * ks * np.log(ks / n)
+        + (h - 1.0 - 2.0 * a) * ks * np.log(ks / _as_float(n, "n"))
     )
 
 
@@ -165,13 +185,13 @@ def union_bound_sum(params: TailParams) -> TailSum:
     below alpha_hat on some set of size fraction <= u, so values above 1
     carry no information; the clamp is flagged.  Accumulation is
     log-sum-exp, so ``log_total`` stays finite even when the plain sum
-    overflows.
+    overflows.  Refuses more than ``TAIL_TERM_CAP`` terms.
     """
-    k_top = math.floor(params.u * params.n)
+    un = params.u * _as_float(params.n, "n")
+    k_top = math.floor(un)
     if k_top < 1:
-        raise ValueError(
-            f"u*n = {params.u * params.n} < 1: no set sizes to sum over"
-        )
+        raise ValueError(f"u*n = {un} < 1: no set sizes to sum over")
+    _check_terms(k_top)
     logs = log_tail_terms(params, np.arange(1, k_top + 1))
     peak = float(np.max(logs))
     log_total = peak + math.log(float(np.sum(np.exp(logs - peak))))
@@ -190,11 +210,13 @@ def verify_unimodality(params: TailParams) -> UnimodalityResult:
 
     Scans consecutive differences; at most one sign change, and only
     downward-to-upward, qualifies as unimodal.  Monotone runs count as
-    degenerate unimodal with the trough at the matching end.
+    degenerate unimodal with the trough at the matching end.  Refuses
+    more than ``TAIL_TERM_CAP`` terms.
     """
     half = params.n // 2
     if half < 2:
         raise ValueError(f"need n >= 4 for a meaningful scan, got n={params.n}")
+    _check_terms(half)
     logs = log_tail_terms(params, np.arange(1, half + 1))
     diffs = np.diff(logs)
     down = diffs < 0.0
@@ -221,7 +243,7 @@ def check_rate_condition(h: int, u: float, x: float) -> bool:
     _check_h(h)
     _check_u(u)
     if not 0 < x <= 1:
-        raise ValueError(f"need 0 < x <= 1, got {x}")
+        raise ValueError(f"need 0 < x <= 1, got {_shown(x, str)}")
     return _rate_holds(h, u, x)
 
 
@@ -262,7 +284,7 @@ def _certified_js(us: np.ndarray, precision: float) -> np.ndarray:
     could not find the top one.
     """
     if not 2.0**-55 <= precision <= 0.25:
-        raise ValueError(f"need 2^-55 <= precision <= 1/4, got {precision}")
+        raise ValueError(f"need 2^-55 <= precision <= 1/4, got {_shown(precision, str)}")
     j_max = int(math.floor(0.25 / precision))
     while j_max * precision >= 0.25:
         j_max -= 1
@@ -314,7 +336,7 @@ def certify_modularity_bound(
     table block by block.
     """
     if not 0 < grid_step <= 0.5:
-        raise ValueError(f"need 0 < grid_step <= 1/2, got {grid_step}")
+        raise ValueError(f"need 0 < grid_step <= 1/2, got {_shown(grid_step, str)}")
     # round(0.5 / grid_step) > cap, read before round() can meet an inf
     if 0.5 / grid_step > GRID_POINT_CAP + 0.5:
         raise ValueError(
@@ -371,7 +393,7 @@ def complement_term_dominates(u: float, delta: float) -> bool:
     """
     _check_u(u)
     if not 0 <= delta <= 1:
-        raise ValueError(f"need 0 <= delta <= 1, got {delta}")
+        raise ValueError(f"need 0 <= delta <= 1, got {_shown(delta, str)}")
     lhs, rhs = _complement_sides(u, delta)
     return lhs <= rhs + COMPLEMENT_SLACK
 

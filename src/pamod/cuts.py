@@ -94,7 +94,7 @@ def as_fraction(u) -> Fraction:
             if str(exc).startswith("Invalid literal"):
                 raise ValueError(f"Invalid literal for Fraction: {_shown(u)}") from None
             raise _too_many_digits(_shown(u)) from None  # past int's digit limit
-    raise ValueError(f"cannot interpret {u!r} as a rational")
+    raise ValueError(f"cannot interpret {_shown(u)} as a rational")
 
 
 def _check_u(u) -> Fraction:

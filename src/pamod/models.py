@@ -95,14 +95,17 @@ SHOWN_CHARS = 60
 
 def _shown(value, form=repr) -> str:
     """``value`` as an error message shows it: ``form(value)``, but a list
-    or dict by its type name, since their repr grows with their nesting, a
-    number past Python's int-to-text digit limit as ``about 10^N``, and a
-    text over ``SHOWN_CHARS`` cut there and marked ``...``.  Refusals show
-    a number by ``str``, so a numpy int shows bare."""
+    or dict by its type name, since their repr grows with their nesting
+    (as does a value nested too deep to show), a number past Python's
+    int-to-text digit limit as ``about 10^N``, and a text over
+    ``SHOWN_CHARS`` cut there and marked ``...``.  Refusals show a number
+    by ``str``, so a numpy int shows bare."""
     if isinstance(value, (list, dict)):
         return type(value).__name__
     try:
         text = form(value)
+    except RecursionError:  # e.g. a tuple nested past the interpreter's depth
+        return type(value).__name__
     except ValueError:  # past the digit limit
         num, den = value.as_integer_ratio()
         exp = math.log10(abs(num)) - math.log10(den)

@@ -32,6 +32,7 @@ Upper bounds provided, all exact:
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -216,20 +217,36 @@ def greedy_modularity(graph: MultiGraph, seed: int) -> tuple[Fraction, Partition
     zero, so the result is always >= 0 and always equals the score of
     the returned partition.
 
-    Parts are named by their smallest vertex.  ``links[a][b]`` holds the
-    edge count between parts a and b, and a lazy-deletion heap, as in
-    Clauset, Newman & Moore (2004), holds ``(-gain, a, b, stamp_a,
-    stamp_b)`` for the linked pairs a < b of positive gain.  Merging b
-    into a drops b and bumps a's stamp, which leaves every entry of a or
-    b stale, and pushes the new gain of each pair (a, c).  The live
-    entries of the top gain wait in a sorted list between merges, so a
-    tie is not popped and pushed back each time.  Each merge pushes at
-    most one entry per link of the merged part, about 15 pushes per edge
-    over a run at standard h = 2, n = 2000, each O(log m).  The heap is
-    rebuilt from its live entries whenever it passes twice the number of
-    linked pairs, so it stays O(m): tracemalloc peaks of 0.4 / 2.2 /
-    5.4 MiB at n = 500 / 2000 / 5000.  One run takes about 0.02 / 0.05 /
-    0.14 / 0.7 s at n = 500 / 1000 / 2000 / 5000 on a 2-core Xeon host.
+    Parts are named by their smallest vertex: ``into[v]`` is the part
+    holding vertex v, ``members[a]`` lists part a's vertices, and
+    ``links[a][b]`` counts the edges between parts a and b.  A heap, as in
+    Clauset, Newman & Moore (2004), holds entries ``(-key, x, y)`` whose
+    ids resolve through ``into`` to a linked pair; every pair of positive
+    gain has an entry with key at least its gain.  Merging B into A adds
+    links and volumes, so gain(A+B, C) = gain(A, C) + gain(B, C), and a
+    C linked to only one of them adds a negative term: only the pairs
+    with a common neighbour C can gain, and only they get a new entry.
+    Every other key stays an upper bound and is re-keyed lazily, as in
+    Minoux's accelerated greedy (1978): an entry that reaches the top
+    naming one part is dropped, one whose key is not its pair's gain goes
+    back at that gain (dropped unless positive), and an exact top is the
+    best gain left.  The tie group is every pair at that gain, taken off
+    the heap, deduplicated and sorted; it waits between merges, and a
+    tied pair that a merge touches goes back in the heap at the group's
+    gain, an upper bound (or covered by a common-neighbour entry).
+
+    The heap plus the tie group never hold more than twice the linked
+    pairs P of the graph: they start with at most P entries, each
+    re-key and each return to the heap replaces the entry it came from,
+    and the only net growth is a common-neighbour push, which folds two
+    links into one, so there are at most P of those.  At standard h = 2
+    the heap's peak stayed below P at n = 500-5000.  Each merge pushes
+    3.7 / 4.0 / 4.2 / 4.7 entries, re-keys included, at n = 500 / 1000
+    / 2000 / 5000, where the stamped heap that pushed every link of the
+    merged part pushed 14 / 20 / 30 / 55.  One run takes about 7 / 15 /
+    39 / 102 ms there (stamped heap: 18 / 48 / 136 / 424 ms) on a 2-core
+    Xeon host, with tracemalloc peaks of 0.24 / 0.50 / 1.15 / 3.1 MiB,
+    about 250-330 bytes per edge.
     """
     seed = _check_seed(seed)
     n = graph.n
@@ -239,62 +256,86 @@ def greedy_modularity(graph: MultiGraph, seed: int) -> tuple[Fraction, Partition
     rng = np.random.default_rng(seed)
     vol_g = graph.volume
     vg2 = vol_g * vol_g
-    deg = graph.degrees
-    members: dict[int, set[int]] = {v: {v} for v in range(1, n + 1)}
-    vols: dict[int, int] = {v: deg[v] for v in range(1, n + 1)}
-    links = {v: dict(graph.adjacency[v]) for v in range(1, n + 1)}
-    stamps = dict.fromkeys(members, 0)
+    m2 = 2 * m
+    vols = list(graph.degrees)
+    links = [dict(nbrs) for nbrs in graph.adjacency]
+    into = list(range(n + 1))  # into[v]: the part that holds vertex v
+    members = [[v] for v in range(n + 1)]
 
-    def entry(a: int, b: int):
-        """The heap entry of pair a < b, or None when merging loses q."""
+    def gain(a: int, b: int) -> int:
         # merging A and B changes q by e(A,B)/m - 2 vol(A) vol(B)/vol(G)^2
-        gain = links[a][b] * vg2 - 2 * vols[a] * vols[b] * m
-        return (-gain, a, b, stamps[a], stamps[b]) if gain > 0 else None
+        return links[a][b] * vg2 - m2 * vols[a] * vols[b]
 
-    def live(e) -> bool:
-        return stamps.get(e[1]) == e[3] and stamps.get(e[2]) == e[4]
-
-    heap = [e for a in links for b in links[a] if a < b and (e := entry(a, b))]
+    heap = [
+        (-g, a, b)
+        for a in range(1, n + 1)
+        for b in links[a]
+        if a < b and (g := gain(a, b)) > 0
+    ]
     heapq.heapify(heap)
-    # merges never add pairs, so at most this many entries are ever live
-    pairs = sum(map(len, links.values())) // 2
-    tied: list = []  # the live entries of the top gain, in sorted pair order
+    tied: list[tuple[int, int]] = []  # every pair of gain `top`, sorted
+    at: dict[int, list[tuple[int, int]]] = {}  # the tied pairs of each part
+    top = 0
     while True:
-        while heap and not live(heap[0]):
-            heapq.heappop(heap)  # a part of this pair has merged since
-        if heap and (not tied or heap[0][0] <= tied[0][0]):
-            # the heap holds a pair of at least the group's gain: regroup
-            for e in tied:
-                heapq.heappush(heap, e)
-            key = heap[0][0]
-            tied = []
-            while heap and heap[0][0] == key:
-                if live(e := heapq.heappop(heap)):
-                    tied.append(e)
+        grew = False
+        # pop every entry that could reach the group's gain: a stale key
+        # goes back at its pair's gain, an exact one is the best gain left
+        while heap and (not tied or -heap[0][0] >= top):
+            key, x, y = heapq.heappop(heap)
+            a, b = into[x], into[y]
+            if a > b:
+                a, b = b, a
+            if a == b:
+                continue
+            g = gain(a, b)
+            if g != -key:
+                if g > 0:
+                    heapq.heappush(heap, (-g, a, b))
+                continue
+            if not tied or g > top:  # a better gain: the old group waits below
+                for pair in tied:
+                    heapq.heappush(heap, (-top, *pair))
+                tied, top = [], g
+            tied.append((a, b))
+            grew = True
         if not tied:
             break
+        if grew:  # two entries may name one pair
+            tied = sorted(set(tied))
+            at = {}
+            for pair in tied:
+                for v in pair:
+                    at.setdefault(v, []).append(pair)
         pick = int(rng.integers(0, len(tied))) if len(tied) > 1 else 0
-        _, a, b, _, _ = tied.pop(pick)
-        members[a] |= members.pop(b)
-        vols[a] += vols.pop(b)
-        del stamps[b]
-        stamps[a] += 1
-        for c, cnt in links.pop(b).items():
-            del links[c][b]
-            if c != a:
-                links[a][c] = links[a].get(c, 0) + cnt
-                links[c][a] = links[c].get(a, 0) + cnt
-        # only the pairs of a or b went stale, and each of a's links is new
-        tied = [e for e in tied if e[1] not in (a, b) and e[2] not in (a, b)]
-        for c in links[a]:
-            if e := entry(a, c) if a < c else entry(c, a):
-                heapq.heappush(heap, e)
-        if len(heap) > 2 * pairs:  # drop the stale entries that sank
-            heap = [e for e in heap if live(e)]
-            heapq.heapify(heap)
-    parts = tuple(
-        frozenset(members[k]) for k in sorted(members, key=lambda k: min(members[k]))
-    )
+        a, b = tied.pop(pick)
+        for v in members[b]:
+            into[v] = a
+        members[a] += members[b]
+        members[b] = []
+        vols[a] += vols[b]
+        link_a = links[a]
+        for c, cnt in links[b].items():
+            link_c = links[c]
+            del link_c[b]
+            if c == a:
+                continue
+            if c in link_a:  # a common neighbour: the only pair that can gain
+                link_a[c] += cnt
+                link_c[a] += cnt
+                if (g := gain(a, c)) > 0:
+                    heapq.heappush(heap, (-g, a, c) if a < c else (-g, c, a))
+            else:
+                link_a[c] = cnt
+                link_c[a] = cnt
+        links[b] = {}
+        # the tied pairs the merge touched wait in the heap at their old key;
+        # ``at`` may still list pairs that left the group, so look each up
+        for pair in at.pop(a, []) + at.pop(b, []):
+            i = bisect.bisect_left(tied, pair)
+            if i < len(tied) and tied[i] == pair:
+                del tied[i]
+                heapq.heappush(heap, (-top, *pair))
+    parts = tuple(frozenset(members[v]) for v in range(1, n + 1) if into[v] == v)
     q = modularity_score(graph, parts).q
     if q < 0:
         trivial = (frozenset(range(1, n + 1)),)

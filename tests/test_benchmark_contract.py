@@ -7,9 +7,14 @@ which this suite does not import.
 """
 
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import pamod
 from pamod import Model, generate
 from pamod import certify, cli, cut_events, cuts, experiment, models, modularity
 
@@ -71,3 +76,37 @@ def test_the_tuple_views_are_kept():
     assert type(log.targets) is tuple and all(type(t) is int for t in log.targets)
     assert type(graph.edges) is tuple
     assert all(type(e) is tuple and all(type(x) is int for x in e) for e in graph.edges)
+
+
+# The top-level modules ``import pamod`` may add to ``import numpy``:
+# every workload's setup_s pays for them, so a new one (or import-time
+# work behind it) is a benchmark change.
+IMPORTED = set(
+    "__future__ _csv _decimal _heapq _json copy csv dataclasses decimal "
+    "fractions gc heapq json pamod".split()
+)
+# test-only or optional packages; none may load with the package
+NEVER_IMPORTED = {"mpmath", "scipy", "networkx", "hypothesis"}
+IMPORT_SCRIPT = """
+import sys
+import numpy
+def tops():
+    return {name.partition(".")[0] for name in sys.modules}
+before = tops()
+import pamod
+print(" ".join(sorted(tops() - before)))
+print(" ".join(sorted(tops())))
+"""
+
+
+def test_import_pamod_adds_only_the_modules_it_needs():
+    src = str(pathlib.Path(pamod.__file__).parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", IMPORT_SCRIPT],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    added, loaded = (set(line.split()) for line in out.stdout.splitlines())
+    assert "pamod" in added
+    assert added <= IMPORTED, sorted(added - IMPORTED)
+    assert not loaded & NEVER_IMPORTED

@@ -187,6 +187,24 @@ def test_unimodality_needs_enough_points():
         verify_unimodality(TailParams(h=2, alpha_hat=0.25, n=3, u=0.5))
 
 
+def _refuse_arrays(*_args):
+    raise AssertionError("a term array was built")
+
+
+def test_tail_term_cap_is_checked_before_any_array(monkeypatch):
+    # n = 22 has floor(u*n) = floor(n/2) = 11 terms, within a cap of 11
+    # and over one of 10; the real cap is never allocated up to
+    params = TailParams(2, 0.25, 22, 0.5)
+    monkeypatch.setattr(certify, "TAIL_TERM_CAP", 11)
+    union_bound_sum(params)
+    verify_unimodality(params)
+    monkeypatch.setattr(certify, "TAIL_TERM_CAP", 10)
+    monkeypatch.setattr(certify, "log_tail_terms", _refuse_arrays)
+    for call in (union_bound_sum, verify_unimodality):
+        with pytest.raises(ValueError, match="^11 tail terms, over the tail term cap 10$"):
+            call(params)
+
+
 # -------------------------------------------------------- rate condition
 
 

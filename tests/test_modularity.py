@@ -6,11 +6,12 @@ import itertools
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pamod import (
@@ -453,6 +454,47 @@ def test_greedy_matches_reference_at_n200(model):
             assert greedy_modularity(g, seed=gseed) == _reference_greedy_modularity(
                 g, gseed
             )
+
+
+@st.composite
+def _tie_heavy_multigraphs(draw):
+    """n <= 10 and a few vertex pairs, loops allowed, each 1-3 times (or
+    all the same number of times), so many merges tie; with the tilde
+    model's weight-1 loop or without."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    vertex = st.integers(min_value=1, max_value=n)
+    mult = st.integers(min_value=1, max_value=3)
+    weight1 = draw(st.booleans())
+    pairs = [(v, v)] if weight1 and (v := draw(vertex)) else []
+    same = draw(st.booleans()) and draw(mult)
+    for pair in draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n)):
+        pairs += [pair] * (same or draw(mult))
+    return MultiGraph.from_pairs(n, pairs, first_loop_weight1=weight1)
+
+
+@settings(max_examples=200)
+@given(_tie_heavy_multigraphs())
+def test_greedy_matches_reference_on_random_tie_heavy_multigraphs(g):
+    # stale keys, common neighbours and tied pairs that a merge touches
+    for gseed in range(4):
+        assert greedy_modularity(g, seed=gseed) == _reference_greedy_modularity(
+            g, gseed
+        )
+
+
+def test_greedy_peak_memory_per_edge_is_pinned():
+    # The heap plus the tie group hold at most twice the linked pairs, so
+    # the peak is linear in m: about 300 bytes per edge here, where the
+    # stamped heap that pushed every link of each merged part took 570.
+    _, g = generate(Model.STANDARD, 2, 2000, 0)
+    g.adjacency, g.degrees  # cached first: they are the graph's, not greedy's
+    tracemalloc.start()
+    try:
+        greedy_modularity(g, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / g.m < 400
 
 
 # (model, graph seed, tie seed, q, sha256 of the JSON list of sorted parts),

@@ -22,6 +22,14 @@ GRAPH = {"model": "standard", "h": 0, "n": 3, "seed": 0, "edges": []}
 SPEC = cut_events.CutEventSpec(1, 2, {1}, ())
 LONG = "x" * 100_000
 
+
+def _nested(inner, depth):
+    """``inner`` wrapped ``depth`` times in a one-item container of its type."""
+    for _ in range(depth):
+        inner = type(inner)([inner])
+    return inner
+
+
 HN = "need h >= 1 and n >= 1, got h={}, n={}"
 U = "need 0 < u <= 1/2, got {}"
 H2 = "need h >= 2, got {}"
@@ -60,7 +68,7 @@ REFUSALS = [
     (cuts.exact_expansion, (K3, "3/4"), U.format("3/4")),
     (cuts.exact_expansion, (K3, "abc"), "Invalid literal for Fraction: 'abc'"),
     (cuts.exact_expansion, (K3, math.inf), "u must be finite, got inf"),
-    (cuts.exact_expansion, (K3, [1]), "cannot interpret [1] as a rational"),
+    (cuts.exact_expansion, (K3, [1]), "cannot interpret list as a rational"),
     (cuts.sampled_expansion, (K3, 1, 4, 0), U.format(1)),
     (cuts.sampled_expansion, (K3, "1/2", 0, 0), "need trials >= 1, got 0"),
     # modularity
@@ -150,6 +158,23 @@ REFUSALS = [
     # 10^8 trials at h*n = 2000 would ask for about 1.5 TiB
     (models.sample_target_matrix, (STD, 2000, 10**8, 1),
      "200000000000 cells, over the target cell cap 25000000"),
+    # a u that is no rational is shown as any value: a long tuple's repr
+    # made a 150,031-character line, and a list nested 100,000 deep
+    # raised RecursionError
+    (cuts.exact_expansion, (K3, (1,) * 50_000),
+     f"cannot interpret {('(' + '1, ' * 20)[:60]}... as a rational"),
+    (cuts.exact_expansion, (K3, _nested([], 100_000)), "cannot interpret list as a rational"),
+    (cuts.exact_expansion, (K3, _nested((), 100_000)), "cannot interpret tuple as a rational"),
+    # certify's tail inputs past float64's range raised OverflowError, and
+    # n = 10^400 asked numpy for an array past its maximum size; n = 10^10
+    # asked for about 40 GB of float64 terms
+    (certify.TailParams, (10**400, 0.1, 10, 0.5), f"h=1{'0' * 59}... is past float64 range"),
+    (certify.union_bound_sum, (certify.TailParams(2, 0.1, 10**400, 0.5),),
+     f"n=1{'0' * 59}... is past float64 range"),
+    (certify.verify_unimodality, (certify.TailParams(2, 0.1, 10**400, 0.5),),
+     f"5{'0' * 59}... tail terms, over the tail term cap 2000000"),
+    (certify.union_bound_sum, (certify.TailParams(2, 0.25, 10**10, 0.5),),
+     "5000000000 tail terms, over the tail term cap 2000000"),
 ]
 
 
@@ -219,6 +244,23 @@ HUGE_INTS = [
     (certify.large_h_modularity_bound, (-BIG,), f"need h >= 2, got {MINUS}"),
     (certify.log_tail_term, (certify.TailParams(2, 0.1, BIG, 0.5), 0),
      f"need 1 <= k <= n/2, got k=0, n={ABOUT}"),
+    # past float64's range these raised OverflowError
+    (certify.TailParams, (BIG, 0.1, 10, 0.5), f"h={ABOUT} is past float64 range"),
+    (certify.check_rate_condition, (BIG, 0.5, 0.1), f"h={ABOUT} is past float64 range"),
+    (certify.union_bound_sum, (certify.TailParams(2, 0.1, BIG, 0.5),),
+     f"n={ABOUT} is past float64 range"),
+    (certify.log_tail_term, (certify.TailParams(2, 0.1, BIG, 0.5), 1),
+     f"n={ABOUT} is past float64 range"),
+    (certify.verify_unimodality, (certify.TailParams(2, 0.1, BIG, 0.5),),
+     f"{ABOUT} tail terms, over the tail term cap 2000000"),
+    # certify's float rules formatted an int argument whole
+    (certify.TailParams, (2, 0.1, 10, BIG), U.format(ABOUT)),
+    (certify.TailParams, (2, BIG, 10, 0.5), f"need 0 < alpha_hat < (h-1)/2 = 0.5, got {ABOUT}"),
+    (certify.check_rate_condition, (2, 0.5, BIG), f"need 0 < x <= 1, got {ABOUT}"),
+    (certify.complement_term_dominates, (0.5, -BIG), f"need 0 <= delta <= 1, got {MINUS}"),
+    (certify.max_certified_delta, (0.5, BIG), f"need 2^-55 <= precision <= 1/4, got {ABOUT}"),
+    (certify.certify_modularity_bound, (BIG,), f"need 0 < grid_step <= 1/2, got {ABOUT}"),
+    (certify.check_expansion_constant, (BIG,), f"need 0 < eta < 1, got {ABOUT}"),
 ]
 
 
