@@ -75,16 +75,17 @@ def _too_many_digits(shown: str) -> ValueError:
 
 
 def as_fraction(u) -> Fraction:
-    """Exact conversion; floats convert via their binary value.  A
-    literal past Python's int digit limit is refused as a too-long u."""
+    """Exact conversion; floats, numpy's included, convert via their
+    binary value.  A literal past Python's int digit limit is refused as
+    a too-long u."""
     if isinstance(u, Fraction):
         return u
-    if isinstance(u, int):
-        return Fraction(u)
-    if isinstance(u, float):
-        if not math.isfinite(u):
+    if isinstance(u, (int, np.integer)):
+        return Fraction(int(u))
+    if isinstance(u, (float, np.floating)):
+        if not np.isfinite(u):
             raise ValueError(f"u must be finite, got {u}")
-        return Fraction(u)
+        return Fraction(*u.as_integer_ratio())
     if isinstance(u, str):
         try:
             return Fraction(u)

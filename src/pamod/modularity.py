@@ -14,11 +14,12 @@ f(T) = e(T)*vol(G)^2 - vol(T)^2*e(G), and the best partition of a mask
 is solved by splitting off the part that contains its lowest vertex.
 e(T) and vol(T) come from the subset tables of ``cuts._subset_sums``.
 The masks whose lowest bit is l depend only on masks above l, so the DP
-runs level by level from l = n-1 down to 0, each level one numpy
-(max, +) subset convolution over its 3^(n-1-l) pairs: about 3^n/2
-int64 operations in all, far below enumerating all set partitions.  It
-refuses graphs above 16 vertices, where one call takes about 0.13 s
-and 3 MiB.
+runs level by level from l = n-1 down to 1, each level one numpy
+(max, +) subset convolution over its 3^(n-1-l) pairs.  Of level 0 only
+the full mask is read, one max over the 2^(n-1) parts holding vertex 1:
+about 3^(n-1)/2 int64 operations in all, far below enumerating all set
+partitions.  It refuses graphs above 16 vertices, where one call takes
+about 0.04 s and 3 MiB.
 
 Upper bounds provided, all exact:
 
@@ -55,12 +56,13 @@ from pamod.cuts import (
 from pamod.models import MultiGraph, _check_count, _check_seed, _check_vertices, _shown
 
 # Largest n the exact DP accepts; a ``limit`` argument may only lower it.
-# Time grows as 3^n: 0.13 s at n = 16, past 1 s per graph near n = 18.
+# Time grows as 3^n: 0.04 s at n = 16, about 0.4 s per graph at n = 18.
 EXACT_PARTITION_LIMIT = 16
 
 # Free bits of a DP level that one vectorised step covers.  The rest are
 # looped over in Python through the same pair table, so a level may have
-# at most 2 * _LOW_BITS free bits: n <= 17, above the cap.
+# at most 2 * _LOW_BITS free bits.  The widest level has n - 2: n <= 18,
+# above the cap.
 _LOW_BITS = 8
 
 CAP_STRONG = Fraction(3, 16)
@@ -168,10 +170,11 @@ def exact_modularity(
     cap ``EXACT_PARTITION_LIMIT`` = 16 (use :func:`greedy_modularity`
     there), and graphs with e(G)*vol(G)^2 >= 2^63, whose partition sums
     could leave int64.  Level l is one (max, +) subset convolution over
-    the 3^(n-1-l) pairs of the bits above l, about 3^n/2 pairs in all:
-    about 2 ms at n = 12, 15 ms at n = 14 and 0.13 s at n = 16 on a
-    2-core Xeon host.  Memory is a few int64 tables over the 2^n masks
-    plus 3^8-entry temporaries: a 3 MiB peak (tracemalloc) at n = 16.
+    the 3^(n-1-l) pairs of the bits above l, for l = n-1..1; level 0 is
+    one max for the full mask.  About 3^(n-1)/2 pairs in all: about
+    1 ms at n = 12, 5 ms at n = 14 and 0.04 s at n = 16 on a 2-core
+    Xeon host.  Memory is a few int64 tables over the 2^n masks plus
+    3^8-entry temporaries: a 3 MiB peak (tracemalloc) at n = 16.
     """
     n = graph.n
     _check_limit(n, limit, EXACT_PARTITION_LIMIT, "exact partition", "greedy_modularity")
@@ -187,10 +190,13 @@ def exact_modularity(
     vol = _subset_sums(n, graph.degrees[1:], None, np.int64)
     f = inner * vg2 - vol * vol * m
     opt = np.zeros(1 << n, dtype=np.int64)
-    for level in range(n - 1, -1, -1):
+    for level in range(n - 1, 0, -1):
         low = 1 << level
         step = low << 1
         opt[low::step] = _max_plus_level(f[low::step], opt[::step])
+    # level 0: only the full mask is read; its part T = 2i+1 leaves full ^ T,
+    # the even masks in reverse
+    opt[-1] = (f[1::2] + opt[-2::-2]).max()
     q_star = Fraction(int(opt[-1]), m * vg2)
 
     parts: list[frozenset[int]] = []

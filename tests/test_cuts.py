@@ -790,3 +790,51 @@ def test_as_fraction_forms():
         as_fraction(float("inf"))
     with pytest.raises(ValueError):
         as_fraction(object())
+    # numpy scalars convert exactly, by value, to Python ints
+    assert as_fraction(np.float16(0.1)) == Fraction(819, 8192)
+    third = np.longdouble(1) / 3
+    assert as_fraction(third) == Fraction(*third.as_integer_ratio())
+    if np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant:
+        assert as_fraction(third) != Fraction(float(third))  # not through a float
+    assert as_fraction(np.int64(3)) == 3
+    assert type(as_fraction(np.uint8(1)).numerator) is int
+    for bad in (np.bool_(True), [1], (1, 4)):
+        with pytest.raises(ValueError, match="^cannot interpret .* as a rational$"):
+            as_fraction(bad)
+
+
+# the two calls that read a u; expansion_profile takes none
+def _u_calls(u, graph=K4):
+    return (
+        lambda: exact_expansion(graph, u),
+        lambda: sampled_expansion(graph, u, trials=4, seed=0),
+    )
+
+
+@pytest.mark.parametrize(
+    "u", [np.float32(0.25), np.float64(0.25), np.longdouble(0.25)], ids=repr
+)
+def test_numpy_floats_give_the_results_of_their_exact_value(u):
+    _, g = generate(Model.STANDARD, 2, 12, 5)
+    assert as_fraction(u) == Fraction(1, 4)
+    for got, want in zip(_u_calls(u, g), _u_calls(0.25, g)):
+        assert got() == want()
+    assert exact_expansion(g, u).alpha == expansion_profile(g)[3]
+
+
+@pytest.mark.parametrize(
+    "u, message",
+    [
+        (np.int64(0), "need 0 < u <= 1/2, got 0"),
+        (np.float32("nan"), "u must be finite, got nan"),
+        (np.float16("inf"), "u must be finite, got inf"),
+    ],
+    ids=repr,
+)
+def test_numpy_scalars_are_refused_as_their_python_values(u, message):
+    python_u = u.item()
+    for got, want in zip(_u_calls(u), _u_calls(python_u)):
+        for call in (got, want):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert type(info.value) is ValueError and str(info.value) == message

@@ -301,6 +301,24 @@ def test_every_limit_defaults_to_its_family_cap():
         assert "limit" not in inspect.signature(fn).parameters
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_exact_dp_skips_the_level_of_vertex_one(monkeypatch, n):
+    # only the full mask is read at level 0, so the kernel runs levels
+    # n-1..1: widest 2^(n-2) masks, (3^(n-1) - 1)/2 pairs in all
+    sizes = []
+    kernel = modularity._max_plus_level
+
+    def counted(f_part, g):
+        sizes.append(len(f_part))
+        return kernel(f_part, g)
+
+    monkeypatch.setattr(modularity, "_max_plus_level", counted)
+    _, g = generate(Model.STANDARD, 2, n, n)
+    assert exact_modularity(g) == _reference_exact_modularity(g)
+    assert max(sizes, default=None) == (None if n == 1 else 2 ** (n - 2))
+    assert sum(3 ** (size.bit_length() - 1) for size in sizes) == (3 ** (n - 1) - 1) // 2
+
+
 def _parallel_edges(k):
     return MultiGraph.from_pairs(2, np.tile([1, 2], (k, 1)))
 
