@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from pamod import certify as cert
-from pamod import cuts, experiment, load_graph, modularity
+from pamod import cuts, experiment, load_graph, models, modularity
 from pamod.cli import main
 from pamod.experiment import ExperimentConfig
 
@@ -118,6 +118,27 @@ def test_expand_u_errors_are_usage_errors(graph_file, capsys, u, message, trials
     assert run_main("expand", "--graph", str(graph_file), "--u", u, *trials) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("model", ["standard", "tilde"])
+def test_a_saved_and_an_indented_graph_file_give_the_same_output(tmp_path, capsys, model):
+    # gen's own bytes are read without json's list per edge, an indented
+    # copy through json: expand and mod must print the same lines for both
+    saved, indented = tmp_path / "g.json", tmp_path / "indented.json"
+    gen = ("gen", "--model", model, "--h", "2", "--n", "8", "--seed", "5")
+    assert run_main(*gen, "--out", str(saved)) == 0
+    with open(indented, "w", encoding="utf-8") as fh:
+        json.dump(json.loads(saved.read_text()), fh, indent=2)
+    assert models._saved_payload(saved.read_bytes()) is not None
+    assert models._saved_payload(indented.read_bytes()) is None
+    printed = {}
+    for path in (saved, indented):
+        for command in ("expand", "mod"):
+            assert run_main(command, "--graph", str(path)) == 0
+            printed[path, command] = capsys.readouterr().out
+    for command in ("expand", "mod"):
+        assert printed[saved, command] == printed[indented, command]
+        assert json.loads(printed[saved, command])["method"] in ("exhaustive", "exact")
 
 
 # ------------------------------------------------------------------- mod

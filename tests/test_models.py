@@ -677,16 +677,39 @@ def test_load_graph_leaves_the_collector_as_it_found_it(
     assert during == [False]
 
 
+def test_load_graph_hands_json_only_the_header_of_a_saved_file(tmp_path, monkeypatch):
+    # a saved file's edges never reach json; an indented file's text does, whole
+    _, g = generate(Model.STANDARD, 4, 25_000, 1)
+    saved, indented = tmp_path / "saved.json", tmp_path / "indented.json"
+    save_graph(g, saved)
+    indented.write_text(json.dumps(graph_to_json(g), indent=1) + "\n")
+    seen = []
+    loads = json.loads
+
+    def spy(text, *args, **kwargs):
+        seen.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", spy)
+    assert load_graph(saved) == g
+    assert len(seen) == 1 and len(seen[0]) < 100
+    assert loads(seen[0]) == {"model": "standard", "h": 4, "n": 25_000, "seed": 1}
+    seen.clear()
+    assert load_graph(indented) == g
+    assert seen == [indented.read_text()]
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_graph_codec_peaks_per_edge(model, tmp_path):
     # the encoder formats one flat list of ints, with no list per edge; a
-    # load holds json's parse, a list per edge, while it builds the array
+    # load of a saved file checks its bytes with a few byte and bool masks
+    # and parses the entries straight into the graph's int64 array
     _, g = generate(model, 4, 25_000, 1)
     path = tmp_path / "g.json"
     save_graph(g, path)
     calls = {
         "graph_to_text": (lambda: graph_to_text(g), 190),
-        "load_graph": (lambda: load_graph(path), 232),
+        "load_graph": (lambda: load_graph(path), 140),
     }
     for name, (call, cap) in calls.items():
         tracemalloc.start()
@@ -781,6 +804,12 @@ def _outcome(fn, *args):
         return fn(*args)
     except Exception as exc:  # noqa: BLE001 - the oracle compares any error
         return (type(exc), str(exc))
+
+
+def _reference_load_graph(path) -> MultiGraph:
+    with open(path, "r", encoding="utf-8") as fh:
+        payload = models._parse_json(fh.read())
+    return graph_from_json(payload)
 
 
 def _assert_int_edges(graph):
@@ -913,6 +942,149 @@ def test_from_json_outcomes_match_reference_on_edited_payloads(params, data):
     if isinstance(got, MultiGraph):
         assert got.edges == want.edges
         _assert_int_edges(got)
+
+
+# ------------------------------------------------------ two load routes
+#
+# ``load_graph`` reads a file byte-identical to ``save_graph``'s output as
+# bytes and any other through json, as ``_reference_load_graph`` (the
+# loader before the bytes route, kept verbatim) reads every file.  Both
+# must give the same graph, its edges as Python ints, or the same error
+# type and message.
+
+
+def _assert_loads_as_reference(path, saved_route):
+    assert (models._saved_payload(path.read_bytes()) is not None) is saved_route
+    got = _outcome(load_graph, path)
+    want = _outcome(_reference_load_graph, path)
+    assert got == want
+    if isinstance(got, MultiGraph):
+        assert got.edges == want.edges
+        _assert_int_edges(got)
+
+
+def _edited_graph_files():
+    """Hand-edited saved files, layout, entries and header fields: each
+    its bytes and whether the bytes route reads it."""
+    g = generate(Model.STANDARD, 2, 3, 1)[1]
+    text = graph_to_text(g)
+    payload = graph_to_json(g)
+    header = {k: payload[k] for k in ("model", "h", "n", "seed")}
+    edges = ', "edges": ' + json.dumps(payload["edges"])
+
+    def entry(old, new):  # one edge row rewritten
+        assert old in text
+        return text.replace(old, new, 1)
+
+    def head(**fields):  # header fields rewritten, canonical
+        return json.dumps({**header, **fields})[:-1] + edges + "}\n"
+
+    layout = [
+        ("saved", text, True),
+        ("indent=1", json.dumps(payload, indent=1) + "\n", False),
+        ("reordered keys", json.dumps({"h": 2, **payload}) + "\n", False),
+        ("edges first", json.dumps({"edges": payload["edges"], **header}) + "\n", False),
+        ("extra key", json.dumps({**header, "x": 0, **payload}) + "\n", False),
+        ("extra key after the edges", text[:-2] + ', "x": 0}\n', False),
+        ("duplicate edges key", entry('"edges": [', '"edges": [[1, 1, 1]], "edges": ['), False),
+        ("duplicate short edges key", text[:-2] + ', "edges": []}\n', False),
+        ("no trailing newline", text[:-1], False),
+        ("CRLF", text.replace("\n", "\r\n"), False),
+        ("CR", text.replace("\n", "\r"), False),
+        ("space before the newline", text[:-1] + " \n", False),
+        ("trailing bytes", text + "x", False),
+        ("second newline", text + "\n", False),
+        ("second brace", text[:-1] + "}\n", False),
+        ("truncated body", text[:70], False),
+        ("truncated at the edges key", text[: text.index("[")] + "}\n", False),
+        ("no spaces", json.dumps(payload, separators=(",", ":")) + "\n", False),
+        ("spaced body", entry("[1, 1, 2]", "[1,  1, 2]"), False),
+    ]
+    entries = [
+        ("leading zero", entry("[1, 2, 3]", "[01, 2, 3]"), False),
+        ("zero", entry("[1, 2, 3]", "[0, 2, 3]"), True),
+        ("minus zero", entry("[1, 2, 3]", "[-0, 2, 3]"), False),
+        ("negative", entry("[1, 2, 3]", "[-1, 2, 3]"), False),
+        ("18 digits", entry("[1, 2, 3]", f"[1, 2, {10**18 - 1}]"), True),
+        ("19 digits", entry("[1, 2, 3]", f"[1, 2, {10**18}]"), False),
+        ("19 digits, int64 max", entry("[1, 2, 3]", f"[1, 2, {2**63 - 1}]"), False),
+        ("2**63", entry("[1, 2, 3]", f"[1, 2, {2**63}]"), False),
+        ("20 digits", entry("[1, 2, 3]", f"[1, 2, {10**19}]"), False),
+        ("19 digits with zeros", entry("[1, 2, 3]", "[1, 2, 0000000000000000003]"), False),
+        ("float", entry("[1, 2, 3]", "[1, 2, 3.0]"), False),
+        ("exponent", entry("[1, 2, 3]", "[1, 2, 1e3]"), False),
+        ("true", entry("[1, 2, 3]", "[1, 2, true]"), False),
+        ("null", entry("[1, 2, 3]", "[1, 2, null]"), False),
+        ("string", entry("[1, 2, 3]", '[1, 2, "3"]'), False),
+        ("pair", entry("[1, 2, 3]", "[1, 2]"), False),
+        ("4-tuple", entry("[1, 2, 3]", "[1, 2, 3, 4]"), False),
+        ("nested row", entry("[1, 2, 3]", "[[1, 2, 3]]"), False),
+        ("pairs only", head().replace(edges, ', "edges": [[1, 1], [2, 2]]'), False),
+        ("no edges", head().replace(edges, ', "edges": []'), True),
+        ("one edge too many", text[:-3] + ", [1, 1, 1]]}\n", True),
+        ("one edge short", entry(", [1, 3, 6]", ""), True),
+        ("swapped endpoints", entry("[1, 2, 3]", "[2, 1, 3]"), True),
+        ("shuffled rows", json.dumps({**header, "edges": payload["edges"][::-1]}) + "\n", True),
+        ("repeated arrival", entry("[1, 2, 4]", "[1, 2, 3]"), True),
+        ("wrong larger endpoint", entry("[1, 2, 3]", "[1, 3, 3]"), True),
+        ("tilde loop", head(model="tilde").replace("[1, 2, 3]", "[2, 2, 3]"), True),
+        ("invalid UTF-8 in the body", entry("[1, 2, 3]", "[1, 2,\udcff3]"), False),
+    ]
+    headers = [
+        ("h true", head(h=True), True),
+        ("h 0", head(h=0), True),
+        ("h float", head(h=2.0), True),
+        ("h exponent", text.replace('"h": 2', '"h": 2e0'), False),
+        ("h leading zero", text.replace('"h": 2', '"h": 02'), False),
+        ("seed 2**64", head(seed=2**64), True),
+        ("seed -1", head(seed=-1), True),
+        ("seed nan", head(seed=float("nan")), True),
+        ("model Standard", head(model="Standard"), True),
+        ("model list", head(model=[1]), True),
+        ("model holding the edges key", head(model=', "edges": ['), True),
+        ("model with an escape", head(model="stándard"), True),
+        ("model with raw UTF-8", text.replace("standard", "stándard"), False),
+        ("model nested edges key", head(model={"x": 0, "edges": []}), False),
+        ("model nested too deeply", head(model=[]).replace("[]", "[" * 5000 + "]" * 5000, 1), False),
+        ("no seed", json.dumps({k: v for k, v in payload.items() if k != "seed"}) + "\n", False),
+        ("invalid UTF-8 in the header", text.replace("standard", "stand\udcffard"), False),
+    ]
+    for name, body, saved_route in layout + entries + headers:
+        yield pytest.param(body.encode("utf-8", "surrogateescape"), saved_route, id=name)
+    yield pytest.param(b"\xef\xbb\xbf" + text.encode(), False, id="BOM")
+
+
+@pytest.mark.parametrize("data, saved_route", _edited_graph_files())
+def test_edited_graph_files_load_as_the_reference_loads_them(tmp_path, data, saved_route):
+    path = tmp_path / "g.json"
+    path.write_bytes(data)
+    _assert_loads_as_reference(path, saved_route)
+
+
+@given(small_params)
+def test_saved_graph_files_load_as_the_reference_loads_them(tmp_path_factory, params):
+    path = tmp_path_factory.mktemp("saved") / "g.json"
+    save_graph(generate(*params)[1], path)
+    _assert_loads_as_reference(path, True)
+
+
+@given(small_params, st.data())
+def test_one_byte_edits_load_as_the_reference_loads_them(tmp_path_factory, params, data):
+    path = tmp_path_factory.mktemp("edited") / "g.json"
+    save_graph(generate(*params)[1], path)
+    text = bytearray(path.read_bytes())
+    at = data.draw(st.integers(0, len(text) - 1))
+    byte = data.draw(st.one_of(st.sampled_from(b'0123456789-+.e[], "}\n\r'), st.integers(0, 255)))
+    kind = data.draw(st.sampled_from(["insert", "delete", "flip"]))
+    if kind == "insert":
+        text.insert(at, byte)
+    elif kind == "delete":
+        del text[at]
+    else:
+        text[at] = byte
+    path.write_bytes(bytes(text))
+    saved_route = models._saved_payload(bytes(text)) is not None
+    _assert_loads_as_reference(path, saved_route)
 
 
 # ------------------------------------------------------ tilde loop rule
