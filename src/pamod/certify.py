@@ -238,17 +238,22 @@ def _rate_holds(h: int, u: float, x: float) -> bool:
     return _log_rate(h, u, x) < (h - 1.0) * (-math.log(u))
 
 
-def check_rate_condition(h: int, u: float, x: float) -> bool:
-    """Strict log-space test of (e/(u x))^(2 h x) < (1/u)^(h-1)."""
+def _check_rate_args(h: int, u: float, x: float) -> None:
     _check_h(h)
     _check_u(u)
     if not 0 < x <= 1:
         raise ValueError(f"need 0 < x <= 1, got {_shown(x, str)}")
+
+
+def check_rate_condition(h: int, u: float, x: float) -> bool:
+    """Strict log-space test of (e/(u x))^(2 h x) < (1/u)^(h-1)."""
+    _check_rate_args(h, u, x)
     return _rate_holds(h, u, x)
 
 
 def rate_condition_value(h: int, u: float, x: float) -> float:
-    """(e/(u x))^(2 h x), for reporting."""
+    """(e/(u x))^(2 h x), for reporting, where ``check_rate_condition`` applies."""
+    _check_rate_args(h, u, x)
     return math.exp(_log_rate(h, u, x))
 
 
@@ -346,9 +351,7 @@ def certify_modularity_bound(
     steps = round(0.5 / grid_step)
     if abs(steps * grid_step - 0.5) > 1e-9 or steps < 1:
         raise ValueError(f"grid_step {grid_step} does not divide 1/2")
-    best_term = math.inf
-    best_u = 0.0
-    best_delta = 0.0
+    best = (math.inf, 0.0, 0.0)  # (term, u, delta); an earlier block keeps a tie
     trace = np.empty((steps, 3)) if with_trace else None
     for start in range(0, steps, _BLOCK):
         s = np.arange(start + 1, min(start + _BLOCK, steps) + 1)
@@ -356,14 +359,12 @@ def certify_modularity_bound(
         deltas = _certified_js(us, precision) * precision
         terms = _small_set_term((s - 1) * grid_step, deltas)
         i = int(np.argmin(terms))
-        if terms[i] < best_term:
-            best_term = float(terms[i])
-            best_u = float(us[i])
-            best_delta = float(deltas[i])
+        best = min(best, (float(terms[i]), float(us[i]), float(deltas[i])))
         if trace is not None:
             trace[start : start + len(s)] = np.column_stack((us, deltas, terms))
     if trace is not None:
         trace.flags.writeable = False
+    best_term, best_u, best_delta = best
     bound = math.ceil((1.0 - best_term) * 1e5) / 1e5
     return BoundCertificate(
         bound=bound,

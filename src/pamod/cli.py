@@ -128,13 +128,14 @@ def _cmd_lemma2(args) -> int:
     except (KeyError, TypeError) as exc:
         raise ValueError(f'spec must look like {{"S": [...], "A": [...]}}: {exc}')
     spec = events.CutEventSpec(h=args.h, n=args.n, subset=subset, arrivals=arrivals)
+    bound = events.spec_bound(spec)
     payload: dict = {
         "model": model.value,
         "h": args.h,
         "n": args.n,
         "S": sorted(subset),
         "A": sorted(arrivals),
-        "bound": _frac_str(events.spec_bound(spec)),
+        "bound": _frac_str(bound),
     }
     violated = False
     if args.trials is not None:
@@ -143,7 +144,7 @@ def _cmd_lemma2(args) -> int:
                        p_hat=_round12(est.p_hat), std_err=_round12(est.std_err))
     else:
         p = events.exact_cut_event(model, spec)
-        violated = bool(p > events.spec_bound(spec))
+        violated = bool(p > bound)
         payload.update(method="exact", p=_frac_str(p), violated=violated)
     _write_or_print(json.dumps(payload) + "\n", args.out)
     return EXIT_VIOLATION if violated else EXIT_OK
@@ -256,7 +257,7 @@ def main(argv=None) -> int:
                 flag = "--" + name.replace("_", "-")
                 raise ValueError(f"{flag} needs {_NONEMPTY.get(name, 'a file path')}")
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -37,8 +37,8 @@ from pamod.cuts import (
     EXACT_SUBSET_LIMIT, SearchMethod, expansion_profile, sampled_expansion
 )
 from pamod.models import (
-    Model, _check_count, _check_model, _check_seed, _json_int, _shown, derive_seed,
-    generate,
+    Model, _check_count, _check_model, _check_seed, _json_int, _parse_json, _shown,
+    derive_seed, generate,
 )
 from pamod.modularity import (
     EXACT_PARTITION_LIMIT,
@@ -326,7 +326,13 @@ def emit_report(report: ExperimentReport, fmt: str = "json") -> str:
 
 
 def parse_report_json(text: str) -> ExperimentReport:
-    payload = json.loads(text)
+    payload = _parse_json(text)
+    if not isinstance(payload, dict):
+        kind = type(payload).__name__
+        raise ValueError(f"a report must be a JSON object, got {kind}")
+    missing = {"config", "rows", "summary"} - set(payload)
+    if missing:
+        raise ValueError(f"missing report keys {sorted(missing)}")
     config = ExperimentConfig.from_dict(payload["config"])
     return ExperimentReport(
         config=config,

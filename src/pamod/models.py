@@ -489,11 +489,11 @@ def _enumerate_logs(model: Model, length: int):
     the standard model (tau is the self-loop, weight 1) and 1..tau-1 in
     the tilde model, and its numerator is multiplied by deg(s).
 
-    A level over ``_ENUMERATION_CAP`` logs is refused before any is built.
-    Peak memory is at most about 20 * length bytes per log of the widest
-    level (that level, the one before it and temporaries): at the cap,
-    under 100 MB for length 10 and under 180 MB for length 18, the
-    longest the int64 denominator check lets through.
+    A level over ``_ENUMERATION_CAP`` logs is refused before any is built,
+    so lengths up to 9 (standard) and 10 (tilde) run, inside the int64
+    denominator check's 17 and 18.  Peak memory is about 15 * length
+    bytes per log of the widest level (it, the level before and
+    temporaries): tracemalloc 48 MB at standard 9, 51 MB at tilde 10.
     """
     model = _check_model(model)
     loops = model is Model.STANDARD

@@ -219,9 +219,10 @@ def greedy_modularity(graph: MultiGraph, seed: int) -> tuple[Fraction, Partition
     Starts from singletons and merges while some merge strictly raises
     q; the seed only breaks ties between equal-gain merges, by drawing
     one of the tied pairs in sorted order (no draw when one pair leads).
-    Falls back to the one-part partition when the search ends below
-    zero, so the result is always >= 0 and always equals the score of
-    the returned partition.
+    The result is >= 0 and is the returned partition's score: a merge of
+    P and Q changes q by e(P,Q)/m - 2 vol(P) vol(Q)/vol(G)^2 (the tilde
+    weight-1 loop counts alike in both vols), these sum over all pairs of
+    final parts to q(one part) - q = -q, and at the stop none is positive.
 
     Parts are named by their smallest vertex: ``into[v]`` is the part
     holding vertex v, ``members[a]`` lists part a's vertices, and
@@ -342,11 +343,7 @@ def greedy_modularity(graph: MultiGraph, seed: int) -> tuple[Fraction, Partition
                 del tied[i]
                 heapq.heappush(heap, (-top, *pair))
     parts = tuple(frozenset(members[v]) for v in range(1, n + 1) if into[v] == v)
-    q = modularity_score(graph, parts).q
-    if q < 0:
-        trivial = (frozenset(range(1, n + 1)),)
-        return Fraction(0), trivial
-    return q, parts
+    return modularity_score(graph, parts).q, parts
 
 
 def negative_relative_modularity(graph: MultiGraph, subset) -> Fraction:
@@ -384,12 +381,19 @@ def _require_pa_shape(graph: MultiGraph) -> int:
     if graph.h is None:
         raise ValueError("graph.h is required for expansion-based bounds")
     h = graph.h
-    deg = graph.degrees
-    if min(deg[1:]) < h:
-        raise ValueError(f"minimum degree {min(deg[1:])} below h={_shown(h, str)}")
+    least = min(graph.degrees[1:])
+    if least < h:
+        raise ValueError(f"minimum degree {least} below h={_shown(h, str)}")
     if graph.volume > 2 * h * graph.n:
         raise ValueError("average degree exceeds 2h")
     return h
+
+
+def _capped(alpha, divisor: int, cap):
+    """min(alpha/divisor, cap), exactly; alpha = +infinity gives the cap."""
+    if alpha == math.inf:
+        return cap
+    return min(Fraction(alpha) / divisor, cap)
 
 
 def expansion_modularity_bound(
@@ -400,12 +404,7 @@ def expansion_modularity_bound(
     ``alpha`` is the global expansion alpha_{1/2}; +infinity is accepted
     and simply leaves the cap active.
     """
-    h = _require_pa_shape(graph)
-    if alpha == math.inf:
-        term = cap
-    else:
-        term = min(Fraction(alpha) / (2 * h), cap)
-    return 1 - term
+    return 1 - _capped(alpha, 2 * _require_pa_shape(graph), cap)
 
 
 def baseline_expansion_bound(graph: MultiGraph, alpha) -> Fraction:
@@ -425,18 +424,10 @@ def bound_from_expansion_profile(
     if n < 2:
         raise ValueError("profile bound needs n >= 2")
     _check_count(h, "h")
-    best: Fraction | None = None
-    for k in range(1, n // 2 + 1):
-        alpha = profile[k]
-        if alpha == math.inf:
-            delta = Fraction(1)
-        else:
-            delta = min(Fraction(alpha) / h, Fraction(1))
-        term = _small_set_term(Fraction(k, n), delta)
-        if best is None or term < best:
-            best = term
-    assert best is not None
-    return 1 - best
+    return 1 - min(
+        _small_set_term(Fraction(k, n), _capped(profile[k], h, Fraction(1)))
+        for k in range(1, n // 2 + 1)
+    )
 
 
 def profile_modularity_bound(

@@ -182,6 +182,13 @@ def test_unimodality_monotone_increasing_orients_trough_at_one():
     assert res.is_unimodal and res.trough == 1
 
 
+@pytest.mark.parametrize("h", [20, 100])
+def test_unimodality_monotone_decreasing_orients_trough_at_half(h):
+    # n = 5 scans k = 1, 2: one difference, -3.37 at h = 20, so terms only fall
+    res = verify_unimodality(TailParams(h=h, alpha_hat=0.01, n=5, u=0.5))
+    assert (res.is_unimodal, res.trough) == (True, 2)
+
+
 def test_unimodality_needs_enough_points():
     with pytest.raises(ValueError):
         verify_unimodality(TailParams(h=2, alpha_hat=0.25, n=3, u=0.5))

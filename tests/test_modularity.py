@@ -342,7 +342,7 @@ def test_greedy_below_exact_and_valid(params, gseed):
     q_star, _ = exact_modularity(g)
     q, parts = greedy_modularity(g, seed=gseed)
     assert q <= q_star
-    assert q >= 0  # merging stops before going negative; floor is one part
+    assert q >= 0  # -q is the sum of the final parts' merge gains, none positive
     check_partition(g, parts)
     assert modularity_score(g, parts).q == q
 
@@ -498,6 +498,28 @@ def test_greedy_matches_reference_on_random_tie_heavy_multigraphs(g):
         assert greedy_modularity(g, seed=gseed) == _reference_greedy_modularity(
             g, gseed
         )
+
+
+@st.composite
+def _generated_graphs(draw):
+    model = draw(st.sampled_from(list(Model)))
+    h = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=30))
+    return generate(model, h, n, draw(st.integers(min_value=0, max_value=2**32)))[1]
+
+
+@settings(max_examples=200)
+@given(
+    st.one_of(_tie_heavy_multigraphs(), _generated_graphs()),
+    st.integers(min_value=0, max_value=2**32),
+)
+def test_greedy_stops_where_no_merge_of_two_parts_gains(g, gseed):
+    q, parts = greedy_modularity(g, seed=gseed)
+    assert q >= 0
+    assert q == modularity_score(g, parts).q
+    for a, b in itertools.combinations(parts, 2):
+        merged = [p for p in parts if p is not a and p is not b] + [a | b]
+        assert modularity_score(g, merged).q <= q
 
 
 def test_greedy_peak_memory_per_edge_is_pinned():

@@ -175,6 +175,18 @@ REFUSALS = [
      f"5{'0' * 59}... tail terms, over the tail term cap 2000000"),
     (certify.union_bound_sum, (certify.TailParams(2, 0.25, 10**10, 0.5),),
      "5000000000 tail terms, over the tail term cap 2000000"),
+    # rate_condition_value raised "math domain error" at u = 0 and gave a
+    # value at h = 1, which the rate condition does not cover
+    (certify.rate_condition_value, (1, 0.5, 0.1), H2.format(1)),
+    (certify.rate_condition_value, (2, 0.0, 0.1), U.format(0.0)),
+    (certify.rate_condition_value, (2, 0.5, 0.0), "need 0 < x <= 1, got 0.0"),
+    # a report that is no object, lacks a key or nests too deep raised
+    # TypeError, KeyError or RecursionError
+    (experiment.parse_report_json, ("[1]",), "a report must be a JSON object, got list"),
+    (experiment.parse_report_json, ('{"rows": []}',),
+     "missing report keys ['config', 'summary']"),
+    (experiment.parse_report_json, ("[" * 100_000 + "]" * 100_000,),
+     "JSON input is nested too deeply"),
 ]
 
 
