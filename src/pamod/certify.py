@@ -58,7 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pamod.models import _check_count, _shown
+from pamod.models import _check_count, _json_int, _shown
 
 COMPLEMENT_SLACK = 1e-12
 GRID_POINT_CAP = 10**6
@@ -76,7 +76,7 @@ _RECHECK_RTOL = 2.0**-46  # 128 unit roundoffs; a flip needs at most 20
 
 
 def _check_h(h: int) -> None:
-    if h < 2:
+    if _json_int(h, "h") < 2:
         raise ValueError(f"need h >= 2, got {_shown(h, str)}")
     _as_float(h, "h")
 
@@ -160,7 +160,7 @@ class BoundCertificate:
 
 def log_tail_term(params: TailParams, k: int) -> float:
     """ln f(k) for integer 1 <= k <= n/2."""
-    if not 1 <= k or 2 * k > params.n:
+    if not 1 <= _json_int(k, "k") or 2 * k > params.n:
         raise ValueError(f"need 1 <= k <= n/2, got k={_shown(k, str)}, n={_shown(params.n, str)}")
     return float(log_tail_terms(params, np.array([k]))[0])
 

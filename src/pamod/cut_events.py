@@ -131,24 +131,28 @@ def spec_bound(spec: CutEventSpec) -> Fraction:
 
 
 def _chain_step(
-    states: dict, own: bool, vol: int, loops: bool, cap: int, branches, after=None
+    states: dict, tau: int, bit: int, loops: bool, cap: int, branches, after=None
 ) -> dict:
     """One arrival of the chain rule: ``states`` after arrival tau - 1 to
     the states after tau, merged into ``after`` (a new map by default).
 
     ``states`` maps (|A|, vol_S) to (the largest numerator of an A that
     ends there, the number of A of positive mass that do, the least
-    subset mask among those that reach that numerator); ``own`` is
-    [ceil(tau/h) in S] and ``vol`` = 2 tau - 3 + [standard] the volume of
-    both sides before tau.  Each branch ``cross`` of ``branches`` has
-    e_tau cross with weight vol_other or stay with weight vol_own +
-    [standard], out of D_tau = vol + [standard]; a crossing adds 1 to
-    each side and a stay 2 to its own.  Two paths into one state keep the
-    larger numerator, add their counts and keep the lesser mask on a tie.
-    States of |A| >= ``cap`` and branches of zero weight are dropped.
+    subset mask among those that reach that numerator).  ``bit``, nonzero
+    exactly when ceil(tau/h) is in S, is ORed into every mask: the scan
+    passes that vertex's subset bit on each of its h arrivals.  Both
+    sides hold vol = 2 tau - 3 + [standard] before tau.  Each branch
+    ``cross`` of ``branches`` has e_tau cross with weight vol_other or
+    stay with weight vol_own + [standard], out of D_tau = vol +
+    [standard]; a crossing adds 1 to each side and a stay 2 to its own.
+    Two paths into one state keep the larger numerator, add their counts
+    and keep the lesser mask on a tie.  States of |A| >= ``cap`` and
+    branches of zero weight are dropped.
     """
+    vol, own = 2 * tau - 3 + loops, bit != 0
     after = {} if after is None else after
     for (a, vol_s), (num, count, mask) in states.items():
+        mask |= bit
         vol_own = vol_s if own else vol - vol_s
         for cross in branches:
             weight = vol - vol_own if cross else vol_own + loops
@@ -185,8 +189,7 @@ def exact_cut_event(model: Model, spec: CutEventSpec) -> Fraction:
     states = _chain_start(loops, 1 in subset)
     for tau in range(2, hn + 1):
         own = vertex_of(tau, h) in subset
-        branches = (tau in spec.arrivals,)
-        states = _chain_step(states, own, 2 * tau - 3 + loops, loops, cap, branches)
+        states = _chain_step(states, tau, own, loops, cap, (tau in spec.arrivals,))
     total = sum(num for num, _count, _mask in states.values())
     return Fraction(total, _chain_denominator(loops, hn))
 
@@ -202,7 +205,7 @@ def estimate_cut_event(
     reduction over the matrix, with (trials, h*n) bool temporaries.
     """
     model = _check_model(model)
-    _check_count(_json_int(trials, "trials"), "trials")
+    _check_count(trials, "trials")
     seed = _check_seed(seed)
     hn = spec.h * spec.n
     mat = sample_target_matrix(model, hn, trials, seed)
@@ -248,24 +251,16 @@ def scan_cut_events(model: Model, h: int, n: int) -> CutEventScan:
     layers: list[dict] = [{}]  # layers[s]: the merged states of the prefixes with s in S
     for v in range(1, n + 1):
         after: list[dict] = [{} for _ in range(min(v, n - 1) + 1)]
-        bit = 1 << (v - 1)
         for s, states in enumerate(layers):
             for inside in both:
                 if (k := s + inside) == n:
                     continue
-                if v == 1:
-                    run = _chain_start(loops, inside)
-                elif inside:
-                    run = {
-                        key: (num, count, mask | bit) for key, (num, count, mask) in states.items()
-                    }
-                else:
-                    run = states
+                run = _chain_start(loops, inside) if v == 1 else states
                 # a state of |A| >= h times the largest reachable |S| checks nothing
                 cap = h * (k + n - v)
                 for tau in range(max(2, h * v - h + 1), h * v + 1):
                     into = after[k] if tau == h * v else None  # merge on v's last arrival
-                    run = _chain_step(run, inside, 2 * tau - 3 + loops, loops, cap, both, into)
+                    run = _chain_step(run, tau, inside << (v - 1), loops, cap, both, into)
                 after[k] = run  # h = 1 takes no step at vertex 1
         layers = after
     denom = _chain_denominator(loops, hn)

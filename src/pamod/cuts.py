@@ -11,13 +11,13 @@ masks below it plus i's degree, minus twice i's edges into each lower
 neighbour.  A set and its complement share their boundary, so the table
 covers only the 2^(n-1) masks that leave out vertex n, and a mask of size
 j there stands for a set of size j and one of size n - j.  The same
-kernel, ``_subset_sums``, also gives popcounts and the inner-edge and
-volume tables behind exact modularity.  best[k], the least boundary of
-size k, comes from block minima over the table (``_least_by_size``); the
-profile is the running minimum of best[k]/k, and exact expansion reads
-it at floor(u*n).  All ratios are exact; ties go to the
-lexicographically least vertex set.  At n = 20 the profile takes about
-1.6 ms and exact expansion 1.9 ms (2-core Xeon).
+kernel, ``_subset_sums``, also gives the inner-edge and volume tables
+behind exact modularity; popcounts come from ``np.bitwise_count``.
+best[k], the least boundary of size k, comes from block minima over the
+table (``_least_by_size``); the profile is the running minimum of
+best[k]/k, and exact expansion reads it at floor(u*n).  All ratios are
+exact; ties go to the lexicographically least vertex set.  At n = 20 the
+profile takes about 1.6 ms and exact expansion 1.9 ms (2-core Xeon).
 """
 
 from __future__ import annotations
@@ -202,32 +202,24 @@ def _boundary_table(graph: MultiGraph) -> np.ndarray:
 
 
 def _check_limit(n: int, requested: int, cap: int, kind: str, instead: str) -> None:
-    """Refuse n over the requested limit or ``cap``, before any table: a
-    limit can only lower the cap."""
-    if n > (limit := min(requested, cap)):
+    """Refuse a requested limit that is no int, and n over it or over
+    ``cap``, before any table: a limit can only lower the cap."""
+    if n > (limit := min(_json_int(requested, "limit"), cap)):
         raise ValueError(
             f"n={_shown(n, str)} exceeds the {kind} limit {_shown(limit, str)}; use {instead}"
         )
 
 
 @lru_cache(maxsize=None)
-def _popcount_order(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(pop, order, starts) over the 2^b masks of b <= FOLD_BITS bits: each
-    mask's popcount, the masks stably sorted by it, and where popcount
-    0..b begins in that order."""
-    pop = _subset_sums(b, [1] * b, None, np.uint8)
+def _popcount_order(b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2^b masks of b <= FOLD_BITS bits stably sorted by popcount, and
+    where popcount 0..b begins in that order."""
+    pop = np.bitwise_count(np.arange(1 << b))
     order = np.argsort(pop, kind="stable")
     starts = np.searchsorted(pop[order], np.arange(b + 1))
-    for a in (pop, order, starts):
+    for a in (order, starts):
         a.setflags(write=False)
-    return pop, order, starts
-
-
-def _popcounts(masks: np.ndarray, bits: int) -> np.ndarray:
-    """Popcount of each mask below 2^bits, from the low and high tables."""
-    lo = min(bits, FOLD_BITS)
-    low, high = _popcount_order(lo)[0], _popcount_order(bits - lo)[0]
-    return low[masks & ((1 << lo) - 1)] + high[masks >> lo]
+    return order, starts
 
 
 def _least_by_size(table: np.ndarray, bits: int) -> np.ndarray:
@@ -240,8 +232,8 @@ def _least_by_size(table: np.ndarray, bits: int) -> np.ndarray:
     """
     lo = min(bits, FOLD_BITS)
     hi = bits - lo
-    _pop, cols, col_starts = _popcount_order(lo)
-    _pop, rows, row_starts = _popcount_order(hi)
+    cols, col_starts = _popcount_order(lo)
+    rows, row_starts = _popcount_order(hi)
     block = table.reshape(1 << hi, 1 << lo)
     least = np.full(bits + 1, np.iinfo(table.dtype).max, table.dtype)
     for p, (a, b) in enumerate(zip(row_starts, [*row_starts[1:], 1 << hi])):
@@ -298,7 +290,7 @@ def exact_expansion(
     for k in range(1, k_max + 1):
         if Fraction(best[k], k) == alpha:
             hits = np.flatnonzero(bnd == best[k])
-            size = _popcounts(hits, n - 1)
+            size = np.bitwise_count(hits)
             masks += hits[size == k].tolist()
             masks += (((1 << n) - 1) ^ hits[size == n - k]).tolist()
     return ExpansionResult(
@@ -410,7 +402,7 @@ def sampled_expansion(
     for 8 trials.
     """
     uf = _check_u(u)
-    _check_count(_json_int(trials, "trials"), "trials")
+    _check_count(trials, "trials")
     seed = _check_seed(seed)
     n = graph.n
     k_max = math.floor(uf * n)

@@ -83,6 +83,14 @@ def _frac_str(x) -> str | None:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _json_shape(value, kind: type, what: str):
+    """``value``, refused unless it is a JSON object (dict) or array (list)."""
+    if not isinstance(value, kind):
+        shape = "object" if kind is dict else "array"
+        raise ValueError(f"{what} must be a JSON {shape}, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: Model
@@ -141,9 +149,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
-        if not isinstance(payload, dict):
-            kind = type(payload).__name__
-            raise ValueError(f"a config must be a JSON object, got {kind}")
+        _json_shape(payload, dict, "a config")
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:
@@ -326,16 +332,13 @@ def emit_report(report: ExperimentReport, fmt: str = "json") -> str:
 
 
 def parse_report_json(text: str) -> ExperimentReport:
-    payload = _parse_json(text)
-    if not isinstance(payload, dict):
-        kind = type(payload).__name__
-        raise ValueError(f"a report must be a JSON object, got {kind}")
+    payload = _json_shape(_parse_json(text), dict, "a report")
     missing = {"config", "rows", "summary"} - set(payload)
     if missing:
         raise ValueError(f"missing report keys {sorted(missing)}")
-    config = ExperimentConfig.from_dict(payload["config"])
+    rows = _json_shape(payload["rows"], list, "report rows")
     return ExperimentReport(
-        config=config,
-        rows=tuple(payload["rows"]),
-        summary=payload["summary"],
+        config=ExperimentConfig.from_dict(payload["config"]),
+        rows=tuple(_json_shape(row, dict, "a report row") for row in rows),
+        summary=_json_shape(payload["summary"], dict, "a report summary"),
     )

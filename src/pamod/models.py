@@ -143,7 +143,7 @@ def _check_model(model: Model) -> Model:
 
 
 def _check_count(value: int, name: str) -> None:
-    if value < 1:
+    if _json_int(value, name) < 1:
         raise ValueError(f"need {name} >= 1, got {_shown(value, str)}")
 
 
@@ -271,8 +271,8 @@ class MultiGraph(_ColumnRecord):
     arrival index.  Loops contribute 2 to the degree, except that when
     ``first_loop_weight1`` is set the loop with arrival index 1 contributes
     only 1 (the tilde model's initial loop).  Generation metadata (model,
-    h, seed) rides along when known; handcrafted fixtures may leave it
-    unset.
+    h, seed) rides along when known, checked as ``generate`` checks it;
+    handcrafted fixtures may leave it unset.
     """
 
     n: int
@@ -284,6 +284,12 @@ class MultiGraph(_ColumnRecord):
 
     def __post_init__(self) -> None:
         _check_count(self.n, "n")
+        if self.model is not None:
+            object.__setattr__(self, "model", _check_model(self.model))
+        if self.h is not None:
+            _check_count(self.h, "h")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _check_seed(self.seed))
         u, v, t = self.edge_array.T
         outside = (u < 1) | (u > self.n) | (v < 1) | (v > self.n)
         bad = np.flatnonzero(outside | (u > v))
@@ -451,7 +457,7 @@ def sample_target_matrix(
     """
     model = _check_model(model)
     seed = _check_seed(seed)
-    _json_int(length, "length")
+    _json_int(length, "length")  # either type error wins over a range error
     _json_int(trials, "trials")
     _check_count(length, "length")
     _check_count(trials, "trials")
@@ -466,7 +472,7 @@ def derive_seed(root_seed: int, index: int) -> int:
     indices, so reports can record a plain integer seed per row.
     """
     root_seed = _check_seed(root_seed)
-    if index < 0:
+    if _json_int(index, "stream index") < 0:
         raise ValueError(f"stream index must be >= 0, got {_shown(index, str)}")
     ss = np.random.SeedSequence([root_seed, index])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -513,7 +519,8 @@ def _enumerate_logs(model: Model, length: int):
                 f"{size} logs, over the enumeration cap {_ENUMERATION_CAP}"
             )
     targets = np.zeros((1, length), dtype=np.int64)
-    # the denominator check caps length at 19, so degrees fit in uint8
+    # the level cap admits lengths up to 9 (standard) and 10 (tilde), inside
+    # the int64 check's 17 and 18, so degrees fit in uint8
     degs = np.zeros((1, length), dtype=np.uint8)
     nums = np.ones(1, dtype=np.int64)
     for tau in range(1, length + 1):

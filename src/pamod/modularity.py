@@ -390,10 +390,12 @@ def _require_pa_shape(graph: MultiGraph) -> int:
 
 
 def _capped(alpha, divisor: int, cap):
-    """min(alpha/divisor, cap), exactly; alpha = +infinity gives the cap."""
+    """min(alpha/divisor, cap), exactly, for alpha >= 0; +infinity gives the cap."""
     if alpha == math.inf:
         return cap
-    return min(Fraction(alpha) / divisor, cap)
+    if alpha == -math.inf or (exact := Fraction(alpha)) < 0:
+        raise ValueError(f"need alpha >= 0, got {_shown(alpha, str)}")
+    return min(exact / divisor, cap)
 
 
 def expansion_modularity_bound(

@@ -7,6 +7,7 @@ import math
 import pathlib
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pamod import certify, cli, cut_events, cuts, experiment, models, modularity
@@ -21,6 +22,7 @@ SWEEP = dict(model="standard", h_list=(2,), n_list=(4,), trials=1, root_seed=1)
 GRAPH = {"model": "standard", "h": 0, "n": 3, "seed": 0, "edges": []}
 SPEC = cut_events.CutEventSpec(1, 2, {1}, ())
 LONG = "x" * 100_000
+PA_LOG, PA = models.generate(STD, 2, 4, 1)  # a graph the expansion bounds take
 
 
 def _nested(inner, depth):
@@ -187,6 +189,29 @@ REFUSALS = [
      "missing report keys ['config', 'summary']"),
     (experiment.parse_report_json, ("[" * 100_000 + "]" * 100_000,),
      "JSON input is nested too deeply"),
+    # rows that were no list raised TypeError, and rows or a summary of
+    # the wrong kind were taken as a report
+    (experiment.parse_report_json, (json.dumps({"config": SWEEP, "rows": 3, "summary": {}}),),
+     "report rows must be a JSON array, got int"),
+    (experiment.parse_report_json, (json.dumps({"config": SWEEP, "rows": [1], "summary": {}}),),
+     "a report row must be a JSON object, got int"),
+    (experiment.parse_report_json, (json.dumps({"config": SWEEP, "rows": [], "summary": [1]}),),
+     "a report summary must be a JSON object, got list"),
+    # an expansion below 0 gave a bound over 1, and -inf OverflowError;
+    # NaN and a non-number keep Fraction's own refusals
+    (modularity.expansion_modularity_bound, (PA, -1), "need alpha >= 0, got -1"),
+    (modularity.expansion_modularity_bound, (PA, Fraction(-1, 2)), "need alpha >= 0, got -1/2"),
+    (modularity.expansion_modularity_bound, (PA, -math.inf), "need alpha >= 0, got -inf"),
+    (modularity.baseline_expansion_bound, (PA, -0.5), "need alpha >= 0, got -0.5"),
+    (modularity.bound_from_expansion_profile, ({1: Fraction(-1), 2: Fraction(-1)}, 2, 4),
+     "need alpha >= 0, got -1"),
+    (modularity.expansion_modularity_bound, (PA, math.nan), "cannot convert NaN to integer ratio"),
+    (modularity.expansion_modularity_bound, (PA, "abc"), "Invalid literal for Fraction: 'abc'"),
+    # a graph's metadata is checked when it is built, not when its file is read
+    (MultiGraph, (3, [(1, 1, 1)], False, "bogus"), "unknown model 'bogus'"),
+    (MultiGraph, (3, [(1, 1, 1)], False, None, 0), "need h >= 1, got 0"),
+    (MultiGraph, (3, [(1, 1, 1)], False, None, None, -1),
+     "seed must be a 64-bit unsigned integer, got -1"),
 ]
 
 
@@ -345,6 +370,85 @@ def test_the_edge_cases_next_to_the_refusals_keep_their_results():
     # the default constant reads the same wherever it is reported
     assert certify.check_expansion_constant()
     assert experiment._summarize([], [])["expansion_constant"] == 0.03418
+
+
+# --------------------------------------------------- the int rule, everywhere
+
+# (entry point, parameter, the call with ``bad`` in that parameter): every
+# public count, size, limit, h, seed and stream index is a Python int
+INT_ENTRY_POINTS = [
+    ("generate", "h", lambda bad: models.generate(STD, bad, 3, 1)),
+    ("generate", "n", lambda bad: models.generate(TIL, 2, bad, 1)),
+    ("ArrivalLog", "h", lambda bad: models.ArrivalLog(STD, bad, 1, (1,))),
+    ("ArrivalLog", "n", lambda bad: models.ArrivalLog(STD, 1, bad, (1,))),
+    ("MultiGraph", "n", lambda bad: MultiGraph(n=bad, edges=())),
+    ("MultiGraph", "h", lambda bad: MultiGraph(n=3, edges=[(1, 1, 1)], h=bad)),
+    ("MultiGraph", "seed", lambda bad: MultiGraph(n=3, edges=[(1, 1, 1)], seed=bad)),
+    ("merge", "seed", lambda bad: models.merge(PA_LOG, seed=bad)),
+    ("derive_seed", "stream index", lambda bad: models.derive_seed(1, bad)),
+    ("sample_target_matrix", "length", lambda bad: models.sample_target_matrix(STD, bad, 2, 1)),
+    ("sample_target_matrix", "trials", lambda bad: models.sample_target_matrix(TIL, 3, bad, 1)),
+    ("exact_small_t_distribution", "t_max",
+     lambda bad: models.exact_small_t_distribution(STD, bad)),
+    ("exact_expansion", "limit", lambda bad: cuts.exact_expansion(K3, "1/2", limit=bad)),
+    ("expansion_profile", "limit", lambda bad: cuts.expansion_profile(K3, limit=bad)),
+    ("sampled_expansion", "trials", lambda bad: cuts.sampled_expansion(K3, "1/2", bad, 0)),
+    ("exact_modularity", "limit", lambda bad: modularity.exact_modularity(K3, limit=bad)),
+    ("profile_modularity_bound", "limit",
+     lambda bad: modularity.profile_modularity_bound(PA, limit=bad)),
+    ("bound_from_expansion_profile", "h",
+     lambda bad: modularity.bound_from_expansion_profile({1: Fraction(1)}, bad, 2)),
+    ("CutEventSpec", "h", lambda bad: cut_events.CutEventSpec(bad, 2, {1}, ())),
+    ("CutEventSpec", "n", lambda bad: cut_events.CutEventSpec(1, bad, {1}, ())),
+    ("cut_event_bound", "h", lambda bad: cut_events.cut_event_bound(bad, 3, 1, 0)),
+    ("cut_event_bound", "n", lambda bad: cut_events.cut_event_bound(2, bad, 1, 0)),
+    ("cut_event_bound", "k", lambda bad: cut_events.cut_event_bound(2, 3, bad, 0)),
+    ("cut_event_bound", "a", lambda bad: cut_events.cut_event_bound(2, 3, 1, bad)),
+    ("scan_cut_events", "h", lambda bad: cut_events.scan_cut_events(STD, bad, 3)),
+    ("scan_cut_events", "n", lambda bad: cut_events.scan_cut_events(TIL, 2, bad)),
+    ("estimate_cut_event", "trials", lambda bad: cut_events.estimate_cut_event(STD, SPEC, bad, 1)),
+    ("TailParams", "h", lambda bad: certify.TailParams(bad, 0.1, 10, 0.5)),
+    ("TailParams", "n", lambda bad: certify.TailParams(2, 0.1, bad, 0.5)),
+    ("log_tail_term", "k",
+     lambda bad: certify.log_tail_term(certify.TailParams(2, 0.1, 10, 0.5), bad)),
+    ("check_rate_condition", "h", lambda bad: certify.check_rate_condition(bad, 0.5, 0.1)),
+    ("rate_condition_value", "h", lambda bad: certify.rate_condition_value(bad, 0.5, 0.1)),
+    ("large_h_modularity_bound", "h", lambda bad: certify.large_h_modularity_bound(bad)),
+    ("ExperimentConfig", "trials",
+     lambda bad: experiment.ExperimentConfig.from_dict({**SWEEP, "trials": bad})),
+    ("ExperimentConfig", "exact_expansion_limit",
+     lambda bad: experiment.ExperimentConfig.from_dict({**SWEEP, "exact_expansion_limit": bad})),
+]
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize(
+    "call,name",
+    [(call, name) for _entry, name, call in INT_ENTRY_POINTS],
+    ids=[f"{entry}-{name}" for entry, name, _call in INT_ENTRY_POINTS],
+)
+def test_each_int_parameter_refuses_a_float_a_bool_and_a_string(call, name, bad):
+    # a float was taken as a size, a bool as 1, and a string raised TypeError
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{name} must be an integer, got {bad!r}"
+
+
+SIZES = [(entry, name, call) for entry, name, call in INT_ENTRY_POINTS
+         if name not in ("seed", "stream index")]
+
+
+@pytest.mark.parametrize(
+    "call,name",
+    [(call, name) for _entry, name, call in SIZES],
+    ids=[f"{entry}-{name}" for entry, name, _call in SIZES],
+)
+def test_a_numpy_int_size_is_refused(call, name):
+    # sizes follow a graph file's rule; a numpy seed stays accepted
+    with pytest.raises(ValueError) as info:
+        call(np.int64(2))
+    assert str(info.value) == f"{name} must be an integer, got {np.int64(2)!r}"
 
 
 # ---------------------------------------------------------- one owner each
