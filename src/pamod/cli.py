@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from pamod import certify as cert
 from pamod import cut_events as events
 from pamod import cuts, modularity, models
@@ -111,11 +113,8 @@ def _cmd_certify(args) -> int:
     }
     _write_or_print(json.dumps(payload) + "\n", args.out)
     if args.trace is not None:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write("u,delta,term\n")
-            for start in range(0, len(result.trace), 4096):  # as floats, 4096 rows at a time
-                rows = result.trace[start : start + 4096].tolist()
-                fh.writelines(f"{u:.12g},{delta:.12g},{term:.12g}\n" for u, delta, term in rows)
+        np.savetxt(args.trace, result.trace, fmt="%.12g", delimiter=",",
+                   header="u,delta,term", comments="")
     return EXIT_OK
 
 

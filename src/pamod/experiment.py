@@ -27,7 +27,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
 from itertools import product
 
@@ -83,8 +83,8 @@ def _frac_str(x) -> str | None:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _json_shape(value, kind: type, what: str):
-    """``value``, refused unless it is a JSON object (dict) or array (list)."""
+def _json_shape(value, kind: type | tuple[type, ...], what: str):
+    """``value``, refused unless it is a JSON object (dict) or array (list or tuple)."""
     if not isinstance(value, kind):
         shape = "object" if kind is dict else "array"
         raise ValueError(f"{what} must be a JSON {shape}, got {type(value).__name__}")
@@ -106,16 +106,16 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "model", _check_model(self.model))
-        # ints only, as in graph files: no bool, float or string is coerced
+        # arrays of ints only, as in graph files: no bool, float or string is coerced
         for name in ("h_list", "n_list"):
-            values = tuple(_json_int(v, f"{name} entry") for v in getattr(self, name))
+            entries = _json_shape(getattr(self, name), (list, tuple), name)
+            values = tuple(_json_int(v, f"{name} entry") for v in entries)
             object.__setattr__(self, name, values)
         counts = ("trials", "sample_trials", "event_trials")
         for name in (*counts, "exact_expansion_limit", "exact_modularity_limit"):
             _json_int(getattr(self, name), name)
-        object.__setattr__(
-            self, "tasks", tuple(dict.fromkeys(_shown(t, str) for t in self.tasks))
-        )
+        tasks = _json_shape(self.tasks, (list, tuple), "tasks")
+        object.__setattr__(self, "tasks", tuple(dict.fromkeys(_shown(t, str) for t in tasks)))
         if not self.h_list or min(self.h_list) < 1:
             raise ValueError("h_list must be nonempty with h >= 1")
         if not self.n_list or min(self.n_list) < 1:
@@ -136,16 +136,11 @@ class ExperimentConfig:
             raise ValueError(f"exact_modularity_limit={_shown(limit, str)} exceeds {cap}")
 
     def to_dict(self) -> dict:
-        """Fields in declaration order; the model as its value, tuples as lists."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, Model):
-                value = value.value
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
-        return out
+        """Fields in declaration order, as held: tuples and the ``Model`` member.
+
+        ``json.dumps`` writes a tuple as an array and the str enum as its value.
+        """
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ExperimentConfig":
@@ -162,10 +157,7 @@ class ExperimentConfig:
         missing = required - set(payload)
         if missing:
             raise ValueError(f"missing config keys {sorted(missing)}")
-        try:
-            return cls(**payload)
-        except TypeError as exc:  # e.g. "h_list": 3
-            raise ValueError(f"malformed config: {exc}") from None
+        return cls(**payload)
 
 
 @dataclass(frozen=True)
@@ -316,17 +308,9 @@ def emit_report(report: ExperimentReport, fmt: str = "json") -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(ROW_COLUMNS)
-        for row in report.rows:
-            out = []
-            for col in ROW_COLUMNS:
-                val = row[col]
-                if val is None:
-                    out.append("")
-                elif isinstance(val, bool):
-                    out.append("1" if val else "0")
-                else:
-                    out.append(str(val))
-            writer.writerow(out)
+        for row in report.rows:  # csv writes None as "" and the rest by str()
+            values = (row[col] for col in ROW_COLUMNS)
+            writer.writerow([int(v) if isinstance(v, bool) else v for v in values])
         return buf.getvalue()
     raise ValueError(f"unknown report format {fmt!r}")
 

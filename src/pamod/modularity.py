@@ -53,7 +53,7 @@ from pamod.cuts import (
     edge_boundary,
     expansion_profile,
 )
-from pamod.models import MultiGraph, _check_count, _check_seed, _check_vertices, _shown
+from pamod.models import MultiGraph, _check_count, _check_seed, _check_vertices, _json_int, _shown
 
 # Largest n the exact DP accepts; a ``limit`` argument may only lower it.
 # Time grows as 3^n: 0.04 s at n = 16, about 0.4 s per graph at n = 18.
@@ -133,6 +133,8 @@ def _pair_table() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order = np.argsort(s | t, kind="stable")
     s, t = s[order], t[order]
     starts = np.flatnonzero(np.diff(s | t, prepend=-1))
+    for a in (s, t, starts):  # cached: every exact_modularity call shares them
+        a.setflags(write=False)
     return s, t, starts
 
 
@@ -249,11 +251,9 @@ def greedy_modularity(graph: MultiGraph, seed: int) -> tuple[Fraction, Partition
     links into one, so there are at most P of those.  At standard h = 2
     the heap's peak stayed below P at n = 500-5000.  Each merge pushes
     3.7 / 4.0 / 4.2 / 4.7 entries, re-keys included, at n = 500 / 1000
-    / 2000 / 5000, where the stamped heap that pushed every link of the
-    merged part pushed 14 / 20 / 30 / 55.  One run takes about 7 / 15 /
-    39 / 102 ms there (stamped heap: 18 / 48 / 136 / 424 ms) on a 2-core
-    Xeon host, with tracemalloc peaks of 0.24 / 0.50 / 1.15 / 3.1 MiB,
-    about 250-330 bytes per edge.
+    / 2000 / 5000.  One run takes about 7 / 15 / 39 / 102 ms there on a
+    2-core Xeon host, with tracemalloc peaks of 0.24 / 0.50 / 1.15 / 3.1
+    MiB, about 250-330 bytes per edge.
     """
     seed = _check_seed(seed)
     n = graph.n
@@ -423,7 +423,7 @@ def bound_from_expansion_profile(
     u on [k/n, (k+1)/n), which is what reduces the continuous bound to
     this discrete scan.
     """
-    if n < 2:
+    if _json_int(n, "n") < 2:
         raise ValueError("profile bound needs n >= 2")
     _check_count(h, "h")
     return 1 - min(
@@ -448,8 +448,6 @@ def profile_modularity_bound(
     covers both 2^n tables.
     """
     h = _require_pa_shape(graph)
-    if graph.n < 2:
-        raise ValueError("profile bound needs n >= 2")
     profile = expansion_profile(graph, limit=limit)
     upper = np.bincount(graph.edge_array[:, 1], minlength=graph.n + 1)
     if upper.max() > h:

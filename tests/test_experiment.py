@@ -1,5 +1,6 @@
 """Sweep configs, row computation, reports, and reproducibility."""
 
+import hashlib
 import json
 import math
 import pathlib
@@ -47,6 +48,13 @@ def test_frac_str_takes_none_inf_and_fraction_inputs():
 def test_config_roundtrip():
     cfg = ExperimentConfig(**BASE)
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_config_dict_holds_the_fields_as_json_writes_them():
+    payload = ExperimentConfig(**BASE).to_dict()
+    assert payload["model"] is experiment.Model.STANDARD
+    assert payload["h_list"] == (2,) and payload["tasks"] == TASKS
+    assert json.loads(json.dumps(payload))["model"] == "standard"
 
 
 def test_config_validation():
@@ -116,7 +124,7 @@ def test_config_from_dict_refuses_non_objects_and_malformed_values():
     for payload in ([1, 2], "standard", None, 3):
         with pytest.raises(ValueError, match="a config must be a JSON object"):
             ExperimentConfig.from_dict(payload)
-    with pytest.raises(ValueError, match="malformed config: 'int' object is not iterable"):
+    with pytest.raises(ValueError, match="^h_list must be a JSON array, got int$"):
         ExperimentConfig.from_dict({**BASE, "h_list": 3})
 
 
@@ -186,6 +194,36 @@ def test_csv_shape(report):
     # booleans are 1/0 and rationals are p/q in the csv
     assert lines[1].endswith(",0,0")
     assert "/" in lines[1].split(",")[4]
+
+
+README_SWEEP = dict(
+    h_list=[2, 3], n_list=[8, 10, 12], trials=10, root_seed=20240817, tasks=TASKS
+)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_reports_match_their_pinned_digests(report):
+    # the golden JSON is pinned whole above; its CSV and the README's two
+    # sweeps (JSON and CSV, as `pamod sweep` writes them) by sha256
+    assert _sha256(emit_report(report, "csv")) == (
+        "b6ab713b5095c73dd4c250ddac1b9101464f7b7568cbbf0b85747840248ab085"
+    )
+    pinned = {
+        "standard": (
+            "f7e5bebae4615e387dd1135c8308fc5967a73cc342d0a14ebd21b5965ccb121a",
+            "af82fc787f947ef06776c441ddc4351d00b5683bbc99e3e2771404a3d540da6c",
+        ),
+        "tilde": (
+            "3319f87972950128e0cc2556806d709dab82a0c5cda309a8722fb1af95191a06",
+            "8948d774615226f9bf0f8738fc46d6147e2074b0710af0edc992c1a8a1e58a47",
+        ),
+    }
+    for model, digests in pinned.items():
+        sweep = run_experiment(ExperimentConfig(model=model, **README_SWEEP))
+        assert tuple(_sha256(emit_report(sweep, fmt)) for fmt in ("json", "csv")) == digests
 
 
 def test_emit_report_rejects_unknown_format(report):

@@ -681,6 +681,23 @@ def test_profile_bound_checks_the_cap_whatever_the_label():
         profile_modularity_bound(g)
 
 
+def test_profile_bound_at_n_1_is_refused_by_the_size_rule_after_the_limit():
+    # one owner of the n >= 2 rule, in bound_from_expansion_profile, which
+    # runs after the profile: a limit below n is reported first
+    _, g = generate(Model.STANDARD, 2, 1, 3)
+    with pytest.raises(ValueError, match="^profile bound needs n >= 2$"):
+        profile_modularity_bound(g)
+    with pytest.raises(ValueError, match="^n=1 exceeds the exhaustive limit 0; "):
+        profile_modularity_bound(g, limit=0)
+
+
+def test_the_cached_pair_table_is_read_only():
+    # every exact_modularity call shares it, so a write would corrupt later DPs
+    for table in modularity._pair_table():
+        with pytest.raises(ValueError, match="read-only"):
+            table[:1] = 0
+
+
 def test_profile_bound_on_generated_graphs_above_the_exhaustive_cap_check():
     # each vertex is the larger endpoint of exactly h edges, so the O(m)
     # test vouches for the cap where the 2^n check (n <= 16) would refuse

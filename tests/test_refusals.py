@@ -212,6 +212,28 @@ REFUSALS = [
     (MultiGraph, (3, [(1, 1, 1)], False, None, 0), "need h >= 1, got 0"),
     (MultiGraph, (3, [(1, 1, 1)], False, None, None, -1),
      "seed must be a 64-bit unsigned integer, got -1"),
+    # a sweep's lists must be arrays: a string was read letter by letter,
+    # and an int or object raised TypeError
+    (experiment.ExperimentConfig.from_dict, ({**SWEEP, "h_list": "23"},),
+     "h_list must be a JSON array, got str"),
+    (experiment.ExperimentConfig.from_dict, ({**SWEEP, "h_list": 3},),
+     "h_list must be a JSON array, got int"),
+    (experiment.ExperimentConfig.from_dict, ({**SWEEP, "h_list": {"2": 3}},),
+     "h_list must be a JSON array, got dict"),
+    (experiment.ExperimentConfig.from_dict, ({**SWEEP, "n_list": "46"},),
+     "n_list must be a JSON array, got str"),
+    (experiment.ExperimentConfig.from_dict, ({**SWEEP, "n_list": 4},),
+     "n_list must be a JSON array, got int"),
+    (experiment.ExperimentConfig.from_dict, ({**SWEEP, "n_list": {}},),
+     "n_list must be a JSON array, got dict"),
+    (experiment.ExperimentConfig.from_dict, ({**SWEEP, "tasks": "expansion"},),
+     "tasks must be a JSON array, got str"),
+    (experiment.ExperimentConfig.from_dict, ({**SWEEP, "tasks": 1},),
+     "tasks must be a JSON array, got int"),
+    (experiment.ExperimentConfig.from_dict, ({**SWEEP, "tasks": {"bounds": 1}},),
+     "tasks must be a JSON array, got dict"),
+    (experiment.ExperimentConfig, (*SWEEP.values(), range(1, 3)),
+     "tasks must be a JSON array, got range"),
 ]
 
 
@@ -398,6 +420,8 @@ INT_ENTRY_POINTS = [
      lambda bad: modularity.profile_modularity_bound(PA, limit=bad)),
     ("bound_from_expansion_profile", "h",
      lambda bad: modularity.bound_from_expansion_profile({1: Fraction(1)}, bad, 2)),
+    ("bound_from_expansion_profile", "n",
+     lambda bad: modularity.bound_from_expansion_profile({1: Fraction(1)}, 2, bad)),
     ("CutEventSpec", "h", lambda bad: cut_events.CutEventSpec(bad, 2, {1}, ())),
     ("CutEventSpec", "n", lambda bad: cut_events.CutEventSpec(1, bad, {1}, ())),
     ("cut_event_bound", "h", lambda bad: cut_events.cut_event_bound(bad, 3, 1, 0)),
@@ -522,6 +546,17 @@ def test_the_tilde_loop_rule_and_the_expansion_constant_are_written_once():
                 constants.append(name)
     assert tilde_keywords == ["models.py"]
     assert constants == ["certify.py"]
+
+
+def test_the_profile_size_rule_is_written_once():
+    # a plain string, which the f-string templates above do not see
+    found = [
+        name
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == "profile bound needs n >= 2"
+    ]
+    assert found == ["modularity.py"]
 
 
 def test_the_modularity_constant_is_written_once():
