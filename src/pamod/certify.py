@@ -35,7 +35,7 @@ about 4 ms (0.12 s for one scalar bisection per point), and the cap
 0.9 s; ``pamod certify`` at the cap peaks at 32 MiB RSS.  The trace,
 built only on request, is one read-only float64 table of the grid's
 (u_s, delta_s, term_s) rows, 24 bytes per point; with ``--trace`` the
-cap peaks at 55 MiB in about 3.4 s.
+cap peaks at 55 MiB in 2.4-3.9 s (about 3 s), most of it writing the CSV.
 
 The blocked search evaluates the rate condition with ``np.log``, which
 may differ from ``math.log`` in the last bit.  Its decisions are still

@@ -148,7 +148,7 @@ class ExperimentConfig:
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:
-            raise ValueError(f"unknown config keys {sorted(unknown)}")
+            raise ValueError(f"unknown config keys {sorted(unknown, key=str)}")
         required = {
             f.name
             for f in fields(cls)

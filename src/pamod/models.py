@@ -42,13 +42,13 @@ A log keeps its targets as one read-only int64 array, ``target_array``,
 and a graph its (u, v, t) edges as one read-only (m, 3) int64 array,
 ``edge_array``; all code here works on these.  ``targets`` and ``edges``
 read as tuples of Python ints, rebuilt on every read.  ``save_graph``
-and ``pamod gen`` write the same text, ``graph_to_text``, which formats
-the edges from one flat list of ints.  ``load_graph`` reads a file
-byte-identical to that text as bytes, its edges by numpy with no Python
-object per edge; any other file goes through json, with the same checks
-and messages.  Per 10^5 edges (h=4, n=25000, 2-core Xeon) a save takes
-about 50 ms and peaks at 15 MB, a load of a saved file about 40 ms and
-12 MB.
+and ``pamod gen`` write the same text, ``graph_to_text``, which renders
+the edges from numpy digit tables, with no Python object per entry.
+``load_graph`` reads a file byte-identical to that text as bytes, its
+edges by numpy with no Python object per edge; any other file goes
+through json, with the same checks and messages.  Per 10^5 edges (h=4,
+n=25000, 2-core Xeon) a save takes about 13 ms and peaks at 4.3 MiB, a
+load of a saved file about 30 ms and 11.7 MiB.
 
 ``exact_small_t_distribution`` comes from ``_enumerate_logs``, which
 lists every log of a given length level by level, each with an integer
@@ -64,7 +64,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 
 import numpy as np
@@ -578,23 +578,92 @@ def graph_to_json(graph: MultiGraph) -> dict:
     return {**_graph_header(graph), "edges": graph.edge_array.tolist()}
 
 
+@cache
+def _digit_tables() -> np.ndarray:
+    """The uint32 slot of every 4-digit chunk value c, in three tables of
+    10^4: at c its digits with leading zeros, at 10^4 + c with them as
+    ``\\0``, at 2*10^4 + c the same but 0 as ``0``.  Built as bytes and
+    viewed as uint32, so no slot depends on the byte order."""
+    c = np.arange(10**4, dtype=np.uint16)[:, None]
+    places = (10 ** np.arange(3, -1, -1)).astype(np.uint16)
+    digits = (c // places % 10 + 48).astype(np.uint8)
+    lead = digits * (c >= places)  # a leading zero becomes \0
+    zero = lead.copy()
+    zero[0, 3] = 48
+    tables = np.concatenate([digits, lead, zero]).reshape(-1).view(np.uint32)
+    tables.flags.writeable = False
+    return tables
+
+
+# Rows ``graph_to_text`` renders per block, which bounds its temporaries.
+_RENDER_ROWS = 1 << 14
+
+
+def _edge_text(edges: np.ndarray):
+    """The bytes ``json.dumps`` gives for ``edges.tolist()``, an (m, w)
+    int64 array, in pieces, with no Python object per entry.
+
+    Each row is a run of uint32 slots: per entry a prefix slot (``[`` or
+    ``, ``, then ``\\0`` padding, the ``-`` of a negative entry in byte
+    3) and K slots of 4 digits each, then a ``], `` slot.  A chunk's slot
+    comes from ``_digit_tables``: with leading zeros as ``\\0`` while the
+    chunks above it are all zero, and ``0`` for the last chunk of the
+    value 0.  K covers the largest magnitude of the whole array, so every
+    block of ``_RENDER_ROWS`` rows has the same layout, and deleting
+    ``\\0`` leaves the text.
+    """
+    tables = _digit_tables()
+    m, width = edges.shape
+    widest = max(-int(edges.min(initial=0)), int(edges.max(initial=0)))
+    k = -(-len(str(widest)) // 4)  # its 4-digit chunks
+    # slots from bytes, as the tables are: by 2 * (first entry) + (negative)
+    prefix = np.frombuffer(b", \0\0, \0-[\0\0\0[\0\0-", np.uint32)
+    close, last = np.frombuffer(b"], \0]\0\0\0", np.uint32)
+    first = np.array([2] + [0] * (width - 1), np.uint8)
+    place = np.uint64(10**4)
+    yield b"["
+    for lo in range(0, m, _RENDER_ROWS):
+        block = edges[lo : lo + _RENDER_ROWS]
+        slots = np.empty((len(block), width * (1 + k) + 1), np.uint32)
+        cells = slots[:, :-1].reshape(len(block), width, 1 + k)
+        cells[:, :, 0] = np.take(prefix, first + (block < 0).view(np.uint8))
+        slots[:, -1] = close
+        q = np.abs(block).view(np.uint64)  # |INT64_MIN| wraps to 2^63 as uint64
+        for j in range(k, 0, -1):  # the last chunk first
+            r = q
+            q = r // place
+            r -= q * place
+            # leading zeros below a nonzero chunk, else none (and 0 as 0 last)
+            r += (q == 0) * (place * np.uint64(1 + (j == k)))
+            cells[:, :, j] = np.take(tables, r)
+        if lo + _RENDER_ROWS >= m:
+            slots[-1, -1] = last
+        yield slots.tobytes().translate(None, b"\0")
+    yield b"]"
+
+
+def _graph_bytes(graph: MultiGraph) -> bytes:
+    """``graph_to_text`` as ASCII bytes."""
+    head = json.dumps(_graph_header(graph))[:-1]  # without its closing brace
+    return b"".join([head.encode(), b', "edges": ', *_edge_text(graph.edge_array), b"}\n"])
+
+
 def graph_to_text(graph: MultiGraph) -> str:
     """The graph file: ``graph_to_json`` as one JSON line.
 
-    The edges are formatted by one %-string from a flat list of ints, the
-    bytes ``json.dumps`` gives for the list of lists, which is never built.
+    The edges are rendered by ``_edge_text`` from numpy digit tables: the
+    bytes ``json.dumps`` gives for the list of lists, which is never
+    built.  Per 10^5 edges (h=4, n=25000, 2-core Xeon) it takes about
+    12 ms and peaks at about 45 bytes per edge.
     """
-    head = json.dumps(_graph_header(graph))[:-1]  # without its closing brace
-    body = ", ".join(["[%d, %d, %d]"] * graph.m) % tuple(
-        graph.edge_array.reshape(-1).tolist()
-    )
-    return f'{head}, "edges": [{body}]}}\n'
+    return _graph_bytes(graph).decode("ascii")
 
 
 def save_graph(graph: MultiGraph, path) -> None:
-    text = graph_to_text(graph)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    """Write ``graph_to_text``'s bytes to ``path``."""
+    data = _graph_bytes(graph)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def _parse_json(text: str):
@@ -659,9 +728,14 @@ def _checked_graph(payload: dict, columns) -> MultiGraph:
     if len(cols) != h * n:
         raise ValueError(f"expected {_shown(h * n, str)} edges, found {len(cols)}")
     lo, hi, t = cols.T
-    if not np.array_equal(np.sort(t), np.arange(1, h * n + 1)):
+    seen = np.zeros(h * n + 1, bool)
+    if 1 <= t.min() and t.max() <= h * n:
+        seen[t] = True  # h*n indices within 1..h*n: all seen iff a permutation
+    if not seen[1:].all():
         raise ValueError("edge arrival indices must be exactly 1..h*n")
-    cols[:, :2].sort(axis=1)
+    del seen  # freed before the checks below
+    swap = np.flatnonzero(lo > hi)  # empty for a file save_graph wrote
+    lo[swap], hi[swap] = hi[swap], lo[swap]
     # Edge e_t joins arrival t's vertex ceil(t/h) to a vertex no larger, so
     # each vertex is the larger endpoint of exactly h edges.  This forces
     # e_1 = (1, 1, 1) and e(S) <= h|S|, which the profile bound relies on.
@@ -753,9 +827,10 @@ def load_graph(path) -> MultiGraph:
     (indented, CRLF, hand-edited, invalid) is read as text and parsed by
     json with the garbage collector paused, as ``graph_from_json`` takes
     it.  Both routes run the same checks, so a file gives the same graph
-    or the same error on either.  A saved file's load peaks at about
-    122 bytes per edge, 12 MB and 40 ms per 10^5 edges (2-core Xeon),
-    against 215 bytes, 22 MB and 100 ms through json.
+    or the same error on either.  Per 10^5 edges (h=4, n=25000, 2-core
+    Xeon) a saved file's load takes about 30 ms and peaks at about 122
+    bytes per edge (11.7 MiB), against 80-100 ms, 215 bytes and 20.5 MiB
+    through json.
     """
     with open(path, "rb") as fh:
         payload = _saved_payload(fh.read())

@@ -5,15 +5,18 @@ import dataclasses
 import gc
 import itertools
 import json
+import os
 import pathlib
 import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pamod
@@ -627,6 +630,54 @@ def test_graph_to_text_matches_the_golden_file():
     assert graph_to_text(g) == _list_encoding(g) == golden.read_text()
 
 
+# every chunk-boundary size of the renderer, and a few below one chunk
+RENDER_SIZES = [0, 1, 2, models._RENDER_ROWS - 1, models._RENDER_ROWS, models._RENDER_ROWS + 1]
+SPECIAL_ENTRIES = [0, -1, 1, 9999, 10**4, -(10**4), 10**18, -(10**18), I64, -I64 - 1]
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from(RENDER_SIZES),
+    st.lists(st.integers(0, 19), min_size=2, max_size=2),
+    st.integers(0, 2**32),
+    st.lists(
+        st.tuples(st.integers(0, 2**15), st.integers(0, 2), st.sampled_from(SPECIAL_ENTRIES)),
+        max_size=8,
+    ),
+)
+def test_graph_to_text_matches_the_list_encoding_on_random_arrays(m, widths, seed, specials):
+    # each chunk of rows draws entries of its own digit width (19: all of
+    # int64), so chunks may differ in width; zeros, negatives and the
+    # int64 extremes land on drawn cells
+    rng = np.random.default_rng(seed)
+    a = np.empty((m, 3), np.int64)
+    for block, w in zip(range(0, max(m, 1), models._RENDER_ROWS), widths):
+        rows = a[block : block + models._RENDER_ROWS]
+        if w == 19:
+            rows[:] = rng.integers(-(2**63), 2**63, size=rows.shape, dtype=np.int64)
+        else:
+            rows[:] = rng.integers(1 - 10**w, 10**w, size=rows.shape)
+    for row, col, value in specials if m else ():
+        a[row % m, col] = value
+    assert b"".join(models._edge_text(a)) == json.dumps(a.tolist()).encode()
+    # as a graph: endpoints within 1..int64 max, u <= v; arrivals as drawn
+    ends = a[:, :2]
+    ends = np.sort(np.maximum(np.where(ends < 0, ~ends, ends), 1), axis=1)
+    g = MultiGraph(n=I64, edges=np.c_[ends, a[:, 2]], model=Model.TILDE, h=1, seed=0)
+    assert graph_to_text(g) == _list_encoding(g)
+
+
+def test_importing_pamod_leaves_the_digit_tables_unbuilt():
+    # the renderer's tables are built on the first save, not at import
+    script = "import pamod.cli; print(pamod.models._digit_tables.cache_info().currsize)"
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(pathlib.Path(pamod.__file__).parents[1])},
+    )
+    assert out.stdout == "0\n"
+
+
 def test_graph_encoders_refuse_graphs_without_metadata():
     g = MultiGraph.from_pairs(2, [(1, 1), (1, 2)])
     for encode in (graph_to_json, graph_to_text):
@@ -701,14 +752,15 @@ def test_load_graph_hands_json_only_the_header_of_a_saved_file(tmp_path, monkeyp
 
 @pytest.mark.parametrize("model", MODELS)
 def test_graph_codec_peaks_per_edge(model, tmp_path):
-    # the encoder formats one flat list of ints, with no list per edge; a
-    # load of a saved file checks its bytes with a few byte and bool masks
-    # and parses the entries straight into the graph's int64 array
+    # the encoder renders blocks of rows from digit tables, with no Python
+    # object per entry; a load of a saved file checks its bytes with a few
+    # byte and bool masks and parses the entries straight into the graph's
+    # int64 array
     _, g = generate(model, 4, 25_000, 1)
     path = tmp_path / "g.json"
     save_graph(g, path)
     calls = {
-        "graph_to_text": (lambda: graph_to_text(g), 190),
+        "graph_to_text": (lambda: graph_to_text(g), 100),
         "load_graph": (lambda: load_graph(path), 140),
     }
     for name, (call, cap) in calls.items():
@@ -1059,6 +1111,40 @@ def test_edited_graph_files_load_as_the_reference_loads_them(tmp_path, data, sav
     path = tmp_path / "g.json"
     path.write_bytes(data)
     _assert_loads_as_reference(path, saved_route)
+
+
+ARRIVALS = "edge arrival indices must be exactly 1..h*n"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[1, 2, 3]", "[1, 2, 0]", ARRIVALS),
+        ("[1, 2, 3]", "[1, 2, 7]", ARRIVALS),  # h*n + 1
+        ("[1, 2, 4]", "[1, 2, 3]", ARRIVALS),  # 3 twice, 4 never
+        ("[1, 2, 3]", "[2, 1, 3]", None),  # u > v, stored as (1, 2, 3)
+        (
+            "[1, 2, 3]",
+            "[3, 1, 3]",
+            "edge (1,3,3) cannot arise from attachment: its larger endpoint must be ceil(t/h) = 2",
+        ),
+    ],
+    ids=["t=0", "t=h*n+1", "duplicated t", "u>v", "u>v, wrong larger endpoint"],
+)
+def test_both_load_routes_give_the_same_refusal(tmp_path, old, new, message):
+    g = generate(Model.STANDARD, 2, 3, 1)[1]
+    text = graph_to_text(g)
+    assert old in text
+    saved, indented = tmp_path / "saved.json", tmp_path / "indented.json"
+    saved.write_text(text.replace(old, new, 1))
+    indented.write_text(json.dumps(json.loads(saved.read_text()), indent=1) + "\n")
+    assert models._saved_payload(saved.read_bytes()) is not None
+    assert models._saved_payload(indented.read_bytes()) is None
+    for path in (saved, indented):
+        if message is None:
+            assert load_graph(path) == g
+        else:
+            assert _outcome(load_graph, path) == (ValueError, message)
 
 
 @given(small_params)

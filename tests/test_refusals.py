@@ -234,6 +234,12 @@ REFUSALS = [
      "tasks must be a JSON array, got dict"),
     (experiment.ExperimentConfig, (*SWEEP.values(), range(1, 3)),
      "tasks must be a JSON array, got range"),
+    # unknown keys are listed in order of their text, so keys of mixed
+    # types (a Python dict; JSON keys are strings) are still refused
+    (experiment.ExperimentConfig.from_dict, ({**SWEEP, "zz": 1, "aa": 2},),
+     "unknown config keys ['aa', 'zz']"),
+    (experiment.ExperimentConfig.from_dict, ({**SWEEP, 1: 2, "x": 3},),
+     "unknown config keys [1, 'x']"),
 ]
 
 
