@@ -119,6 +119,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_lemma2(args) -> int:
+    if args.seed is not None and args.trials is None:
+        raise ValueError("--seed needs --trials: the exact check draws nothing")
     model = models.Model(args.model)
     raw = models._parse_json(args.spec)
     try:
@@ -138,7 +140,8 @@ def _cmd_lemma2(args) -> int:
     }
     violated = False
     if args.trials is not None:
-        est = events.estimate_cut_event(model, spec, args.trials, args.seed)
+        seed = 0 if args.seed is None else args.seed
+        est = events.estimate_cut_event(model, spec, args.trials, seed)
         payload.update(method="mc", trials=est.trials, hits=est.hits,
                        p_hat=_round12(est.p_hat), std_err=_round12(est.std_err))
     else:
@@ -228,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--spec", required=True, help='JSON {"S": [...], "A": [...]}')
     p.add_argument("--trials", type=int, help="Monte-Carlo instead of exact")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="Monte-Carlo seed (default 0); needs --trials")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_lemma2)
 

@@ -30,13 +30,16 @@ the self-loop slot, so its 0-based draw j is the standard draw r = j + 2.
 The draws do not depend on the history, so runs fill one step-major
 (length, trials) int64 array, row tau-1 holding step tau of every run,
 in the order the generator draws them.  A copy at step tau reads an
-earlier row of its own run, so once a step's draws are in, one gather
-resolves all its copies.  A block of several steps (``generate``'s one
-run) follows pointers within the block until none is left.  Memory is
-the output array plus a few temporaries of max(trials, ``SAMPLER_CHUNK``)
-elements.  ``TARGET_CELL_CAP`` bounds length * trials, so ``generate``
-refuses h*n over 2.5*10^7: in a fresh process (2-core Xeon) h*n = 4*10^6
-takes 0.56 s and 196 MiB peak RSS, and the cap 2.6 s and 1037 MiB.
+earlier row of its own run, so a block of one step (over
+``SAMPLER_CHUNK`` / 2 trials, as in a sweep's 20000) resolves all its
+copies by one gather from rows already resolved.  A block of several
+steps (``generate``'s one run) follows pointers within the block until
+none is left.  Memory is the output array plus a few temporaries of
+max(trials, ``SAMPLER_CHUNK``) elements.  ``TARGET_CELL_CAP`` bounds
+length * trials, so ``generate`` refuses h*n over 2.5*10^7: in a fresh
+process (2-core Xeon) h*n = 4*10^6 takes 0.32-0.42 s and 196 MiB peak
+RSS; the cap took 2.6 s and 1037 MiB before ``merge`` wrote its columns
+directly.
 
 A log keeps its targets as one read-only int64 array, ``target_array``,
 and a graph its (u, v, t) edges as one read-only (m, 3) int64 array,
@@ -48,7 +51,7 @@ the edges from numpy digit tables, with no Python object per entry.
 edges by numpy with no Python object per edge; any other file goes
 through json, with the same checks and messages.  Per 10^5 edges (h=4,
 n=25000, 2-core Xeon) a save takes about 13 ms and peaks at 4.3 MiB, a
-load of a saved file about 30 ms and 11.7 MiB.
+load of a saved file about 25 ms and 10.1 MiB.
 
 ``exact_small_t_distribution`` comes from ``_enumerate_logs``, which
 lists every log of a given length level by level, each with an integer
@@ -81,7 +84,7 @@ _ENUMERATION_CAP = 500_000
 SAMPLER_CHUNK = 1 << 12
 
 # Most cells length * trials of ``_sample_runs`` (h*n for ``generate``): 8 bytes
-# each of int64 output, about 11 with ``estimate_cut_event``'s bool temporaries.
+# each of int64 output, 10 with ``estimate_cut_event``'s two bool temporaries.
 TARGET_CELL_CAP = 25 * 10**6
 
 
@@ -351,14 +354,16 @@ def merge(log: ArrivalLog, *, seed: int | None = None) -> MultiGraph:
     is kept, so mini-level edges inside a block become loops.  ``seed``
     is recorded on the graph as the seed that generated the log.  No
     target comes after its arrival, so e_t is (ceil(target/h), ceil(t/h),
-    t), computed in place in the graph's (h*n, 3) int64 array.
+    t): each column is computed contiguously and written once into the
+    graph's (h*n, 3) int64 array, vertex v repeated h times in the second.
     """
-    t = np.arange(1, len(log.target_array) + 1)
-    cols = np.stack([log.target_array, t, t], axis=1)
-    cols[:, :2] += log.h - 1  # vertex_of, in place
-    cols[:, :2] //= log.h
+    h, n = log.h, log.n
+    cols = np.empty((h * n, 3), np.int64)
+    cols[:, 0] = vertex_of(log.target_array, h)
+    cols[:, 1] = np.repeat(np.arange(1, n + 1), h)
+    cols[:, 2] = np.arange(1, h * n + 1)
     cols.flags.writeable = False
-    return _generated_graph(log.model, log.h, log.n, cols, seed)
+    return _generated_graph(log.model, h, n, cols, seed)
 
 
 def _generated_graph(model: Model, h: int, n: int, edges, seed) -> MultiGraph:
@@ -378,10 +383,13 @@ def _sample_runs(
     step tau of every run, in the order the stream is drawn; the result is
     its transpose, a Fortran-ordered view.  A block is max(1,
     ``SAMPLER_CHUNK`` // trials) whole steps, whose draws land in its rows
-    with no transpose: one step draws with scalar bounds, numpy's fill
-    path, several with array bounds; both give the stream of one
-    scalar-bounded call per step and run.  Temporaries are a few arrays of
-    the block's size.
+    with no transpose: one step draws int32 with scalar bounds, numpy's
+    fill path, several int64 with array bounds; both give the stream of
+    one scalar-bounded int64 call per step and run.  A one-step block
+    builds source indices for its copies only and resolves them by one
+    ``take``; a longer block marks its copies and follows them.
+    Temporaries are a few arrays of the block's size.  Standard 36 x
+    20000 takes about 8 ms and tilde 64 x 20000 about 16 ms (2-core Xeon).
     """
     if (cells := length * trials) > TARGET_CELL_CAP:
         raise ValueError(f"{_shown(cells, str)} cells, over the target cell cap {TARGET_CELL_CAP}")
@@ -389,28 +397,32 @@ def _sample_runs(
     # row 0 is e_1's target 1, which is also the resolved form of r = 1
     out[0] = 1
     flat = out.reshape(-1)
-    lag = np.arange(trials) - trials
     steps = max(1, SAMPLER_CHUNK // trials)
     for tau0 in range(2, length + 1, steps):
         rows = out[tau0 - 1 : tau0 - 1 + steps]
         k = len(rows)
         taus = tau0 if k == 1 else np.arange(tau0, tau0 + k)[:, None]
-        if model is Model.STANDARD:
-            r = rng.integers(1, 2 * taus, size=rows.shape)
-            np.add(r, 1, out=rows)
-        else:  # tilde draw j is the standard draw r = j + 2, of j's parity
-            r = rng.integers(0, 2 * taus - 3, size=rows.shape)
-            np.add(r, 3, out=rows)
+        # tilde draw j is the standard draw r = j + 2, of j's parity; a
+        # one-step block draws int32, the same stream as int64
+        lo, hi, add = (1, 2 * taus, 1) if model is Model.STANDARD else (0, 2 * taus - 3, 3)
+        r = rng.integers(lo, hi, size=rows.shape, dtype=np.int32 if k == 1 else np.int64)
+        np.add(r, add, out=rows)
         rows >>= 1  # odd r: its target (r + 1)/2; even r: the arrival r/2 it copies
-        # A copy reads flat index (r/2 - 1)*trials + run, in an earlier row
-        # of its run; until resolved it holds ~index, which is negative.  In
-        # a one-step block every index lands on a resolved row, so the first
-        # gather resolves them all; in a longer block an index may land on
-        # a copy not yet resolved, whose index is then followed.
-        src = rows * trials
-        src += lag
-        block = rows.reshape(-1)
+        # A copy at run i reads flat index (r/2 - 1)*trials + i, in an
+        # earlier row of its run.
         jump = np.flatnonzero((r & 1) == 0)
+        block = rows.reshape(-1)
+        if k == 1:  # every index lands on a resolved row: one gather
+            src = block[jump]
+            src -= 1
+            src *= trials
+            src += jump
+            block[jump] = flat.take(src)
+            continue
+        # In a longer block an index may land on a copy not yet resolved,
+        # which holds ~index, a negative number, whose index is followed.
+        src = rows * trials
+        src += np.arange(trials) - trials
         src = src.reshape(-1)[jump]
         block[jump] = ~src
         while jump.size:
@@ -450,8 +462,9 @@ def sample_target_matrix(
     ``rng.integers`` call per step and trial in that order.  It differs
     from per-trial ``generate`` calls; reproducibility is per (model,
     length, trials, seed).  The result is a Fortran-ordered view of the
-    step-major (length, trials) array the runs fill.  Memory is the int64
-    output plus a few temporaries of max(trials, ``SAMPLER_CHUNK``)
+    step-major (length, trials) array the runs fill, which
+    ``estimate_cut_event`` reads as ``.T``, C-contiguous.  Memory is the
+    int64 output plus a few temporaries of max(trials, ``SAMPLER_CHUNK``)
     elements; more than ``TARGET_CELL_CAP`` cells are refused before any
     draw.
     """
@@ -766,9 +779,11 @@ def _saved_edges(body: memoryview) -> np.ndarray | None:
 
     Each digit run is one entry.  With every run cut to one ``0`` the body
     must read ``[[0, 0, 0], ...]``, so it holds no other byte, and no run
-    may be a number json reads otherwise (a leading zero) or one past
-    int64 (19 digits and up are left to json).  Deleting ``[``, ``]`` and
-    ``,`` then leaves the entries as space-separated numbers.
+    may be a number json reads otherwise (a leading zero: a run's first
+    digit ``0`` with a digit after it) or one past int64.  Deleting ``[``,
+    ``]`` and ``,`` then leaves the entries as space-separated numbers.
+    numpy's parse saturates past int64 at INT64_MAX, so an entry of 19
+    digits and up reads as at least 10^18 and is left to json.
     """
     b = np.frombuffer(body, np.uint8)
     digit = (b - 48) < 10  # any other byte wraps past 9
@@ -781,15 +796,15 @@ def _saved_edges(body: memoryview) -> np.ndarray | None:
     m = np.count_nonzero(first) // 3
     if runs != b"[" + (b"[0, 0, 0], " * m)[:-2] + b"]":
         return None
-    starts = np.flatnonzero(first)
-    del first
-    extra = np.flatnonzero(digit[:-1] > digit[1:])  # each run's last digit
-    extra -= starts  # each run's digits after its first
-    if m and (extra.max() >= 18 or np.any((b[starts] == 48) & (extra > 0))):
+    lead = b[:-1] == 48  # a leading zero
+    lead &= first[:-1]
+    lead &= digit[1:]
+    if lead.any():
         return None
-    del b, digit, starts, extra  # freed before the parse's copies
+    del b, digit, first, lead  # freed before the parse's copies
     text = body.tobytes().translate(None, b"[],")
-    return np.fromstring(text, np.int64, count=3 * m, sep=" ").reshape(m, 3)
+    cols = np.fromstring(text, np.int64, count=3 * m, sep=" ").reshape(m, 3)
+    return None if cols.max(initial=0) >= 10**18 else cols
 
 
 def _saved_payload(data: bytes) -> dict | None:
@@ -828,8 +843,8 @@ def load_graph(path) -> MultiGraph:
     json with the garbage collector paused, as ``graph_from_json`` takes
     it.  Both routes run the same checks, so a file gives the same graph
     or the same error on either.  Per 10^5 edges (h=4, n=25000, 2-core
-    Xeon) a saved file's load takes about 30 ms and peaks at about 122
-    bytes per edge (11.7 MiB), against 80-100 ms, 215 bytes and 20.5 MiB
+    Xeon) a saved file's load takes about 25 ms and peaks at about 106
+    bytes per edge (10.1 MiB), against 80-100 ms, 215 bytes and 20.5 MiB
     through json.
     """
     with open(path, "rb") as fh:

@@ -307,6 +307,23 @@ def test_lemma2_mc(capsys):
     assert 0 <= payload["p_hat"] <= 1
 
 
+def test_lemma2_seed_needs_trials(capsys):
+    # the exact check used to print its result and exit 0, the seed unread
+    spec = ("--spec", '{"S": [6], "A": [12]}')
+    args = ("lemma2", "--model", "tilde", "--h", "2", "--n", "6", *spec)
+    for seed in ("0", "1"):
+        assert run_main(*args, "--seed", seed) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --seed needs --trials: the exact check draws nothing\n"
+    # --trials alone still runs, with seed 0
+    assert run_main(*args, "--trials", "500") == 0
+    alone = capsys.readouterr().out
+    assert run_main(*args, "--trials", "500", "--seed", "0") == 0
+    assert capsys.readouterr().out == alone
+    assert json.loads(alone)["method"] == "mc"
+
+
 def test_lemma2_rejects_malformed_spec(capsys):
     assert run_main(
         "lemma2", "--model", "standard", "--h", "2", "--n", "2",

@@ -29,6 +29,7 @@ from pamod.cuts import _gray_flip_order, _members
 from pamod.experiment import derive_seed
 from pamod.models import (
     _ENUMERATION_CAP,
+    SAMPLER_CHUNK,
     _check_hn,
     _check_model,
     _enumerate_logs,
@@ -449,6 +450,24 @@ def test_estimate_counts_rows_like_a_per_row_scan(model, subset, arrivals):
         for row in mat
     )
     assert estimate_cut_event(model, spec, trials=3_000, seed=5).hits == hits
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_estimate_holds_two_bool_bytes_per_cell_next_to_the_matrix(model):
+    # the sweep's largest cell: the int64 matrix, two bools per cell for
+    # the event test (the gather and its comparison) and a few blocks of
+    # the sampler
+    h, n, trials = 2, 32, 20_000
+    spec = CutEventSpec(h=h, n=n, subset={n}, arrivals={h * n})
+    estimate_cut_event(model, spec, trials=2, seed=0)  # warm the imports
+    tracemalloc.start()
+    try:
+        estimate_cut_event(model, spec, trials=trials, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = h * n * trials
+    assert peak <= 10 * cells + 4 * 8 * max(trials, SAMPLER_CHUNK), peak / cells
 
 
 def test_estimate_agrees_with_the_exact_law_at_the_golden_mc_cells():

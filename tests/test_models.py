@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -351,6 +352,7 @@ def _block_edge_shapes():
         for length in sorted({2, steps, steps + 1, steps + 2, 2 * steps + 2}):
             yield length, trials
     yield 36, 20_000  # the sweep's Monte-Carlo cells at h*n = 36
+    yield 64, 20_000  # and its tilde cell at n = 32
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -1063,6 +1065,13 @@ def _edited_graph_files():
         ("2**63", entry("[1, 2, 3]", f"[1, 2, {2**63}]"), False),
         ("20 digits", entry("[1, 2, 3]", f"[1, 2, {10**19}]"), False),
         ("19 digits with zeros", entry("[1, 2, 3]", "[1, 2, 0000000000000000003]"), False),
+        ("25 digits", entry("[1, 2, 3]", f"[1, 2, {10**24}]"), False),
+        ("25 nines", entry("[1, 2, 3]", f"[1, 2, {'9' * 25}]"), False),
+        ("18 digits, first entry", entry("[1, 2, 3]", f"[{10**18 - 1}, 2, 3]"), True),
+        ("19 digits, last entry", entry("[1, 3, 6]", f"[1, 3, {10**18}]"), False),
+        ("double zero", entry("[1, 2, 3]", "[1, 00, 3]"), False),
+        ("leading zero, last entry", entry("[1, 3, 6]", "[1, 3, 06]"), False),
+        ("leading zeros, first entry", entry("[1, 1, 1]", "[001, 1, 1]"), False),
         ("float", entry("[1, 2, 3]", "[1, 2, 3.0]"), False),
         ("exponent", entry("[1, 2, 3]", "[1, 2, 1e3]"), False),
         ("true", entry("[1, 2, 3]", "[1, 2, true]"), False),
@@ -1104,6 +1113,16 @@ def _edited_graph_files():
     for name, body, saved_route in layout + entries + headers:
         yield pytest.param(body.encode("utf-8", "surrogateescape"), saved_route, id=name)
     yield pytest.param(b"\xef\xbb\xbf" + text.encode(), False, id="BOM")
+
+
+def test_numpy_text_parse_saturates_past_int64_without_a_warning():
+    # the bytes route parses every entry and leaves a value of 10^18 or
+    # more (19 digits and up) to json, so it relies on this saturation
+    text = b" ".join(str(v).encode() for v in (10**18 - 1, 10**18, 2**63 - 1, 2**63, 10**24))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.fromstring(text + b" " + b"9" * 400, np.int64, count=6, sep=" ")
+    assert got.tolist() == [10**18 - 1, 10**18] + [2**63 - 1] * 4
 
 
 @pytest.mark.parametrize("data, saved_route", _edited_graph_files())

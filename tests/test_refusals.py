@@ -1,6 +1,7 @@
 """Every input rule's refusal, pinned by exact type and message, and the
 one place in ``src/pamod`` where each shared rule is written."""
 
+import argparse
 import ast
 import json
 import math
@@ -240,6 +241,9 @@ REFUSALS = [
      "unknown config keys ['aa', 'zz']"),
     (experiment.ExperimentConfig.from_dict, ({**SWEEP, 1: 2, "x": 3},),
      "unknown config keys [1, 'x']"),
+    # pamod lemma2 --seed without --trials printed the exact result, seed unread
+    (cli._cmd_lemma2, (argparse.Namespace(seed=3, trials=None),),
+     "--seed needs --trials: the exact check draws nothing"),
 ]
 
 
