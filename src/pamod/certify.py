@@ -18,7 +18,9 @@ condition
 
 decides which expansion rates x are certifiable at set-size fraction u;
 for h = 2 the largest admissible multiple of ``precision`` below 1/4 is
-found by binary search (the left side is increasing in x on (0, 1/u)).
+read off a float Newton root of the condition and verified, with binary
+search where the verification fails (the left side is increasing in x
+on (0, 1/u)).
 A grid scan over u then yields the modularity bound constant: with the
 default grid step 1e-4 and precision 1e-5 the minimum lands at
 u = 0.0142 with delta 0.14851, giving the bound 0.92383 after rounding
@@ -28,14 +30,15 @@ The one slack exception: ``complement_term_dominates`` allows
 ``COMPLEMENT_SLACK`` because its two sides are exactly equal at u = 1/2.
 
 ``certify_modularity_bound`` refuses grids of more than
-``GRID_POINT_CAP`` points before it starts.  All grid points bisect in
-lock-step, in numpy blocks of ``_BLOCK`` points, so the temporaries do
-not grow with the grid.  On a 2-core Xeon host the default grid takes
-about 4 ms (0.12 s for one scalar bisection per point), and the cap
-0.9 s; ``pamod certify`` at the cap peaks at 32 MiB RSS.  The trace,
-built only on request, is one read-only float64 table of the grid's
-(u_s, delta_s, term_s) rows, 24 bytes per point; with ``--trace`` the
-cap peaks at 55 MiB in 2.4-3.9 s (about 3 s), most of it writing the CSV.
+``GRID_POINT_CAP`` points before it starts.  All grid points are
+searched together, in numpy blocks of ``_BLOCK`` points, so the
+temporaries do not grow with the grid.  On a 2-core Xeon host the
+default grid takes about 0.5 ms (0.05 s for one scalar bisection per
+point), and the cap 0.12 s; ``pamod certify`` at the cap runs in 0.4 s
+and peaks at 32 MiB RSS.  The trace, built only on request, is one
+read-only float64 table of the grid's (u_s, delta_s, term_s) rows, 24
+bytes per point; with ``--trace`` the cap peaks at 56 MiB in 1.2-1.5 s,
+most of it formatting the CSV.
 
 The blocked search evaluates the rate condition with ``np.log``, which
 may differ from ``math.log`` in the last bit.  Its decisions are still
@@ -70,9 +73,10 @@ EXPANSION_CONSTANT = 0.03418
 # q* <= this for h = 2: certify_modularity_bound() at its default grid
 MODULARITY_CONSTANT = 0.92383
 
-_BLOCK = 2**14  # grid points bisected together; bounds the temporaries
+_BLOCK = 2**14  # grid points searched together; bounds the temporaries
 _LOG_ULP_BUDGET = 4  # assumed max distance of np.log from math.log, in ulp
 _RECHECK_RTOL = 2.0**-46  # 128 unit roundoffs; a flip needs at most 20
+_NEWTON_CAP = 8  # Newton steps of _float_root; 5-7 suffice at precision >= 1e-13
 
 
 def _check_h(h: int) -> None:
@@ -274,6 +278,29 @@ def _rate_holds_h2(us: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return holds
 
 
+def _float_root(us: np.ndarray, precision: float) -> np.ndarray:
+    """Per u in ``us``, a float approximation d of the root of
+    g(d) = ln (e/(u d))^(4d) - ln(1/u), clipped at 1/4.
+
+    Newton steps run from d = ``precision`` with g'(d) = -4 ln(u d).  g is
+    increasing and concave on (0, 1/u), so each tangent meets zero at or
+    left of the root and the iterates rise to it without overshooting.
+    They stop once no point moves by more than ``precision`` / 1000, or
+    after ``_NEWTON_CAP`` steps, which ends the loop where the float
+    spacing of d is coarser than that (precision below about 1e-13).
+    """
+    d = np.full(us.shape, precision)
+    rhs = -np.log(us)  # ln(1/u)
+    for _ in range(_NEWTON_CAP):
+        step = (rhs - _log_rate(2, us, d, np.log)) / (-4.0 * np.log(us * d))
+        nxt = np.minimum(d + step, 0.25)
+        moved = np.abs(nxt - d).max(initial=0.0)
+        d = nxt
+        if moved <= precision / 1000:
+            break
+    return d
+
+
 def _certified_js(us: np.ndarray, precision: float) -> np.ndarray:
     """Per u in ``us``, the largest j with j * precision < 1/4 such that
     d = j * precision is certifiable at u.
@@ -282,11 +309,21 @@ def _certified_js(us: np.ndarray, precision: float) -> np.ndarray:
     holds strictly.  The left side is increasing in d on (0, 1/u), so
     admissible multiples form a prefix and binary search applies: all
     points bisect in lock-step with mid = (lo + hi + 1) // 2, each step
-    moving only the points with lo < hi, so each walks the path of a
-    scalar search.  Callers pass at most ``_BLOCK`` points, which bounds
-    the temporaries.  Below precision 2^-55 there are more than 2^53
-    multiples under 1/4, past float64's exact integers, so the search
-    could not find the top one.
+    moving only the points with lo < hi.
+
+    The brackets start from ``_float_root``'s d.  With j0 = floor(d /
+    precision) clipped to [1, j_max], a point where j0 holds, and j0 + 1
+    fails or j0 = j_max, starts and ends at [j0, j0]; every other point
+    starts at [1, j_max] and walks the path of a scalar search.  d only
+    places brackets: every decision is ``_rate_holds_h2``'s, so the
+    scalar ``_rate_holds``'s.  A verified j is the scalar search's
+    answer, since over a prefix exactly one j holds with j + 1 failing
+    or j = j_max.  At the default grid no point needs the full bracket
+    at precision >= 1e-10; at 1e-15 about 1 in 70 does, where a multiple
+    spans only a few float spacings of d.  Callers pass at most
+    ``_BLOCK`` points, which bounds the temporaries.  Below precision
+    2^-55 there are more than 2^53 multiples under 1/4, past float64's
+    exact integers, so the search could not find the top one.
     """
     if not 2.0**-55 <= precision <= 0.25:
         raise ValueError(f"need 2^-55 <= precision <= 1/4, got {_shown(precision, str)}")
@@ -299,8 +336,13 @@ def _certified_js(us: np.ndarray, precision: float) -> np.ndarray:
     if fails.size:
         u = float(us[fails[0]])
         raise ValueError(f"no multiple of {precision} certifiable at u={u}")
-    lo = np.ones(us.shape, np.int64)
-    hi = np.full(us.shape, j_max, np.int64)
+    j0 = np.floor(_float_root(us, precision) / precision)
+    j0 = np.clip(j0, 1, j_max).astype(np.int64)
+    top = _rate_holds_h2(us, j0 * precision) & (
+        (j0 == j_max) | ~_rate_holds_h2(us, np.minimum(j0 + 1, j_max) * precision)
+    )
+    lo = np.where(top, j0, 1)
+    hi = np.where(top, j0, j_max)
     live = np.flatnonzero(lo < hi)
     while live.size:
         mid = (lo[live] + hi[live] + 1) // 2

@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from pamod import certify as cert
 from pamod import cut_events as events
 from pamod import cuts, modularity, models
@@ -113,8 +111,13 @@ def _cmd_certify(args) -> int:
     }
     _write_or_print(json.dumps(payload) + "\n", args.out)
     if args.trace is not None:
-        np.savetxt(args.trace, result.trace, fmt="%.12g", delimiter=",",
-                   header="u,delta,term", comments="")
+        # the bytes of np.savetxt(fmt="%.12g"), one % operation per block of rows
+        rows, line = result.trace, "%.12g,%.12g,%.12g\n"
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            fh.write("u,delta,term\n")
+            for start in range(0, len(rows), cert._BLOCK):
+                block = rows[start : start + cert._BLOCK]
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
     return EXIT_OK
 
 

@@ -260,9 +260,8 @@ class ArrivalLog(_ColumnRecord):
             raise ValueError("edge e_1 is always the initial loop at mini-vertex 1")
         t = np.arange(1, len(s) + 1)
         hi = t if self.model is Model.STANDARD else np.maximum(t - 1, 1)
-        bad = np.flatnonzero((s < 1) | (s > hi))
-        if bad.size:
-            t = int(bad[0]) + 1
+        if s.min() < 1 or (s > hi).any():
+            t = int(np.flatnonzero((s < 1) | (s > hi))[0]) + 1
             raise ValueError(f"target {s[t - 1]} out of range at arrival {t}")
 
 
@@ -294,10 +293,11 @@ class MultiGraph(_ColumnRecord):
         if self.seed is not None:
             object.__setattr__(self, "seed", _check_seed(self.seed))
         u, v, t = self.edge_array.T
-        outside = (u < 1) | (u > self.n) | (v < 1) | (v > self.n)
-        bad = np.flatnonzero(outside | (u > v))
-        if bad.size:
-            i = bad[0]
+        # 1 <= u <= v <= n holds all four bounds, so three reductions
+        # decide; only a bad graph pays for finding its first bad edge
+        if u.min(initial=1) < 1 or v.max(initial=0) > self.n or (u > v).any():
+            outside = (u < 1) | (u > self.n) | (v < 1) | (v > self.n)
+            i = np.flatnonzero(outside | (u > v))[0]
             if outside[i]:
                 raise ValueError(f"edge ({u[i]},{v[i]}) out of range for n={_shown(self.n, str)}")
             raise ValueError(f"edge ({u[i]},{v[i]},{t[i]}) must be stored with u <= v")

@@ -30,6 +30,7 @@ from pamod.certify import (
     union_bound_sum,
     verify_unimodality,
 )
+from pamod.models import _shown
 
 mpmath.mp.dps = 50
 
@@ -709,3 +710,123 @@ def test_np_log_stays_within_the_recheck_budget():
     assert ulps.max() <= certify._LOG_ULP_BUDGET
     # a flip needs a gap within (4 b + 4) unit roundoffs; the tolerance is wider
     assert (4 * certify._LOG_ULP_BUDGET + 4) * 2.0**-53 < certify._RECHECK_RTOL
+
+
+# ----------------------------- the Newton-started search against the bisection
+
+
+def _bisected_js(us: np.ndarray, precision: float) -> np.ndarray:
+    """The lock-step bisection from [1, j_max] at every point, as
+    ``certify._certified_js`` ran before its brackets started from a
+    float root; kept verbatim but for the module prefixes."""
+    if not 2.0**-55 <= precision <= 0.25:
+        raise ValueError(f"need 2^-55 <= precision <= 1/4, got {_shown(precision, str)}")
+    j_max = int(math.floor(0.25 / precision))
+    while j_max * precision >= 0.25:
+        j_max -= 1
+    if j_max < 1:
+        raise ValueError(f"precision {precision} leaves no admissible multiples")
+    fails = np.flatnonzero(~certify._rate_holds_h2(us, np.full(us.shape, precision)))
+    if fails.size:
+        u = float(us[fails[0]])
+        raise ValueError(f"no multiple of {precision} certifiable at u={u}")
+    lo = np.ones(us.shape, np.int64)
+    hi = np.full(us.shape, j_max, np.int64)
+    live = np.flatnonzero(lo < hi)
+    while live.size:
+        mid = (lo[live] + hi[live] + 1) // 2
+        ok = certify._rate_holds_h2(us[live], mid * precision)
+        lo[live[ok]] = mid[ok]
+        hi[live[~ok]] = mid[~ok] - 1
+        live = live[lo[live] < hi[live]]
+    return lo
+
+
+def _grid_blocks(grid_step: float):
+    """The u arrays ``certify_modularity_bound`` hands ``_certified_js``."""
+    steps = round(0.5 / grid_step)
+    for start in range(0, steps, certify._BLOCK):
+        yield np.arange(start + 1, min(start + certify._BLOCK, steps) + 1) * grid_step
+
+
+def _counted_rate_calls(monkeypatch):
+    """Patch ``_rate_holds_h2`` to log the point count of each call."""
+    sizes = []
+    vector = certify._rate_holds_h2
+
+    def counting(us, xs):
+        sizes.append(len(us))
+        return vector(us, xs)
+
+    monkeypatch.setattr(certify, "_rate_holds_h2", counting)
+    return sizes
+
+
+PRECISIONS = [1e-3, 1e-5, 1e-7, 1e-10, 1e-13, 1e-15, 2.0**-55]
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("grid_step", [1e-4, 1e-3, 2.5e-5])
+def test_certified_js_equal_the_full_bisection_on_the_pinned_grids(grid_step, precision):
+    for us in _grid_blocks(grid_step):
+        assert np.array_equal(
+            certify._certified_js(us, precision), _bisected_js(us, precision)
+        )
+
+
+def _js_outcome(fn, us, precision):
+    try:
+        return fn(us, precision).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(
+    st.lists(st.floats(min_value=0.0, max_value=0.5, exclude_min=True), min_size=1, max_size=40),
+    st.one_of(st.sampled_from(PRECISIONS), st.floats(min_value=1e-9, max_value=0.25)),
+)
+@example([5e-324, 0.5], 1e-5)
+@example([1e-300, 1e-30, 1e-6], 0.0625)
+def test_certified_js_equal_the_full_bisection_on_random_points(us, precision):
+    us = np.array(us)
+    assert _js_outcome(certify._certified_js, us, precision) == _js_outcome(
+        _bisected_js, us, precision
+    )
+
+
+def test_a_verified_start_leaves_the_bisection_nothing_to_do(monkeypatch):
+    # one pass for the precision check, two to verify j0 and j0 + 1; the
+    # full bisection at precision 1e-5 takes 16 more
+    sizes = _counted_rate_calls(monkeypatch)
+    certify_modularity_bound()
+    assert sizes == [5000, 5000, 5000]
+    # where every point's answer is j_max = 3 (j_max + 1 is not a multiple
+    # below 1/4, so it is never asked), j0 = j_max is verified by itself
+    us = np.logspace(-30, -6, 200)
+    sizes.clear()
+    got = certify._certified_js(us, 0.0625)
+    assert got.tolist() == [3] * 200 and len(sizes) == 3
+
+
+def test_points_whose_start_fails_verification_take_the_full_bracket(monkeypatch):
+    # at precision 1e-15 a multiple is a few float spacings of d, so the
+    # float root lands on the wrong multiple at a few points; those (and
+    # only those) bisect from [1, j_max], to the same answers
+    us = next(_grid_blocks(1e-4))
+    sizes = _counted_rate_calls(monkeypatch)
+    got = certify._certified_js(us, 1e-15)
+    assert len(sizes) > 3 and 0 < sizes[3] < len(us) // 20
+    monkeypatch.undo()
+    assert np.array_equal(got, _bisected_js(us, 1e-15))
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+def test_a_poor_float_start_costs_passes_not_answers(steps, monkeypatch):
+    # with too few Newton steps j0 falls short of the answer; the j0 + 1
+    # check sends those points to the full bracket
+    monkeypatch.setattr(certify, "_NEWTON_CAP", steps)
+    for precision in (1e-3, 1e-5, 1e-10):
+        us = next(_grid_blocks(1e-4))
+        assert np.array_equal(
+            certify._certified_js(us, precision), _bisected_js(us, precision)
+        )

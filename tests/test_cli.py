@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pamod import certify as cert
@@ -253,6 +254,29 @@ def test_certify_trace_bytes_are_pinned(tmp_path, step, lines, digest):
     data = trace.read_bytes()
     assert data.count(b"\n") == lines
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "step", ["0.001", repr(0.5 / (cert._BLOCK - 1)), repr(0.5 / cert._BLOCK),
+             repr(0.5 / (cert._BLOCK + 1))],
+)
+def test_certify_trace_bytes_are_those_of_savetxt(tmp_path, step):
+    # the writer formats a block of rows per % operation; a grid of one
+    # row under, at and over a block must still give np.savetxt's bytes
+    trace, want = tmp_path / "trace.csv", tmp_path / "savetxt.csv"
+    assert run_main("certify", "--grid-step", step, "--trace", str(trace)) == 0
+    rows = cert.certify_modularity_bound(grid_step=float(step), with_trace=True).trace
+    np.savetxt(want, rows, fmt="%.12g", delimiter=",", header="u,delta,term", comments="")
+    assert trace.read_bytes() == want.read_bytes()
+    assert trace.read_bytes().count(b"\n") == 1 + round(0.5 / float(step))
+
+
+def test_certify_refuses_an_unwritable_trace_path(tmp_path, capsys):
+    missing = tmp_path / "no_such_dir" / "trace.csv"
+    for path in (missing, tmp_path):
+        assert run_main("certify", "--grid-step", "0.001", "--trace", str(path)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not missing.parent.exists()
 
 
 def test_certify_bad_grid():

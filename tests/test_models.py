@@ -1496,6 +1496,44 @@ def test_graph_outcomes_match_tuple_loop_on_random_edges(n, edges):
     assert got == want if isinstance(got, tuple) else want is None
 
 
+# one bad edge of each kind: u below 1, v below 1, u past n, v past n,
+# and u > v with both ends in range
+_BAD_EDGES = [(0, 5), (1, 0), (21, 21), (1, 21), (3, 2)]
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("u, v", _BAD_EDGES)
+def test_graph_check_finds_the_bad_edge_wherever_it_sits(where, u, v):
+    # the reductions only tell that some edge is bad; the message names
+    # the tuple loop's first one, so each bound must still reach it
+    _, g = generate(Model.STANDARD, 2, 20, 3)
+    edges = g.edge_array.copy()
+    i = {"first": 0, "middle": len(edges) // 2, "last": len(edges) - 1}[where]
+    edges[i, :2] = u, v
+    got = _outcome(MultiGraph, 20, edges)
+    assert isinstance(got, tuple)
+    assert got == _outcome(_reference_check_graph, 20, edges.tolist())
+
+
+def test_graph_check_accepts_an_empty_edge_set():
+    for n in (1, 7):
+        assert MultiGraph(n, ()).m == 0
+        assert MultiGraph(n, np.empty((0, 3), np.int64)).degrees == (0,) * (n + 1)
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("where", [1, "middle", "last"])
+@pytest.mark.parametrize("bad", [0, -3, "past"])
+def test_arrival_log_check_finds_the_bad_target_wherever_it_sits(model, where, bad):
+    log, _ = generate(model, 2, 20, 3)
+    targets = log.target_array.copy()
+    i = {1: 1, "middle": len(targets) // 2, "last": len(targets) - 1}[where]
+    targets[i] = i + 2 if bad == "past" else bad  # arrival i + 1 may reach i + 1
+    got = _outcome(ArrivalLog, model, 2, 20, targets)
+    assert isinstance(got, tuple)
+    assert got == _outcome(_reference_check_log, model, 2, 20, targets.tolist())
+
+
 @pytest.mark.parametrize(
     "edges",
     [
