@@ -42,11 +42,13 @@ RSS; the cap took 2.6 s and 1037 MiB before ``merge`` wrote its columns
 directly.
 
 A log keeps its targets as one read-only int64 array, ``target_array``,
-and a graph its (u, v, t) edges as one read-only (m, 3) int64 array,
-``edge_array``; all code here works on these.  ``targets`` and ``edges``
-read as tuples of Python ints, rebuilt on every read.  ``save_graph``
-and ``pamod gen`` write the same text, ``graph_to_text``, which renders
-the edges from numpy digit tables, with no Python object per entry.
+and a graph its (u, v, t) edges, 1 <= u <= v <= n and t >= 1, as one
+read-only (m, 3) int64 array, ``edge_array``; all code here works on
+these.  A graph's ``model`` alone says whether its first loop weighs 1
+(tilde) or 2.  ``targets`` and ``edges`` read as tuples of Python ints,
+rebuilt on every read.  ``save_graph`` and ``pamod gen`` write the same
+text, ``graph_to_text``, which renders the positive entries from numpy
+digit tables, with no Python object per entry.
 ``load_graph`` reads a file byte-identical to that text as bytes, its
 edges by numpy with no Python object per edge; any other file goes
 through json, with the same checks and messages.  Per 10^5 edges (h=4,
@@ -269,17 +271,16 @@ class ArrivalLog(_ColumnRecord):
 class MultiGraph(_ColumnRecord):
     """Undirected multigraph with loops, vertices 1..n.
 
-    Each edge is a row (u, v, t) of ``edge_array``, u <= v and t its
-    arrival index.  Loops contribute 2 to the degree, except that when
-    ``first_loop_weight1`` is set the loop with arrival index 1 contributes
-    only 1 (the tilde model's initial loop).  Generation metadata (model,
-    h, seed) rides along when known, checked as ``generate`` checks it;
-    handcrafted fixtures may leave it unset.
+    Each edge is a row (u, v, t) of ``edge_array``, u <= v and t >= 1 its
+    arrival index.  Loops contribute 2 to the degree, except that in a
+    ``Model.TILDE`` graph the loop with arrival index 1 contributes only 1
+    (the tilde model's initial loop).  Generation metadata (model, h,
+    seed) rides along when known, checked as ``generate`` checks it;
+    handcrafted fixtures may leave it unset, or set only the model.
     """
 
     n: int
     edges: tuple[tuple[int, int, int], ...] = _IntColumns("edge_array", 3)
-    first_loop_weight1: bool = False
     model: Model | None = None
     h: int | None = None
     seed: int | None = None
@@ -293,23 +294,27 @@ class MultiGraph(_ColumnRecord):
         if self.seed is not None:
             object.__setattr__(self, "seed", _check_seed(self.seed))
         u, v, t = self.edge_array.T
-        # 1 <= u <= v <= n holds all four bounds, so three reductions
-        # decide; only a bad graph pays for finding its first bad edge
-        if u.min(initial=1) < 1 or v.max(initial=0) > self.n or (u > v).any():
+        # 1 <= u <= v <= n holds all four bounds on u and v, so with t >= 1
+        # four reductions decide; only a bad graph pays for finding its
+        # first bad edge
+        if (
+            u.min(initial=1) < 1 or v.max(initial=0) > self.n or (u > v).any()
+            or t.min(initial=1) < 1
+        ):
             outside = (u < 1) | (u > self.n) | (v < 1) | (v > self.n)
-            i = np.flatnonzero(outside | (u > v))[0]
+            i = np.flatnonzero(outside | (u > v) | (t < 1))[0]
             if outside[i]:
                 raise ValueError(f"edge ({u[i]},{v[i]}) out of range for n={_shown(self.n, str)}")
-            raise ValueError(f"edge ({u[i]},{v[i]},{t[i]}) must be stored with u <= v")
+            if u[i] > v[i]:
+                raise ValueError(f"edge ({u[i]},{v[i]},{t[i]}) must be stored with u <= v")
+            raise ValueError(f"edge ({u[i]},{v[i]},{t[i]}) has arrival index below 1")
 
     @classmethod
-    def from_pairs(
-        cls, n: int, pairs, *, first_loop_weight1: bool = False
-    ) -> "MultiGraph":
+    def from_pairs(cls, n: int, pairs, *, model: Model | None = None) -> "MultiGraph":
         """Build a fixture graph from (u, v) pairs; arrivals are 1,2,..."""
         ends = np.sort(np.asarray(pairs).reshape(len(pairs), 2), axis=1)
         edges = np.c_[ends, np.arange(1, len(ends) + 1)]
-        return cls(n=n, edges=edges, first_loop_weight1=first_loop_weight1)
+        return cls(n=n, edges=edges, model=model)
 
     @property
     def m(self) -> int:
@@ -320,7 +325,7 @@ class MultiGraph(_ColumnRecord):
         """Degree per vertex, index 0 unused."""
         u, v, t = self.edge_array.T
         deg = np.bincount(np.concatenate([u, v]), minlength=self.n + 1)
-        if self.first_loop_weight1:
+        if self.model is Model.TILDE:  # its first loop weighs 1
             deg -= np.bincount(u[(u == v) & (t == 1)], minlength=self.n + 1)
         return tuple(deg.tolist())
 
@@ -363,15 +368,7 @@ def merge(log: ArrivalLog, *, seed: int | None = None) -> MultiGraph:
     cols[:, 1] = np.repeat(np.arange(1, n + 1), h)
     cols[:, 2] = np.arange(1, h * n + 1)
     cols.flags.writeable = False
-    return _generated_graph(log.model, h, n, cols, seed)
-
-
-def _generated_graph(model: Model, h: int, n: int, edges, seed) -> MultiGraph:
-    """A run's graph: only a tilde run has a weight-1 first loop."""
-    return MultiGraph(
-        n=n, edges=edges, first_loop_weight1=(model is Model.TILDE),
-        model=model, h=h, seed=seed,
-    )
+    return MultiGraph(n=n, edges=cols, model=log.model, h=h, seed=seed)
 
 
 def _sample_runs(
@@ -562,17 +559,17 @@ def exact_small_t_distribution(
     values sum to 1.  The law of the log prefix does not depend on h or
     n, only on its length.
 
-    The enumerator's cap admits t_max <= 9 standard and 10 tilde.  The
-    map dominates memory at about 0.5 KiB per entry: its 9! entries at
-    standard t_max = 9 take 0.7 s and 210 MiB peak RSS (2-core Xeon).
+    The enumerator's cap admits t_max <= 9 standard and 10 tilde.  Logs
+    of equal numerator share one ``Fraction`` (27 of them for the 9! logs
+    at standard t_max = 9), so the map holds about 170 bytes per entry,
+    mostly its key tuples: those 9! entries take 0.3-0.4 s and 160 MiB
+    peak RSS in a fresh process (2-core Xeon).
     """
     model = _check_model(model)
     _check_count(t_max, "t_max")
     targets, nums, denom = _enumerate_logs(model, t_max)
-    return {
-        tuple(row): Fraction(num, denom)
-        for row, num in zip(targets.tolist(), nums.tolist())
-    }
+    fracs = {num: Fraction(num, denom) for num in np.unique(nums).tolist()}
+    return dict(zip(zip(*targets.T.tolist()), map(fracs.__getitem__, nums.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -593,17 +590,15 @@ def graph_to_json(graph: MultiGraph) -> dict:
 
 @cache
 def _digit_tables() -> np.ndarray:
-    """The uint32 slot of every 4-digit chunk value c, in three tables of
+    """The uint32 slot of every 4-digit chunk value c, in two tables of
     10^4: at c its digits with leading zeros, at 10^4 + c with them as
-    ``\\0``, at 2*10^4 + c the same but 0 as ``0``.  Built as bytes and
-    viewed as uint32, so no slot depends on the byte order."""
+    ``\\0``.  Built as bytes and viewed as uint32, so no slot depends on
+    the byte order."""
     c = np.arange(10**4, dtype=np.uint16)[:, None]
     places = (10 ** np.arange(3, -1, -1)).astype(np.uint16)
     digits = (c // places % 10 + 48).astype(np.uint8)
     lead = digits * (c >= places)  # a leading zero becomes \0
-    zero = lead.copy()
-    zero[0, 3] = 48
-    tables = np.concatenate([digits, lead, zero]).reshape(-1).view(np.uint32)
+    tables = np.concatenate([digits, lead]).reshape(-1).view(np.uint32)
     tables.flags.writeable = False
     return tables
 
@@ -614,40 +609,37 @@ _RENDER_ROWS = 1 << 14
 
 def _edge_text(edges: np.ndarray):
     """The bytes ``json.dumps`` gives for ``edges.tolist()``, an (m, w)
-    int64 array, in pieces, with no Python object per entry.
+    int64 array of positive entries, in pieces, with no Python object per
+    entry.
 
     Each row is a run of uint32 slots: per entry a prefix slot (``[`` or
-    ``, ``, then ``\\0`` padding, the ``-`` of a negative entry in byte
-    3) and K slots of 4 digits each, then a ``], `` slot.  A chunk's slot
-    comes from ``_digit_tables``: with leading zeros as ``\\0`` while the
-    chunks above it are all zero, and ``0`` for the last chunk of the
-    value 0.  K covers the largest magnitude of the whole array, so every
-    block of ``_RENDER_ROWS`` rows has the same layout, and deleting
-    ``\\0`` leaves the text.
+    ``, ``, then ``\\0`` padding) and K slots of 4 digits each, then a
+    ``], `` slot.  A chunk's slot comes from ``_digit_tables``: with
+    leading zeros as ``\\0`` while the chunks above it are all zero, so a
+    chunk above the entry's top is all ``\\0``.  K covers the largest
+    entry of the whole array, so every block of ``_RENDER_ROWS`` rows has
+    the same layout, and deleting ``\\0`` leaves the text.
     """
     tables = _digit_tables()
     m, width = edges.shape
-    widest = max(-int(edges.min(initial=0)), int(edges.max(initial=0)))
-    k = -(-len(str(widest)) // 4)  # its 4-digit chunks
-    # slots from bytes, as the tables are: by 2 * (first entry) + (negative)
-    prefix = np.frombuffer(b", \0\0, \0-[\0\0\0[\0\0-", np.uint32)
+    k = -(-len(str(int(edges.max(initial=1)))) // 4)  # its 4-digit chunks
+    # slots from bytes, as the tables are
+    prefix = np.frombuffer(b"[\0\0\0" + b", \0\0" * (width - 1), np.uint32)
     close, last = np.frombuffer(b"], \0]\0\0\0", np.uint32)
-    first = np.array([2] + [0] * (width - 1), np.uint8)
     place = np.uint64(10**4)
     yield b"["
     for lo in range(0, m, _RENDER_ROWS):
         block = edges[lo : lo + _RENDER_ROWS]
         slots = np.empty((len(block), width * (1 + k) + 1), np.uint32)
         cells = slots[:, :-1].reshape(len(block), width, 1 + k)
-        cells[:, :, 0] = np.take(prefix, first + (block < 0).view(np.uint8))
+        cells[:, :, 0] = prefix
         slots[:, -1] = close
-        q = np.abs(block).view(np.uint64)  # |INT64_MIN| wraps to 2^63 as uint64
+        q = block.astype(np.uint64)
         for j in range(k, 0, -1):  # the last chunk first
             r = q
             q = r // place
             r -= q * place
-            # leading zeros below a nonzero chunk, else none (and 0 as 0 last)
-            r += (q == 0) * (place * np.uint64(1 + (j == k)))
+            r += (q == 0) * place  # leading zeros below a nonzero chunk, else none
             cells[:, :, j] = np.take(tables, r)
         if lo + _RENDER_ROWS >= m:
             slots[-1, -1] = last
@@ -760,7 +752,7 @@ def _checked_graph(payload: dict, columns) -> MultiGraph:
             f"endpoint must be ceil(t/h) = {vertex_of(t0, h)}"
         )
     cols.flags.writeable = False
-    graph = _generated_graph(model, h, n, cols, seed)
+    graph = MultiGraph(n=n, edges=cols, model=model, h=h, seed=seed)
     # A tilde arrival never targets itself, so a loop at the first
     # mini-vertex of its block (t = (v-1)*h + 1) has no earlier mini there.
     bad = np.flatnonzero((lo == hi) & ((t - 1) % h == 0) & (t > 1))
@@ -839,18 +831,21 @@ def load_graph(path) -> MultiGraph:
     A file byte-identical to what ``save_graph`` writes is read as bytes:
     its header by json, its edges by numpy straight into the graph's
     (m, 3) int64 array, with no Python object per edge.  Any other file
-    (indented, CRLF, hand-edited, invalid) is read as text and parsed by
-    json with the garbage collector paused, as ``graph_from_json`` takes
-    it.  Both routes run the same checks, so a file gives the same graph
-    or the same error on either.  Per 10^5 edges (h=4, n=25000, 2-core
-    Xeon) a saved file's load takes about 25 ms and peaks at about 106
-    bytes per edge (10.1 MiB), against 80-100 ms, 215 bytes and 20.5 MiB
-    through json.
+    (indented, CRLF, hand-edited, invalid) is decoded from the same bytes
+    as text mode would and parsed by json with the garbage collector
+    paused, as ``graph_from_json`` takes it; the file is read once.  Both
+    routes run the same checks, so a file gives the same graph or the
+    same error on either.  Per 10^5 edges (h=4, n=25000, 2-core Xeon) a
+    saved file's load takes about 25 ms and peaks at about 106 bytes per
+    edge (10.1 MiB), against 80-100 ms, 215 bytes and 20.5 MiB through
+    json.
     """
     with open(path, "rb") as fh:
-        payload = _saved_payload(fh.read())
-    if payload is not None:
-        return _checked_graph(payload, lambda cols: cols)
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = _parse_json(fh.read())
-    return graph_from_json(payload)
+        data = fh.read()
+    payload, columns = _saved_payload(data), lambda cols: cols
+    if payload is None:
+        # decoded as text mode reads it: UTF-8, each \r\n or lone \r a \n
+        data = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        payload, columns = _parse_json(data), _edge_columns
+    del data  # freed before the checks
+    return _checked_graph(payload, columns)

@@ -44,7 +44,7 @@ def corpus():
 @pytest.fixture(scope="session")
 def multigraphs():
     """Forty seeded random multigraphs with loops and multi-edges, n <= 12;
-    every other one has the tilde model's weight-1 first loop."""
+    every other one is a ``Model.TILDE`` graph, whose first loop weighs 1."""
     rnd = random.Random(11)
     graphs = []
     for i in range(40):
@@ -52,5 +52,5 @@ def multigraphs():
         pairs = [
             (rnd.randint(1, n), rnd.randint(1, n)) for _ in range(rnd.randint(0, 3 * n))
         ]
-        graphs.append(MultiGraph.from_pairs(n, pairs, first_loop_weight1=bool(i % 2)))
+        graphs.append(MultiGraph.from_pairs(n, pairs, model=Model.TILDE if i % 2 else None))
     return graphs

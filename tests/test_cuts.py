@@ -112,7 +112,7 @@ MULTI = MultiGraph.from_pairs(
     6, [(1, 1), (1, 2), (2, 1), (2, 2), (2, 2), (3, 5), (5, 3), (5, 3), (1, 5), (4, 4)]
 )
 MULTI_W1 = MultiGraph.from_pairs(
-    5, [(1, 1), (1, 1), (1, 3), (3, 4), (4, 3), (2, 5), (5, 5)], first_loop_weight1=True
+    5, [(1, 1), (1, 1), (1, 3), (3, 4), (4, 3), (2, 5), (5, 5)], model=Model.TILDE
 )
 
 

@@ -86,7 +86,7 @@ def test_merge_standard_fixture():
 def test_merge_tilde_fixture():
     log = ArrivalLog(Model.TILDE, h=2, n=2, targets=(1, 1, 2, 3))
     g = merge(log)
-    assert g.first_loop_weight1
+    assert g.model is Model.TILDE
     assert g.degree(1) == 4
     assert g.degree(2) == 3
     assert g.volume == 7
@@ -514,9 +514,28 @@ def test_from_pairs_counts_loops():
     g = MultiGraph.from_pairs(2, [(1, 1), (1, 2)])
     assert g.degree(1) == 3
     assert g.degree(2) == 1
-    g1 = MultiGraph.from_pairs(2, [(1, 1), (1, 2)], first_loop_weight1=True)
+    g1 = MultiGraph.from_pairs(2, [(1, 1), (1, 2)], model=Model.TILDE)
     assert g1.degree(1) == 2
     assert g1.volume == 3
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
+def test_degrees_follow_the_model_on_generated_and_loaded_graphs(model, h, tmp_path):
+    # read off the log: arrival t adds 1 at ceil(t/h) and 1 at its
+    # target's vertex, except that the tilde e_1 adds 1 in all
+    log, g = generate(model, h, 30, 5)
+    want = [0] * 31
+    for t, s in enumerate(log.targets, start=1):
+        want[vertex_of(t, h)] += 1
+        want[vertex_of(s, h)] += t > 1 or model is Model.STANDARD
+    saved, indented = tmp_path / "saved.json", tmp_path / "indented.json"
+    save_graph(g, saved)
+    indented.write_text(json.dumps(graph_to_json(g), indent=1))  # the json route
+    for graph in (g, load_graph(saved), load_graph(indented)):
+        assert graph.model is model
+        assert graph.degrees == tuple(want) == _reference_degrees(graph)
+        assert graph.volume == 2 * graph.m - (model is Model.TILDE)
 
 
 def test_arrival_log_rejects_non_integer_targets():
@@ -615,8 +634,8 @@ I64 = 2**63 - 1
     [
         (1, []),
         (1, [(1, 1, 1)]),
-        (3, [(1, 2, -1), (2, 3, -40), (1, 1, 0)]),
-        (2, [(1, 2, I64), (1, 1, -I64), (2, 2, -I64 - 1)]),
+        (2, [(1, 2, I64), (1, 1, 1), (2, 2, 10**4)]),
+        (I64, [(1, I64, 9999), (I64, I64, 10**18)]),
         (12345, [(9, 10, 11), (99, 12345, 100), (1000, 1000, 123456789)]),
     ],
 )
@@ -624,6 +643,40 @@ def test_graph_to_text_matches_the_list_encoding(model, n, edges):
     for h, seed in [(1, 0), (7, 2**64 - 1)]:
         g = MultiGraph(n=n, edges=edges, model=model, h=h, seed=seed)
         assert graph_to_text(g) == _list_encoding(g)
+
+
+@pytest.mark.parametrize(
+    "n, edges, named",
+    [
+        (3, [(1, 2, -1), (2, 3, -40), (1, 1, 0)], (1, 2, -1)),
+        (3, [(1, 2, 5), (2, 3, -40), (1, 1, 0)], (2, 3, -40)),
+        (3, [(1, 2, 5), (2, 3, 6), (1, 1, 0)], (1, 1, 0)),
+        (2, [(1, 2, I64), (1, 1, -I64), (2, 2, -I64 - 1)], (1, 1, -I64)),
+        (2, [(1, 2, I64), (2, 2, -I64 - 1)], (2, 2, -I64 - 1)),
+    ],
+)
+def test_graph_refuses_arrival_indices_below_1(n, edges, named):
+    # no process gives such an arrival and no graph file holds one
+    message = "edge ({},{},{}) has arrival index below 1".format(*named)
+    with pytest.raises(ValueError) as err:
+        MultiGraph(n=n, edges=edges, model=Model.TILDE, h=1, seed=0)
+    assert str(err.value) == message
+    assert _outcome(_reference_check_graph, n, edges) == (ValueError, message)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("t", [0, -1, -(2**63)])
+def test_graph_names_the_first_arrival_index_below_1(where, t):
+    # a later bad arrival must not hide the first one, in row order
+    _, g = generate(Model.STANDARD, 2, 20, 3)
+    edges = g.edge_array.copy()
+    i = {"first": 0, "middle": len(edges) // 2, "last": len(edges) - 1}[where]
+    edges[i, 2] = t
+    edges[i + 1 :, 2] = -7
+    u, v, _t = edges[i].tolist()
+    with pytest.raises(ValueError, match=rf"^edge \({u},{v},{t}\) has arrival index below 1$"):
+        MultiGraph(20, edges)
+    assert _outcome(MultiGraph, 20, edges) == _outcome(_reference_check_graph, 20, edges.tolist())
 
 
 def test_graph_to_text_matches_the_golden_file():
@@ -634,13 +687,13 @@ def test_graph_to_text_matches_the_golden_file():
 
 # every chunk-boundary size of the renderer, and a few below one chunk
 RENDER_SIZES = [0, 1, 2, models._RENDER_ROWS - 1, models._RENDER_ROWS, models._RENDER_ROWS + 1]
-SPECIAL_ENTRIES = [0, -1, 1, 9999, 10**4, -(10**4), 10**18, -(10**18), I64, -I64 - 1]
+SPECIAL_ENTRIES = [1, 9999, 10**4, 10**18, I64]
 
 
 @settings(max_examples=40)
 @given(
     st.sampled_from(RENDER_SIZES),
-    st.lists(st.integers(0, 19), min_size=2, max_size=2),
+    st.lists(st.integers(1, 19), min_size=2, max_size=2),
     st.integers(0, 2**32),
     st.lists(
         st.tuples(st.integers(0, 2**15), st.integers(0, 2), st.sampled_from(SPECIAL_ENTRIES)),
@@ -648,23 +701,19 @@ SPECIAL_ENTRIES = [0, -1, 1, 9999, 10**4, -(10**4), 10**18, -(10**18), I64, -I64
     ),
 )
 def test_graph_to_text_matches_the_list_encoding_on_random_arrays(m, widths, seed, specials):
-    # each chunk of rows draws entries of its own digit width (19: all of
-    # int64), so chunks may differ in width; zeros, negatives and the
-    # int64 extremes land on drawn cells
+    # each chunk of rows draws positive entries of its own digit width (19:
+    # all of positive int64), so chunks may differ in width; chunk
+    # boundaries and int64's largest value land on drawn cells
     rng = np.random.default_rng(seed)
     a = np.empty((m, 3), np.int64)
     for block, w in zip(range(0, max(m, 1), models._RENDER_ROWS), widths):
         rows = a[block : block + models._RENDER_ROWS]
-        if w == 19:
-            rows[:] = rng.integers(-(2**63), 2**63, size=rows.shape, dtype=np.int64)
-        else:
-            rows[:] = rng.integers(1 - 10**w, 10**w, size=rows.shape)
+        rows[:] = rng.integers(1, I64 if w == 19 else 10**w, size=rows.shape, endpoint=w == 19)
     for row, col, value in specials if m else ():
         a[row % m, col] = value
     assert b"".join(models._edge_text(a)) == json.dumps(a.tolist()).encode()
     # as a graph: endpoints within 1..int64 max, u <= v; arrivals as drawn
-    ends = a[:, :2]
-    ends = np.sort(np.maximum(np.where(ends < 0, ~ends, ends), 1), axis=1)
+    ends = np.sort(a[:, :2], axis=1)
     g = MultiGraph(n=I64, edges=np.c_[ends, a[:, 2]], model=Model.TILDE, h=1, seed=0)
     assert graph_to_text(g) == _list_encoding(g)
 
@@ -757,13 +806,16 @@ def test_graph_codec_peaks_per_edge(model, tmp_path):
     # the encoder renders blocks of rows from digit tables, with no Python
     # object per entry; a load of a saved file checks its bytes with a few
     # byte and bool masks and parses the entries straight into the graph's
-    # int64 array
+    # int64 array; any other file holds only its text while json parses
+    # it and no copy of it while the edges are checked
     _, g = generate(model, 4, 25_000, 1)
-    path = tmp_path / "g.json"
+    path, indented = tmp_path / "g.json", tmp_path / "indented.json"
     save_graph(g, path)
+    indented.write_text(json.dumps(graph_to_json(g), indent=1))
     calls = {
         "graph_to_text": (lambda: graph_to_text(g), 100),
         "load_graph": (lambda: load_graph(path), 140),
+        "load_graph, json route": (lambda: load_graph(indented), 230),
     }
     for name, (call, cap) in calls.items():
         tracemalloc.start()
@@ -806,7 +858,6 @@ def _reference_merge(log: ArrivalLog, *, seed: int | None = None) -> MultiGraph:
     return MultiGraph(
         n=log.n,
         edges=tuple(edges),
-        first_loop_weight1=(log.model is Model.TILDE),
         model=log.model,
         h=h,
         seed=seed,
@@ -845,7 +896,6 @@ def _reference_graph_from_json(payload: dict) -> MultiGraph:
     return MultiGraph(
         n=n,
         edges=edges,
-        first_loop_weight1=(model is Model.TILDE),
         model=model,
         h=h,
         seed=seed,
@@ -1045,6 +1095,9 @@ def _edited_graph_files():
         ("no trailing newline", text[:-1], False),
         ("CRLF", text.replace("\n", "\r\n"), False),
         ("CR", text.replace("\n", "\r"), False),
+        # json's error names the line and character text mode reads
+        ("CR before an error", text[:-1] + "\rx", False),
+        ("CRLF before an error", text[:-1] + "\r\nx", False),
         ("space before the newline", text[:-1] + " \n", False),
         ("trailing bytes", text + "x", False),
         ("second newline", text + "\n", False),
@@ -1283,6 +1336,8 @@ def _reference_check_graph(n, edges):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         if u > v:
             raise ValueError(f"edge ({u},{v},{t}) must be stored with u <= v")
+        if t < 1:
+            raise ValueError(f"edge ({u},{v},{t}) has arrival index below 1")
 
 
 def _reference_degrees(self) -> tuple[int, ...]:
@@ -1290,7 +1345,7 @@ def _reference_degrees(self) -> tuple[int, ...]:
     deg = [0] * (self.n + 1)
     for u, v, t in self.edges:
         if u == v:
-            deg[u] += 1 if (self.first_loop_weight1 and t == 1) else 2
+            deg[u] += 1 if (self.model is Model.TILDE and t == 1) else 2
         else:
             deg[u] += 1
             deg[v] += 1
@@ -1420,7 +1475,7 @@ def test_inner_edge_cap_check_matches_the_two_table_oracle(multigraphs):
         pairs = [
             (rnd.randint(1, n), rnd.randint(1, n)) for _ in range(rnd.randint(1, 3 * n))
         ]
-        graphs.append(MultiGraph.from_pairs(n, pairs, first_loop_weight1=bool(i % 2)))
+        graphs.append(MultiGraph.from_pairs(n, pairs, model=Model.TILDE if i % 2 else None))
     # counts past int16
     graphs.append(MultiGraph.from_pairs(3, [(1, 1)] * 40000 + [(1, 2)] * 40000))
     refused = 0
@@ -1476,6 +1531,12 @@ INVALID_EDGE_SETS = [
     (3, ((1, 2, 1), (3, 2, 2), (0, 1, 3))),
     (3, ((1, 2, 1), (0, 1, 2), (3, 2, 3))),
     (3, ((1, 2, 1), (2, 3, 2), (2, 2, 3), (3, 1, 4))),
+    # an arrival below 1 on a row out of range or unordered keeps that
+    # row's message; on a good row it is named before a later bad row
+    (2, ((0, 1, 0),)),
+    (2, ((1, 3, -1),)),
+    (2, ((2, 1, 0),)),
+    (2, ((1, 1, 0), (0, 1, 1))),
 ]
 
 
@@ -1564,7 +1625,7 @@ def test_column_store_keeps_dataclass_semantics(corpus):
         assert g.edges == back.edges and g.edges is not g.edges
         assert dataclasses.replace(g, seed=None) == merge(log)
         assert dataclasses.replace(g, seed=seed + 1) != g
-        twin = MultiGraph(g.n, g.edges, g.first_loop_weight1, g.model, g.h, g.seed)
+        twin = MultiGraph(g.n, g.edges, g.model, g.h, g.seed)
         assert twin == g and hash(twin) == hash(g)
 
 
@@ -1597,9 +1658,12 @@ def test_tampered_pickles_are_refused(protocol):
             pickle.loads(payload)
 
 
+_FLIPPED = {Model.STANDARD: Model.TILDE, Model.TILDE: Model.STANDARD, None: Model.TILDE}
+
+
 def _tuple_key(g: MultiGraph) -> tuple:
     """The fields as the dataclass-generated ``__eq__`` compared them."""
-    return (g.n, g.edges, g.first_loop_weight1, g.model, g.h, g.seed)
+    return (g.n, g.edges, g.model, g.h, g.seed)
 
 
 def test_graph_equality_and_hash_match_the_field_tuples(corpus, multigraphs):
@@ -1609,7 +1673,7 @@ def test_graph_equality_and_hash_match_the_field_tuples(corpus, multigraphs):
         variants += [
             dataclasses.replace(g, seed=None),
             dataclasses.replace(g, h=7),
-            dataclasses.replace(g, first_loop_weight1=not g.first_loop_weight1),
+            dataclasses.replace(g, model=_FLIPPED[g.model]),
             dataclasses.replace(g, n=g.n + 1),
             MultiGraph(g.n, g.edge_array[::-1], *_tuple_key(g)[2:]),
             MultiGraph(g.n, g.edge_array.copy(), *_tuple_key(g)[2:]),

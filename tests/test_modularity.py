@@ -241,7 +241,7 @@ def test_exact_matches_the_reference_dp(model, h, n, seed):
 def test_exact_matches_the_reference_dp_on_ties(multigraphs):
     edge_free = [MultiGraph(n, ()) for n in (1, 2, 5)]
     one_vertex = [MultiGraph.from_pairs(1, [(1, 1)] * k) for k in (1, 3)]
-    one_vertex.append(MultiGraph.from_pairs(1, [(1, 1)], first_loop_weight1=True))
+    one_vertex.append(MultiGraph.from_pairs(1, [(1, 1)], model=Model.TILDE))
     for g in SYMMETRIC + edge_free + one_vertex + list(multigraphs):
         assert exact_modularity(g) == _reference_exact_modularity(g)
 
@@ -487,7 +487,7 @@ def _tie_heavy_multigraphs(draw):
     same = draw(st.booleans()) and draw(mult)
     for pair in draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n)):
         pairs += [pair] * (same or draw(mult))
-    return MultiGraph.from_pairs(n, pairs, first_loop_weight1=weight1)
+    return MultiGraph.from_pairs(n, pairs, model=Model.TILDE if weight1 else None)
 
 
 @settings(max_examples=200)

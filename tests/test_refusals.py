@@ -3,6 +3,7 @@ one place in ``src/pamod`` where each shared rule is written."""
 
 import argparse
 import ast
+import dataclasses
 import json
 import math
 import pathlib
@@ -209,10 +210,12 @@ REFUSALS = [
     (modularity.expansion_modularity_bound, (PA, math.nan), "cannot convert NaN to integer ratio"),
     (modularity.expansion_modularity_bound, (PA, "abc"), "Invalid literal for Fraction: 'abc'"),
     # a graph's metadata is checked when it is built, not when its file is read
-    (MultiGraph, (3, [(1, 1, 1)], False, "bogus"), "unknown model 'bogus'"),
-    (MultiGraph, (3, [(1, 1, 1)], False, None, 0), "need h >= 1, got 0"),
-    (MultiGraph, (3, [(1, 1, 1)], False, None, None, -1),
+    (MultiGraph, (3, [(1, 1, 1)], "bogus"), "unknown model 'bogus'"),
+    (MultiGraph, (3, [(1, 1, 1)], None, 0), "need h >= 1, got 0"),
+    (MultiGraph, (3, [(1, 1, 1)], None, None, -1),
      "seed must be a 64-bit unsigned integer, got -1"),
+    # no process gives an arrival below 1, and no graph file held one
+    (MultiGraph, (3, [(1, 1, 1), (1, 2, 0)]), "edge (1,2,0) has arrival index below 1"),
     # a sweep's lists must be arrays: a string was read letter by letter,
     # and an int or object raised TypeError
     (experiment.ExperimentConfig.from_dict, ({**SWEEP, "h_list": "23"},),
@@ -540,22 +543,30 @@ def test_no_hand_written_copy_of_the_range_or_limit_rule_is_left():
 
 
 def test_the_tilde_loop_rule_and_the_expansion_constant_are_written_once():
-    tilde_keywords, constants = [], []
+    # the weight-1 first loop follows from a graph's model, tested once
+    tilde_tests, constants = [], []
     for name, tree in _trees().items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.keyword) and node.arg == "first_loop_weight1":
-                value = node.value
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
                 if (
-                    isinstance(value, ast.Compare)
-                    and isinstance(value.ops[0], ast.Is)
-                    and ast.unparse(value.comparators[0]) == "Model.TILDE"
+                    isinstance(node, ast.Compare)
+                    and isinstance(node.ops[0], ast.Is)
+                    and isinstance(node.left, ast.Attribute)
+                    and node.left.attr == "model"
+                    and ast.unparse(node.comparators[0]) == "Model.TILDE"
                 ):
-                    tilde_keywords.append(name)
+                    tilde_tests.append((name, func.name))
+        for node in ast.walk(tree):
             # a float constant is never a docstring
             if isinstance(node, ast.Constant) and node.value == 0.03418:
                 constants.append(name)
-    assert tilde_keywords == ["models.py"]
+    assert tilde_tests == [("models.py", "degrees")]
     assert constants == ["certify.py"]
+    source = "".join(path.read_text() for path in SRC.glob("*.py"))
+    assert "first_loop_weight1" not in source and "_generated_graph" not in source
+    assert [f.name for f in dataclasses.fields(MultiGraph)] == ["n", "edges", "model", "h", "seed"]
 
 
 def test_the_profile_size_rule_is_written_once():
